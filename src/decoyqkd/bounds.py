@@ -105,59 +105,98 @@ def _validate_iteration_controls(tol: float, max_iter: int) -> None:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
 
 
+def _solve_sc(
+    rates: ObservedRates,
+    params: ProtocolParams,
+    k1: float,
+    kc: float,
+    r0: float,
+    sc_lo: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[float, float]:
+    """Solve F(sc) = sc for (sc, s1) with sc on [sc_lo, fluctuation floor].
+
+    F is one pass through both constraints.  The weak class fixes
+    s1 = y^2 at sc; the strong class then allows the larger root of
+    c sc (1 - kc/sqrt(sc)) = room, its singles term down-weighted to
+    (1 - k1/y) y^2 and its vacuum term raised by (1 + r0).  Newton steps
+    in y fall back to bisection when they leave the bracket between y at
+    sc_lo and the floor y = k1, where r1 = 1.  Returns sc_lo when
+    F(sc_lo) <= sc_lo, and F at the floor (s1 below it) if no root is left.
+    """
+    mu, mu_prime = params.mu, params.mu_prime
+    coeffs = decompose(params)
+    c = coeffs.c
+    a = 1.0 / coeffs.multi_ratio
+    p1_mu = mu * math.exp(-mu)
+    p1_mu_prime = mu_prime * math.exp(-mu_prime)
+    weak = rates.s_mu - math.exp(-mu) * rates.s0
+    strong = rates.s_mu_prime - math.exp(-mu_prime) * (1.0 + r0) * rates.s0
+    evals = 0
+
+    def excess(y: float, sc: float) -> tuple[float, float, float]:
+        """F(sc) - sc at s1 = y^2, its derivative in y, and F(sc)."""
+        nonlocal evals
+        if evals == max_iter:
+            raise ConvergenceError(f"no sc/s1 root within {max_iter} evaluations", sc=sc, s1=y * y)
+        evals += 1
+        room = max(a * (strong - p1_mu_prime * (y - k1) * y), 0.0)
+        disc = math.sqrt(kc * kc + 4.0 * room / c)
+        slope = (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c if room else 0.0
+        f = 0.25 * (kc + disc) ** 2
+        return f - sc, 2.0 * p1_mu * y / c - slope, f
+
+    s1_lo = (weak - c * sc_lo) / p1_mu
+    g_floor, _, f_floor = excess(k1, (weak - p1_mu * k1 * k1) / c)
+    if s1_lo <= k1 * k1:
+        return f_floor, (weak - c * f_floor) / p1_mu
+    y = hi = math.sqrt(s1_lo)
+    g, dg, _ = excess(y, sc_lo)
+    if g <= 0.0:
+        return sc_lo, s1_lo
+    if g_floor >= 0.0:
+        return f_floor, (weak - c * f_floor) / p1_mu
+    lo, sc = k1, sc_lo
+    while True:
+        y_next = y - g / dg if dg > 0.0 else 0.5 * (lo + hi)
+        if y_next != y and not lo < y_next < hi:
+            y_next = 0.5 * (lo + hi)
+        sc_next = (weak - p1_mu * y_next * y_next) / c
+        # Also stop once no float is left strictly inside the bracket.
+        if abs(sc_next - sc) <= tol * sc_next or not lo < y_next < hi:
+            return sc_next, y_next * y_next
+        y, sc = y_next, sc_next
+        g, dg, _ = excess(y, sc)
+        if g > 0.0:
+            hi = y
+        else:
+            lo = y
+
+
 def iterate_sc_s1(
     rates: ObservedRates,
     params: ProtocolParams,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, float]:
-    """Alternate the two rate constraints until the pair (sc, s1) is stable.
+    """Solve the two rate constraints for the self-consistent pair (sc, s1).
 
-    Each pass infers the single-photon rate from the weak class at the
-    current multi-photon rate, then recomputes the multi-photon rate that
-    the strong class allows for that single-photon rate.  The map is an
-    exact contraction with factor mu/mu', so convergence is geometric; the
-    stopping rule is scaled by (1 - mu/mu') to keep the converged value
-    within a small multiple of tol of the true fixed point.
+    The weak class ties the single-photon rate to the multi-photon rate;
+    the strong class caps the multi-photon rate given the single-photon
+    rate.  The shared solver searches from sc = 0 without fluctuation
+    terms, independently of the closed form; tol bounds the relative
+    final step in sc and max_iter the number of constraint evaluations.
+    With no root above s1 = 0 the pair clamps to (crude sc, 0).
     """
     _require_weak_rate(rates)
     _validate_iteration_controls(tol, max_iter)
-    mu, mu_prime = params.mu, params.mu_prime
-    coeffs = decompose(params)
-    c = coeffs.c
-    a = 1.0 / coeffs.multi_ratio
-    p1_mu = mu * math.exp(-mu)
-    p0_mu = math.exp(-mu)
-    p1_mu_prime = mu_prime * math.exp(-mu_prime)
-    p0_mu_prime = math.exp(-mu_prime)
-    contraction_slack = 1.0 - mu / mu_prime
-
-    sc = max(a * (rates.s_mu_prime - p0_mu_prime * rates.s0) / c, 0.0)
-    s1 = (rates.s_mu - p0_mu * rates.s0 - c * sc) / p1_mu
-    if s1 < 0.0:
-        # The weak class cannot support any single-photon counts at the
-        # crude multi-photon rate; the clamped fixed point is (sc, 0).
-        return sc, 0.0
-
-    for _ in range(max_iter):
-        s1 = (rates.s_mu - p0_mu * rates.s0 - c * sc) / p1_mu
-        sc_next = max(
-            a * (rates.s_mu_prime - p0_mu_prime * rates.s0 - p1_mu_prime * s1) / c, 0.0
-        )
-        if abs(sc_next - sc) <= tol * max(sc_next, 1e-300) * contraction_slack:
-            sc = sc_next
-            s1 = (rates.s_mu - p0_mu * rates.s0 - c * sc) / p1_mu
-            return sc, max(s1, 0.0)
-        sc = sc_next
-    raise ConvergenceError(
-        f"sc/s1 iteration did not stabilize in {max_iter} iterations",
-        sc=sc,
-        s1=max(s1, 0.0),
-    )
+    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, tol, max_iter)
+    return sc, max(s1, 0.0)
 
 
 def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
-    """Closed-form fixed point of the sc/s1 iteration.
+    """Closed-form solution of the sc/s1 constraint system.
 
     delta <= mu/(mu'-mu) * (mu e^{-mu} S_mu' / (mu' e^{-mu'} S_mu) - 1)
              + mu e^{-mu} s0 / (mu' S_mu)

@@ -210,12 +210,3 @@ def sample_observation(
         budget=budget,
         seed=seed,
     )
-
-
-def split_seed(root_seed: int, index: int) -> int:
-    """Derive the seed for cell ``index`` of a parallel run from a root seed.
-
-    Splitting rule: uint64 drawn from numpy SeedSequence([root_seed, index]).
-    Cells with distinct indices get statistically independent streams.
-    """
-    return int(np.random.SeedSequence([root_seed, index]).generate_state(1, np.uint64)[0])

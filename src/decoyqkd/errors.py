@@ -16,7 +16,7 @@ class DecompositionError(ParameterError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; carries the last iterate."""
+    """The sc/s1 solver used up max_iter evaluations; carries the next iterate (sc, s1)."""
 
     def __init__(self, message: str, sc: float | None = None, s1: float | None = None):
         super().__init__(message)

@@ -20,10 +20,11 @@ from .bounds import (
     BoundReport,
     ObservedRates,
     _require_weak_rate,
+    _solve_sc,
     _validate_iteration_controls,
     wang_asymptotic_bound,
 )
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .photon_stats import ProtocolParams, decompose
 
 
@@ -119,83 +120,41 @@ def finite_bound(
     strong class constrains sc with every rate shifted adversarially by
     its relative fluctuation (singles and vacuum down-weighted against
     the multi-photon term, the multi-photon rate itself under-observed).
-    The iteration is monotone increasing from the asymptotic solution;
-    any fluctuation reaching 1 makes the bound vacuous.
+    The shared solver searches above the asymptotic solution; tol bounds
+    the relative final step in sc and max_iter the number of constraint
+    evaluations.  Any fluctuation reaching 1 makes the bound vacuous.
     """
     _require_weak_rate(rates)
     _validate_iteration_controls(tol, max_iter)
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
     c = coeffs.c
-    a = 1.0 / coeffs.multi_ratio
-    p0_mu = math.exp(-mu)
     p1_mu = mu * math.exp(-mu)
-    p0_mu_prime = math.exp(-mu_prime)
-    p1_mu_prime = mu_prime * math.exp(-mu_prime)
 
     n_singles = budget.n_mu * p1_mu
     n_multi = budget.n_mu * c
     if settings.min_over_classes:
-        n_singles = min(n_singles, budget.n_mu_prime * p1_mu_prime)
+        n_singles = min(n_singles, budget.n_mu_prime * mu_prime * math.exp(-mu_prime))
         n_multi = min(n_multi, budget.n_mu_prime * c * coeffs.multi_ratio)
-    # r_x = k_x / sqrt(s_x) for the running iterates.
-    k1 = 2.0 * math.sqrt(settings.confidence_exponent / n_singles)
-    kc = 2.0 * math.sqrt(settings.confidence_exponent / n_multi)
-
-    dark_term_mu = p0_mu * rates.s0
-    dark_term_mu_prime = p0_mu_prime * (1.0 + settings.r0) * rates.s0
+    # r_x = k_x / sqrt(s_x) for a sub-population rate s_x.
+    k1 = relative_fluctuation(1.0, n_singles, settings)
+    kc = relative_fluctuation(1.0, n_multi, settings)
 
     seed = wang_asymptotic_bound(rates, params)
     if seed.vacuous:
         return _vacuous_report(rates, c)
-
-    sc = seed.sc_upper
-    s1 = 0.0
-    r1 = 0.0
-    contraction_slack = 1.0 - mu / mu_prime
-    converged = False
-    for _ in range(max_iter):
-        s1 = (rates.s_mu - dark_term_mu - c * sc) / p1_mu
-        if s1 <= 0.0:
-            return _vacuous_report(rates, c)
-        r1 = k1 / math.sqrt(s1)
-        if r1 >= 1.0:
-            return _vacuous_report(rates, c)
-        strong_room = a * (
-            rates.s_mu_prime - p1_mu_prime * (1.0 - r1) * s1 - dark_term_mu_prime
-        )
-        strong_room = max(strong_room, 0.0)
-        # Solve c * sc * (1 - kc/sqrt(sc)) = strong_room for the larger root;
-        # the smaller root sits below the fluctuation floor kc^2.
-        u = 0.5 * (kc + math.sqrt(kc * kc + 4.0 * strong_room / c))
-        sc_next = u * u
-        if abs(sc_next - sc) <= tol * max(sc_next, 1e-300) * contraction_slack:
-            sc = sc_next
-            converged = True
-            break
-        sc = sc_next
-    if not converged:
-        raise ConvergenceError(
-            f"finite-statistics iteration did not stabilize in {max_iter} iterations",
-            sc=sc,
-            s1=max(s1, 0.0),
-        )
-
+    sc, _ = _solve_sc(rates, params, k1, kc, settings.r0, seed.sc_upper, tol, max_iter)
     # A positive r0 subtracts extra dark credit and can undercut the
     # asymptotic value; the finite bound is never allowed to be tighter.
     sc = max(sc, seed.sc_upper)
-    s1 = (rates.s_mu - dark_term_mu - c * sc) / p1_mu
-    if s1 <= 0.0:
-        return _vacuous_report(rates, c)
-    r1 = k1 / math.sqrt(s1)
-    if r1 >= 1.0:
-        return _vacuous_report(rates, c)
+    s1 = (rates.s_mu - math.exp(-mu) * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
-    if delta_raw >= 1.0:
+    # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.
+    if s1 <= k1 * k1 or delta_raw >= 1.0:
         return _vacuous_report(rates, c)
     return BoundReport(
         delta_upper=delta_raw,
-        s1_lower=max((1.0 - r1) * s1, 0.0),
+        s1_lower=max(s1 - k1 * math.sqrt(s1), 0.0),
         sc_upper=sc,
         method=METHOD_WANG_FINITE,
         clamped=False,

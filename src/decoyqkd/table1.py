@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundReport, ObservedRates, delta_prime_bound, hwang_optimized
+from .bounds import ObservedRates, delta_prime_bound, hwang_optimized
 from .channel import NoEve, expected_rates, multi_photon_fraction
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .photon_stats import ProtocolParams
@@ -101,20 +101,6 @@ def finite_cell(
     budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses, n_vacuum=VACUUM_PULSES)
     report = finite_bound(rates, params, budget, FluctuationSettings())
     return report.delta_upper, delta_prime_bound(report.delta_upper, rates, params)
-
-
-def finite_report(
-    mu: float,
-    mu_prime: float,
-    eta: float,
-    n_pulses: int,
-    s0: float = S0,
-) -> BoundReport:
-    """Full finite-bound report for one grid cell, same convention as finite_cell."""
-    params = ProtocolParams(mu=mu, mu_prime=mu_prime)
-    rates = loss_only_rates(mu, mu_prime, eta, s0)
-    budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses, n_vacuum=VACUUM_PULSES)
-    return finite_bound(rates, params, budget, FluctuationSettings())
 
 
 def true_fraction(intensity: float, eta: float = TRUE_FRACTION_ETA) -> float:

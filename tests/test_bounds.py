@@ -8,10 +8,12 @@ from decoyqkd import (
     METHOD_WANG_ASYMPTOTIC,
     ConvergenceError,
     DomainError,
+    NoEve,
     ObservedRates,
     ParameterError,
     ProtocolParams,
     delta_prime_bound,
+    expected_rates,
     hwang_bound,
     hwang_optimized,
     iterate_sc_s1,
@@ -126,6 +128,17 @@ def test_iterate_converges_within_100_iterations():
     )
     sc, s1 = iterate_sc_s1(rates, ProtocolParams(0.25, 0.41), tol=1e-10, max_iter=100)
     assert sc > 0.0 and s1 > 0.0
+
+
+def test_iterate_near_diagonal_matches_closed_form():
+    # mu'/mu - 1 = 3.3e-4: a loop contracting by mu/mu' per step would
+    # need tens of thousands of steps here.
+    params = ProtocolParams(0.3, 0.3001)
+    rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), params)
+    closed = wang_asymptotic_bound(rates, params)
+    sc, s1 = iterate_sc_s1(rates, params)
+    assert sc == pytest.approx(closed.sc_upper, rel=1e-6)
+    assert s1 == pytest.approx(closed.s1_lower, rel=1e-6)
 
 
 def test_iterate_clamps_s1_at_zero():

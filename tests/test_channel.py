@@ -16,7 +16,6 @@ from decoyqkd import (
     multi_photon_fraction,
     poisson_pmf,
     sample_observation,
-    split_seed,
     true_delta,
 )
 
@@ -154,12 +153,6 @@ def test_large_budget_switches_to_normal_approximation(monkeypatch):
     expected = expected_rates(scenario, PARAMS)
     sd = math.sqrt(expected.s_mu * (1.0 - expected.s_mu) / 10**6)
     assert abs(a.rates.s_mu - expected.s_mu) < 6 * sd
-
-
-def test_split_seed_deterministic_and_distinct():
-    seeds = [split_seed(42, i) for i in range(100)]
-    assert seeds == [split_seed(42, i) for i in range(100)]
-    assert len(set(seeds)) == 100
 
 
 def test_expected_rates_feed_bound_types():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,13 +8,16 @@ from decoyqkd import (
     METHOD_WANG_FINITE,
     DomainError,
     FluctuationSettings,
+    NoEve,
     ObservedRates,
     ParameterError,
     ProtocolParams,
     PulseBudget,
     confidence_bound,
+    expected_rates,
     finite_bound,
     relative_fluctuation,
+    validate_pair,
     wang_asymptotic_bound,
 )
 from decoyqkd.table1 import loss_only_rates
@@ -98,6 +102,95 @@ def test_finite_bound_approaches_asymptotic():
     fin = finite_bound(rates, PARAMS, PulseBudget(10**30, 10**30), FluctuationSettings())
     assert fin.delta_upper >= asym.delta_upper
     assert fin.delta_upper - asym.delta_upper < 1e-3
+
+
+def test_finite_bound_near_diagonal_approaches_asymptotic():
+    params = ProtocolParams(0.3, 0.3001)
+    rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), params)
+    asym = wang_asymptotic_bound(rates, params)
+    fin = finite_bound(rates, params, PulseBudget(10**30, 10**30))
+    assert 0.0 <= fin.delta_upper - asym.delta_upper < 1e-3
+
+
+def _ten_evaluation_cases():
+    """Sweep-grid subsample, near-diagonal pairs, and the criterion-09 family."""
+    for i in range(1, 10):
+        for j in range(2, 21):
+            mu, mu_prime = 0.05 * i, 0.05 * j
+            if validate_pair(mu, mu_prime):
+                params = ProtocolParams(mu, mu_prime)
+                for eta in (1e-4, 1e-3, 1e-2):
+                    rates = expected_rates(NoEve(eta=eta, s0=1e-6), params)
+                    yield params, rates, 8 * 10**10
+    for mu in (0.1, 0.2, 0.3, 0.4, 0.5):
+        for gap in (1e-6, 1e-4, 1e-2):
+            params = ProtocolParams(mu, mu * (1.0 + gap))
+            rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), params)
+            for n in (10**8, 10**12, 10**16, 10**30):
+                yield params, rates, n
+    rng = random.Random(777)
+    accepted = 0
+    while accepted < 1000:
+        mu = rng.uniform(0.05, 0.8)
+        mu_prime = rng.uniform(mu + 0.01, 1.0)
+        if not validate_pair(mu, mu_prime):
+            continue
+        s_mu = 10.0 ** rng.uniform(-7.0, -0.31)
+        s_mu_prime = min(rng.uniform(0.2, 3.0) * s_mu, 1.0)
+        rates = ObservedRates(rng.uniform(0.0, 0.01) * s_mu, s_mu, s_mu_prime)
+        params = ProtocolParams(mu, mu_prime)
+        closed = wang_asymptotic_bound(rates, params)
+        if closed.clamped or closed.vacuous or closed.delta_upper <= 1e-6 or closed.s1_lower <= 0:
+            continue
+        accepted += 1
+        for n in (10**8, 10**10, 10**12, 10**16, 10**30):
+            yield params, rates, n
+
+
+def test_finite_bound_returns_within_ten_evaluations():
+    for params, rates, n in _ten_evaluation_cases():
+        finite_bound(rates, params, PulseBudget(n, n), max_iter=10)
+
+
+PINNED_BRANCHES = {
+    # Asymptotic bound clamped to 0; the finite root is the floor sc = kc^2.
+    "asymptotic_clamped": (
+        PARAMS,
+        ObservedRates(s0=1e-6, s_mu=1e-4, s_mu_prime=1.2e-4),
+        PulseBudget(10**10, 10**10),
+        FluctuationSettings(),
+        9.999999999999998e-05,
+    ),
+    # r0 > 0 pulls the strong-class map below the asymptotic value.
+    "r0_clamp_binds": (
+        PARAMS,
+        expected_rates(NoEve(eta=1e-3, s0=1e-5), PARAMS),
+        PulseBudget(10**14, 10**14),
+        FluctuationSettings(r0=0.9),
+        0.31444433983366393,
+    ),
+    "min_over_classes": (
+        ProtocolParams(0.25, 0.41),
+        loss_only_rates(0.25, 0.41, 1e-4),
+        PulseBudget(8 * 10**10, 10**9),
+        FluctuationSettings(min_over_classes=True),
+        0.42143664240408746,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BRANCHES))
+def test_finite_bound_pinned_branches(name):
+    # Values frozen from the fixed-point iteration the shared solver replaced.
+    params, rates, budget, settings, expected = PINNED_BRANCHES[name]
+    report = finite_bound(rates, params, budget, settings)
+    assert report.delta_upper == pytest.approx(expected, abs=1e-9)
+    assert not report.vacuous
+    asym = wang_asymptotic_bound(rates, params)
+    if name == "asymptotic_clamped":
+        assert asym.clamped and asym.delta_upper == 0.0
+    if name == "r0_clamp_binds":
+        assert report.sc_upper == asym.sc_upper
 
 
 def test_finite_bound_monotone_in_budget():

@@ -73,13 +73,6 @@ def test_finite_cell_regressions():
         assert delta_prime == pytest.approx(W2_PRIME_REGRESSIONS[pair], abs=1e-9)
 
 
-def test_finite_report_consistent_with_cell():
-    report = table1.finite_report(0.25, 0.41, table1.W2_ETA, table1.W2_PULSES)
-    delta, _ = table1.finite_cell(0.25, 0.41, table1.W2_ETA, table1.W2_PULSES)
-    assert report.delta_upper == delta
-    assert not report.vacuous
-
-
 def test_true_fraction_oracle():
     assert table1.true_fraction(0.2) == pytest.approx(0.18118737111760783, rel=1e-9)
     assert table1.true_fraction(0.47) == pytest.approx(0.3748508446789516, rel=1e-9)
