@@ -9,16 +9,8 @@ bound (or of the asymptotic bound when no pulse budget is given).
 import argparse
 import sys
 
-from decoyqkd import (
-    FluctuationSettings,
-    NoEve,
-    ProtocolParams,
-    PulseBudget,
-    expected_rates,
-    finite_bound,
-    validate_pair,
-    wang_asymptotic_bound,
-)
+from decoyqkd import FluctuationSettings, batch, validate_pair
+from decoyqkd.bounds import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 def main() -> int:
@@ -36,26 +28,19 @@ def main() -> int:
 
     steps = int(round((args.mu_prime_stop - args.mu_prime_start) / args.mu_prime_step))
     grid = [round(args.mu_prime_start + k * args.mu_prime_step, 12) for k in range(steps + 1)]
-    budget = PulseBudget(args.n, args.n) if args.n is not None else None
     settings = FluctuationSettings(confidence_exponent=args.confidence_exponent)
 
     print(f"channel: eta={args.eta:g}, s0={args.s0:g}, "
-          f"budget={'asymptotic' if budget is None else format(args.n, '.2e')}")
+          f"budget={'asymptotic' if args.n is None else format(args.n, '.2e')}")
     for mu in args.mu:
+        pairs = [(mu, mu_prime) for mu_prime in grid if validate_pair(mu, mu_prime)]
+        rows = batch.sweep(
+            pairs, [args.eta], args.s0, args.n, settings, None, DEFAULT_TOL, DEFAULT_MAX_ITER
+        )
         best = None
-        for mu_prime in grid:
-            if not validate_pair(mu, mu_prime):
-                continue
-            params = ProtocolParams(mu, mu_prime)
-            rates = expected_rates(NoEve(eta=args.eta, s0=args.s0), params)
-            if budget is None:
-                report = wang_asymptotic_bound(rates, params)
-            else:
-                report = finite_bound(rates, params, budget, settings)
-            if report.vacuous:
-                continue
-            if best is None or report.delta_upper < best[1]:
-                best = (mu_prime, report.delta_upper)
+        for (_, mu_prime), delta, vacuous in zip(pairs, rows.delta_upper, rows.vacuous):
+            if not vacuous and (best is None or delta < best[1]):
+                best = (mu_prime, delta)
         if best is None:
             print(f"  mu={mu:<5}: no admissible non-vacuous strong intensity in grid")
             continue

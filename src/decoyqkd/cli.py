@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import json
 import sys
 from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Sequence
 
+from . import batch
 from .bounds import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -328,14 +327,22 @@ def _resolve_output(
 # rendering
 
 
-def _fmt_machine(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
+def _fmt_text(value: Any) -> str:
+    # csv's minimal quoting, which only free text can need.
+    text = str(value)
+    if any(ch in text for ch in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# Machine formats by exact cell type; a column of one type picks its
+# formatter once instead of testing every cell.
+_FMT_MACHINE: dict[type, Callable[[Any], str]] = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda value: format(value, ".17g"),
+    type(None): lambda value: "",
+    int: str,
+}
 
 
 def _fmt_human(value: Any) -> str:
@@ -358,13 +365,18 @@ def _fmt_pct(value: float) -> str:
     return format(100.0 * value, ".4g") + "%"
 
 
-def _csv_text(header: Sequence[str], records: Sequence[Sequence[Any]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for record in records:
-        writer.writerow([_fmt_machine(cell) for cell in record])
-    return buffer.getvalue()
+def _fmt_column(column: Sequence[Any]) -> list[str]:
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return list(map(_FMT_MACHINE.get(kinds.pop(), _fmt_text), column))
+    return [_FMT_MACHINE.get(type(cell), _fmt_text)(cell) for cell in column]
+
+
+def _csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
+    """CSV of equal-length columns; each cell is formatted by its exact Python type."""
+    lines = [",".join(map(_fmt_text, header))]
+    lines += map(",".join, zip(*map(_fmt_column, columns)))
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(obj: Any) -> str:
@@ -429,12 +441,8 @@ def _bound_csv(report_obj: dict[str, Any]) -> str:
         "clamped",
         "vacuous",
     )
-    records = []
-    for key in ("hwang", "asymptotic", "finite"):
-        if key in report_obj:
-            entry = report_obj[key]
-            records.append([entry[column] for column in header])
-    return _csv_text(header, records)
+    entries = [report_obj[key] for key in ("hwang", "asymptotic", "finite") if key in report_obj]
+    return _csv_text(header, [[entry[column] for entry in entries] for column in header])
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +601,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "clamped",
             "vacuous",
         )
-        records = []
+        sources, entries = [], []
         for source in ("expected", "sampled"):
             for key in ("hwang", "asymptotic", "finite"):
                 if key in report_obj[source]:
-                    entry = report_obj[source][key]
-                    records.append([source] + [entry[column] for column in header[1:]])
-        _emit(_csv_text(header, records), out)
+                    sources.append(source)
+                    entries.append(report_obj[source][key])
+        columns = [sources] + [[entry[column] for entry in entries] for column in header[1:]]
+        _emit(_csv_text(header, columns), out)
     else:
         lines: list[str] = []
         lines += _table_section("inputs", list(report_obj["inputs"].items()), set())
@@ -637,11 +646,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
         _emit(_json_text(payload), out)
     elif fmt == "csv":
         header = ("quantity", "intensity", "partner", "computed", "reference", "deviation")
-        records = [
-            [row.quantity, row.intensity, row.partner, row.computed, row.reference, row.deviation]
-            for row in all_rows
-        ]
-        _emit(_csv_text(header, records), out)
+        columns = [[getattr(row, column) for row in all_rows] for column in header]
+        _emit(_csv_text(header, columns), out)
     else:
         lines = ["quantity         intensity  partner  computed  reference  deviation"]
         for row in all_rows:
@@ -656,6 +662,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Bound every admissible (mu, mu_prime, eta) grid row on a NoEve channel.
+
+    Rows come from the lane-parallel engine in batch.py, which matches the
+    scalar functions bit for bit: finite_bound with --n pulses per signal
+    class (wang_asymptotic_bound without), then delta_prime_bound and, with
+    --qber, gllp_rate.  Exit 3 when every row is vacuous.
+    """
     config = load_config(args.config) if args.config else {}
     section = config.get("sweep", {})
 
@@ -678,8 +691,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args, config)
     fmt, out = _resolve_output(args, config)
 
-    records: list[list[Any]] = []
-    emitted_non_vacuous = False
+    pairs: list[tuple[float, float]] = []
     for mu in mu_grid:
         for mu_prime in mu_prime_grid:
             check = validate_pair(mu, mu_prime)
@@ -690,53 +702,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            params = ProtocolParams(mu=mu, mu_prime=mu_prime)
-            for eta in eta_grid:
-                rates = expected_rates(NoEve(eta=eta, s0=s0), params)
-                if n_pulses is not None:
-                    budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-                    report = finite_bound(
-                        rates, params, budget, settings, args.tol, args.max_iter
-                    )
-                else:
-                    report = wang_asymptotic_bound(rates, params)
-                delta_prime = delta_prime_bound(report.delta_upper, rates, params)
-                key = (
-                    gllp_rate(KeyRateInput(delta=report.delta_upper, qber=qber))
-                    if qber is not None
-                    else None
-                )
-                if not report.vacuous:
-                    emitted_non_vacuous = True
-                records.append(
-                    [
-                        mu,
-                        mu_prime,
-                        eta,
-                        n_pulses,
-                        s0,
-                        report.delta_upper,
-                        delta_prime,
-                        report.s1_lower,
-                        key,
-                        report.clamped,
-                        report.vacuous,
-                    ]
-                )
-    if not records:
+            pairs.append((mu, mu_prime))
+    if not pairs:
         raise ConfigError("sweep grid contains no admissible (mu, mu_prime) pairs")
 
-    if fmt == "json":
-        payload = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
+    rows = batch.sweep(
+        pairs, eta_grid, s0, n_pulses, settings, qber, args.tol, args.max_iter
+    )
+    count = len(pairs) * len(eta_grid)
+    columns = [
+        [mu for mu, _ in pairs for _ in eta_grid],
+        [mu_prime for _, mu_prime in pairs for _ in eta_grid],
+        eta_grid * len(pairs),
+        [n_pulses] * count,
+        [s0] * count,
+        rows.delta_upper.tolist(),
+        rows.delta_prime_upper.tolist(),
+        rows.s1_lower.tolist(),
+        [None] * count if rows.key_rate is None else rows.key_rate.tolist(),
+        rows.clamped.tolist(),
+        rows.vacuous.tolist(),
+    ]
+
+    if fmt == "csv":
+        _emit(_csv_text(SWEEP_COLUMNS, columns), out)
+    elif fmt == "json":
+        payload = [dict(zip(SWEEP_COLUMNS, record)) for record in zip(*columns)]
         _emit(_json_text(payload), out)
-    elif fmt == "csv":
-        _emit(_csv_text(SWEEP_COLUMNS, records), out)
     else:
         lines = ["  ".join(SWEEP_COLUMNS)]
-        for record in records:
+        for record in zip(*columns):
             lines.append("  ".join(_fmt_human(cell) for cell in record))
         _emit("\n".join(lines) + "\n", out)
-    return EXIT_OK if emitted_non_vacuous else EXIT_VACUOUS
+    return EXIT_VACUOUS if rows.vacuous.all() else EXIT_OK
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
@@ -795,7 +793,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         record = list(payload["setup"].values()) + [
             payload[k] for k in payload if k != "setup"
         ]
-        _emit(_csv_text(header, [record]), out)
+        _emit(_csv_text(header, [[cell] for cell in record]), out)
     else:
         lines = _table_section("setup", list(payload["setup"].items()), set())
         lines += _table_section(

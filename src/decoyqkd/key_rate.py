@@ -36,17 +36,17 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def gllp_rate_flagged(inp: KeyRateInput) -> tuple[float, bool]:
-    """Rate and whether a negative raw value was clamped to zero.
+def gllp_rate(inp: KeyRateInput) -> float:
+    """max(0, 1 - delta - H(qber) - (1-delta) H(qber/(1-delta))).
 
-    Zero without a clamp flag when no key is distillable at all: every
-    count tagged, or the renormalized error rate beyond 1/2.
+    Zero as well when no key is distillable at all: every count tagged, or
+    the renormalized error rate beyond 1/2.
     """
     if inp.delta >= 1.0:
-        return 0.0, False
+        return 0.0
     scaled_error = inp.qber / (1.0 - inp.delta)
     if scaled_error > 0.5:
-        return 0.0, False
+        return 0.0
     raw = (
         1.0
         - inp.delta
@@ -54,10 +54,5 @@ def gllp_rate_flagged(inp: KeyRateInput) -> tuple[float, bool]:
         - (1.0 - inp.delta) * binary_entropy(scaled_error)
     )
     if raw < 0.0:
-        return 0.0, True
-    return raw, False
-
-
-def gllp_rate(inp: KeyRateInput) -> float:
-    """max(0, 1 - delta - H(qber) - (1-delta) H(qber/(1-delta)))."""
-    return gllp_rate_flagged(inp)[0]
+        return 0.0
+    return raw

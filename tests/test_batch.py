@@ -1,0 +1,295 @@
+"""The lane-parallel sweep layers equal the scalar functions bit for bit.
+
+Every comparison is exact: floats are compared by their hex form, so even
+the sign of a zero must match, and errors must match in type, message and
+(for ConvergenceError) the iterate they carry.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
+
+from decoyqkd import (
+    ConvergenceError,
+    FluctuationSettings,
+    KeyRateInput,
+    NoEve,
+    ParameterError,
+    ProtocolParams,
+    PulseBudget,
+    batch,
+    delta_prime_bound,
+    expected_rates,
+    finite_bound,
+    gllp_rate,
+    validate_pair,
+    wang_asymptotic_bound,
+)
+from decoyqkd.bounds import DEFAULT_MAX_ITER, DEFAULT_TOL
+
+DEFAULTS = FluctuationSettings()
+
+
+def exact(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def outcome(compute):
+    """Rows as exact tuples, or the error raised: type, message and iterate."""
+    try:
+        rows = compute()
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        iterate = (getattr(exc, "sc", None), getattr(exc, "s1", None))
+        return (type(exc), str(exc), *map(exact, iterate))
+    return [tuple(map(exact, row)) for row in rows]
+
+
+def scalar_lanes(lanes, n, fluct, qber, tol, max_iter):
+    rows = []
+    for mu, mu_prime, eta, s0 in lanes:
+        params = ProtocolParams(mu, mu_prime)
+        rates = expected_rates(NoEve(eta=eta, s0=s0), params)
+        if n is None:
+            report = wang_asymptotic_bound(rates, params)
+        else:
+            report = finite_bound(rates, params, PulseBudget(n, n), fluct, tol, max_iter)
+        rows.append(
+            (
+                report.delta_upper,
+                report.s1_lower,
+                report.sc_upper,
+                delta_prime_bound(report.delta_upper, rates, params),
+                None if qber is None else gllp_rate(KeyRateInput(report.delta_upper, qber)),
+                report.clamped,
+                report.vacuous,
+            )
+        )
+    return rows
+
+
+def batch_lanes(lanes, n, fluct, qber, tol, max_iter):
+    mu, mu_prime, eta, s0 = (np.array(column, float) for column in zip(*lanes))
+    pairs = batch.Pairs.of(mu, mu_prime)
+    rates = batch.expected_rates(eta, s0, pairs)
+    if n is None:
+        bounds = batch.wang_asymptotic_bound(rates, pairs)
+    else:
+        bounds = batch.finite_bound(rates, pairs, PulseBudget(n, n), fluct, tol, max_iter)
+    if qber is None:
+        key = [None] * len(lanes)
+    else:
+        key = batch.gllp_rate(bounds.delta_upper, qber).tolist()
+    return zip(
+        bounds.delta_upper.tolist(),
+        bounds.s1_lower.tolist(),
+        bounds.sc_upper.tolist(),
+        batch.delta_prime_bound(bounds.delta_upper, rates, pairs).tolist(),
+        key,
+        bounds.clamped.tolist(),
+        bounds.vacuous.tolist(),
+    )
+
+
+def assert_lanes_match(
+    lanes, n=None, fluct=DEFAULTS, qber=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
+):
+    args = (lanes, n, fluct, qber, tol, max_iter)
+    expected = outcome(lambda: scalar_lanes(*args))
+    assert outcome(lambda: batch_lanes(*args)) == expected
+    return expected
+
+
+def scalar_sweep(pairs, etas, s0, n, fluct, qber, tol, max_iter):
+    """The scalar sweep loop: every row builds its channel and budget in turn."""
+    rows = []
+    for mu, mu_prime in pairs:
+        params = ProtocolParams(mu, mu_prime)
+        for eta in etas:
+            rates = expected_rates(NoEve(eta=eta, s0=s0), params)
+            if n is None:
+                report = wang_asymptotic_bound(rates, params)
+            else:
+                budget = PulseBudget(n_mu=n, n_mu_prime=n)
+                report = finite_bound(rates, params, budget, fluct, tol, max_iter)
+            delta_prime = delta_prime_bound(report.delta_upper, rates, params)
+            key = None if qber is None else gllp_rate(KeyRateInput(report.delta_upper, qber))
+            rows.append((
+                report.delta_upper, delta_prime, report.s1_lower, key,
+                report.clamped, report.vacuous,
+            ))
+    return rows
+
+
+def batch_sweep(*args):
+    rows = batch.sweep(*args)
+    key = [None] * rows.vacuous.size if rows.key_rate is None else rows.key_rate.tolist()
+    return zip(
+        rows.delta_upper.tolist(),
+        rows.delta_prime_upper.tolist(),
+        rows.s1_lower.tolist(),
+        key,
+        rows.clamped.tolist(),
+        rows.vacuous.tolist(),
+    )
+
+
+def assert_sweep_matches(
+    pairs, etas, s0=1e-6, n=None, fluct=DEFAULTS, qber=None,
+    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+):
+    args = (pairs, etas, s0, n, fluct, qber, tol, max_iter)
+    expected = outcome(lambda: scalar_sweep(*args))
+    assert outcome(lambda: batch_sweep(*args)) == expected
+    return expected
+
+
+@st.composite
+def lanes(draw):
+    count = draw(st.integers(1, 12))
+    result = []
+    for _ in range(count):
+        mu = draw(st.floats(0.02, 0.7))
+        gap = draw(
+            st.one_of(
+                st.floats(-6.0, -2.0).map(lambda e: 10.0**e),  # near-diagonal
+                st.floats(0.01, 3.0),
+            )
+        )
+        mu_prime = mu * (1.0 + gap)
+        if not validate_pair(mu, mu_prime):
+            continue
+        eta = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0).map(lambda e: 10.0**e)))
+        s0 = draw(st.one_of(st.just(0.0), st.just(1e-6), st.floats(0.0, 1e-3)))
+        if eta == 0.0 and s0 == 0.0:
+            s0 = 1e-6  # s_mu = 0 is covered by the error tests
+        result.append((mu, mu_prime, eta, s0))
+    return result or [(0.3, 0.45, 1e-3, 1e-6)]
+
+
+budgets = st.one_of(st.none(), st.floats(5.0, 20.0).map(lambda e: int(10.0**e)))
+fluctuations = st.builds(
+    FluctuationSettings,
+    confidence_exponent=st.floats(1.0, 50.0),
+    r0=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    min_over_classes=st.booleans(),
+)
+qbers = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.5))
+
+
+@hyp_settings(max_examples=300)
+@given(lanes(), budgets, fluctuations, qbers)
+def test_layers_equal_scalar_functions(drawn, n, fluct, qber):
+    assert_lanes_match(drawn, n, fluct, qber)
+
+
+def test_layers_equal_scalar_on_random_lanes():
+    rng = random.Random(20050712)
+    for n in (None, 10**5, 10**8, 8 * 10**10, 10**14, 10**20):
+        for fluct in (DEFAULTS, FluctuationSettings(5.0, r0=0.3, min_over_classes=True)):
+            drawn = []
+            while len(drawn) < 300:
+                mu = rng.uniform(0.02, 0.7)
+                mu_prime = mu * (1.0 + 10.0 ** rng.uniform(-6.0, 0.5))
+                if validate_pair(mu, mu_prime):
+                    eta = 10.0 ** rng.uniform(-5.0, -1.0)
+                    s0 = rng.choice((0.0, 1e-6, rng.uniform(0.0, 1e-3)))
+                    drawn.append((mu, mu_prime, eta, s0))
+            expected = assert_lanes_match(drawn, n, fluct, qber=0.015)
+            assert isinstance(expected, list)
+
+
+def test_baseline_grid_slice_with_vacuous_rows():
+    mu_primes = np.arange(0.1, 1.0001, 0.05).round(12).tolist()
+    pairs = [(mu, mp) for mu in (0.05, 0.3, 0.5) for mp in mu_primes if validate_pair(mu, mp)]
+    etas = [1e-4, 1e-3, 1e-2]
+    flag_sets = [
+        {},
+        {"n": 8 * 10**10, "qber": 0.015},
+        {"n": 10**6, "qber": 0.2},
+        {"n": 8 * 10**10, "fluct": FluctuationSettings(r0=0.2, min_over_classes=True)},
+        {"n": 1000},
+    ]
+    seen = set()
+    for flags in flag_sets:
+        rows = assert_sweep_matches(pairs, etas, **flags)
+        seen |= {(row[4], row[5]) for row in rows}
+    assert seen == {(False, False), (True, True)}
+
+
+def test_near_diagonal_pairs():
+    drawn = [(0.3, 0.3 * (1.0 + gap), 1e-3, 1e-6) for gap in (1e-6, 1e-5, 1e-4, 1e-3)]
+    for n in (None, 10**8, 10**20):
+        assert isinstance(assert_lanes_match(drawn, n, qber=0.01), list)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_convergence_error_at_max_iter(max_iter):
+    drawn = [(0.3, mu_prime, eta, 1e-6) for mu_prime in (0.35, 0.45, 0.6) for eta in (1e-4, 1e-2)]
+    expected = assert_lanes_match(drawn, 8 * 10**10, max_iter=max_iter)
+    assert expected[0] is ConvergenceError
+
+
+@pytest.mark.parametrize("max_iter", range(1, 8))
+def test_convergence_error_only_on_lanes_needing_more_evaluations(max_iter):
+    # At N = 1e6 the scalar solver needs at most 1, 2, 6 and 7 evaluations
+    # on these lanes, so each max_iter below 7 stops a different subset.
+    drawn = [
+        (0.1, 0.105, 1e-4, 1e-6),
+        (0.1, 0.105, 1e-2, 1e-6),
+        (0.1, 0.3, 1e-2, 1e-6),
+        (0.1, 0.2, 1e-2, 1e-6),
+    ]
+    for order in (drawn, drawn[::-1]):
+        expected = assert_lanes_match(order, 10**6, max_iter=max_iter)
+        assert isinstance(expected, list) == (max_iter == 7)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(0.0, 10), (1e-3, 10), (1e-10, 0)])
+def test_bad_solver_controls_rejected_only_with_a_budget(tol, max_iter):
+    drawn = [(0.3, 0.45, 1e-3, 1e-6)]
+    expected = assert_lanes_match(drawn, 10**10, tol=tol, max_iter=max_iter)
+    assert expected[0] is ParameterError
+    assert isinstance(assert_lanes_match(drawn, None, tol=tol, max_iter=max_iter), list)
+
+
+def test_zero_weak_rate_rejected_in_lane_order():
+    ok, dead = (0.3, 0.45, 1e-3, 1e-6), (0.3, 0.45, 0.0, 0.0)
+    for n in (None, 10**10):
+        assert assert_lanes_match([dead, ok], n)[0] is ParameterError
+        assert assert_lanes_match([ok, dead], n)[0] is ParameterError
+        # The weak-rate check comes before the solver controls in each lane.
+        assert assert_lanes_match([dead, ok], n, tol=1.0)[0] is ParameterError
+    # A lane that fails to converge before the dead one raises first.
+    assert assert_lanes_match([ok, dead], 10**10, max_iter=2)[0] is ConvergenceError
+
+
+def test_sweep_errors_follow_row_order():
+    pairs = [(0.3, 0.45), (0.3, 0.6)]
+    cases = [
+        {"etas": [1e-3, 2.0]},
+        {"etas": [2.0, 1e-3], "n": 0},
+        {"etas": [1e-3, 1e-2], "n": 0, "qber": 0.7},
+        {"etas": [1e-3, 2.0], "qber": 0.7},
+        {"etas": [1e-3, 2.0], "s0": 1.5},
+        {"etas": [1e-3, 1e-2, 2.0], "n": 10**10, "max_iter": 2},
+        {"etas": [1e-3, 1e-2, 2.0], "n": 10**10, "max_iter": 1, "qber": 0.7},
+        {"etas": [1e-3, 0.0], "s0": 0.0, "n": 10**10, "tol": 1.0},
+        {"etas": [0.0, 1e-3], "s0": 0.0, "n": 10**10, "tol": 1.0},
+        {"etas": [1e-3, 0.0], "s0": 0.0, "qber": 0.1},
+    ]
+    for case in cases:
+        etas = case.pop("etas")
+        expected = assert_sweep_matches(pairs, etas, **case)
+        assert not isinstance(expected, list), case
+
+
+def test_underflow_errors_match_scalar():
+    # Subnormal rates and a multi-photon weight that underflows to 0 make
+    # the scalar bounds divide by zero (or, for c = 0, reject the budget).
+    ok = (0.3, 0.45, 1e-3, 1e-6)
+    for bad in ((0.5, 0.6, 0.0, 5e-324), (1e-170, 2e-170, 1e-3, 1e-6)):
+        for n in (None, 10**10):
+            assert not isinstance(assert_lanes_match([ok, bad], n), list)
+            assert not isinstance(assert_lanes_match([bad, ok], n, tol=1.0), list)

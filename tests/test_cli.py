@@ -330,3 +330,114 @@ def test_parse_grid_malformed():
     for bad in ("0.5:0.4:0.1", "a:b:c", "", "0.1:0.5:0", "1:2:3:4"):
         with pytest.raises(ConfigError):
             parse_grid(bad, "test")
+
+
+SWEEP_GRID = ("--mu", "0.1,0.3,0.5", "--mu-prime", "0.2:0.6:0.1", "--eta", "1e-4,1e-2")
+
+
+def scalar_sweep(n=None, qber=None, r0=0.0, min_over_classes=False, tol=1e-10, max_iter=10_000):
+    """Notes and rows of the sweep over SWEEP_GRID, assembled from the scalar functions."""
+    from decoyqkd import (
+        FluctuationSettings, KeyRateInput, NoEve, ProtocolParams, PulseBudget,
+        delta_prime_bound, expected_rates, finite_bound, gllp_rate, validate_pair,
+        wang_asymptotic_bound,
+    )
+
+    fluct = FluctuationSettings(r0=r0, min_over_classes=min_over_classes)
+    notes, rows = [], []
+    for mu in (0.1, 0.3, 0.5):
+        for mu_prime in (0.2, 0.3, 0.4, 0.5, 0.6):
+            check = validate_pair(mu, mu_prime)
+            if not check:
+                notes.append(
+                    f"note: skipping inadmissible pair mu={mu}, mu_prime={mu_prime}: "
+                    f"{check.reason}"
+                )
+                continue
+            params = ProtocolParams(mu, mu_prime)
+            for eta in (1e-4, 1e-2):
+                rates = expected_rates(NoEve(eta=eta, s0=1e-6), params)
+                if n is None:
+                    report = wang_asymptotic_bound(rates, params)
+                else:
+                    budget = PulseBudget(n, n)
+                    report = finite_bound(rates, params, budget, fluct, tol, max_iter)
+                rows.append([
+                    mu, mu_prime, eta, n, 1e-6, report.delta_upper,
+                    delta_prime_bound(report.delta_upper, rates, params), report.s1_lower,
+                    None if qber is None else gllp_rate(KeyRateInput(report.delta_upper, qber)),
+                    report.clamped, report.vacuous,
+                ])
+    return notes, rows
+
+
+def render_sweep(rows, fmt):
+    def cell_text(cell, digits, missing):
+        if isinstance(cell, bool):
+            return "true" if cell else "false"
+        if isinstance(cell, float):
+            return format(cell, digits)
+        return missing if cell is None else str(cell)
+
+    def machine(cell):
+        return cell_text(cell, ".17g", "")
+
+    def human(cell):
+        return cell_text(cell, ".4g", "-")
+
+    if fmt == "json":
+        return json.dumps([dict(zip(SWEEP_COLUMNS, row)) for row in rows], indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(SWEEP_COLUMNS)] + [",".join(map(machine, row)) for row in rows]
+    else:
+        lines = ["  ".join(SWEEP_COLUMNS)] + ["  ".join(map(human, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+SWEEP_FLAG_SETS = [
+    ((), {}),
+    (("--n", "1e7", "--qber", "0.02"), {"n": 10**7, "qber": 0.02}),
+    (("--n", "1e6", "--qber", "0.2"), {"n": 10**6, "qber": 0.2}),
+    (
+        ("--n", "1e9", "--min-over-classes", "--r0", "0.2", "--qber", "0.01"),
+        {"n": 10**9, "r0": 0.2, "min_over_classes": True, "qber": 0.01},
+    ),
+    (("--n", "1000"), {"n": 1000}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("flags, scalar_args", SWEEP_FLAG_SETS)
+def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
+    code, out, err = run(capsys, "sweep", *SWEEP_GRID, *flags, "--format", fmt)
+    notes, rows = scalar_sweep(**scalar_args)
+    assert out == render_sweep(rows, fmt)
+    assert err == "".join(note + "\n" for note in notes)
+    assert notes
+    all_vacuous = all(row[-1] for row in rows)
+    assert all_vacuous == (scalar_args.get("n") == 1000)
+    assert code == (3 if all_vacuous else 0)
+
+
+@pytest.mark.parametrize(
+    "flags, scalar_args, exit_code",
+    [
+        (("--n", "1e10", "--tol", "1e-3"), {"n": 10**10, "tol": 1e-3}, 2),
+        (("--n", "1e10", "--max-iter", "0"), {"n": 10**10, "max_iter": 0}, 2),
+        (("--n", "1e10", "--max-iter", "1"), {"n": 10**10, "max_iter": 1}, 4),
+        (("--n", "1e10", "--max-iter", "3"), {"n": 10**10, "max_iter": 3}, 4),
+    ],
+)
+def test_sweep_errors_equal_scalar_errors(capsys, flags, scalar_args, exit_code):
+    code, out, err = run(capsys, "sweep", *SWEEP_GRID, *flags)
+    with pytest.raises(Exception) as raised:
+        scalar_sweep(**scalar_args)
+    assert code == exit_code
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {raised.value}"
+
+
+def test_sweep_solver_controls_unchecked_without_budget(capsys):
+    code, out, _ = run(capsys, "sweep", *SWEEP_GRID, "--tol", "1e-3", "--max-iter", "0")
+    assert code == 0
+    assert out == render_sweep(scalar_sweep()[1], "table")

@@ -7,16 +7,11 @@ from decoyqkd import (
     ParameterError,
     binary_entropy,
     gllp_rate,
-    gllp_rate_flagged,
 )
 
 
 def rate(delta, qber):
     return gllp_rate(KeyRateInput(delta=delta, qber=qber))
-
-
-def rate_flagged(delta, qber):
-    return gllp_rate_flagged(KeyRateInput(delta=delta, qber=qber))
 
 
 def test_binary_entropy_oracles():
@@ -42,9 +37,7 @@ def test_gllp_perfect_channel():
 
 
 def test_gllp_all_tagged():
-    value, clamped = rate_flagged(1.0, 0.0)
-    assert value == 0.0
-    assert clamped is False
+    assert rate(1.0, 0.0) == 0.0
 
 
 def test_gllp_oracle():
@@ -53,9 +46,7 @@ def test_gllp_oracle():
 
 def test_gllp_zero_error_is_one_minus_delta():
     for delta in (0.0, 0.1, 0.32366848545656625, 0.9):
-        value, clamped = rate_flagged(delta, 0.0)
-        assert value == 1.0 - delta
-        assert clamped is False
+        assert rate(delta, 0.0) == 1.0 - delta
 
 
 def test_gllp_monotone_in_delta():
@@ -69,16 +60,14 @@ def test_gllp_monotone_in_qber():
 
 
 def test_gllp_negative_raw_clamps():
-    value, clamped = rate_flagged(0.5, 0.2)
-    assert value == 0.0
-    assert clamped is True
+    raw = 1.0 - 0.5 - binary_entropy(0.2) - 0.5 * binary_entropy(0.4)
+    assert raw < 0.0
+    assert rate(0.5, 0.2) == 0.0
 
 
 def test_gllp_error_exceeds_untagged_capacity():
     # qber / (1 - delta) > 1/2 means the corrected-phase entropy is undefined.
-    value, clamped = rate_flagged(0.9, 0.06)
-    assert value == 0.0
-    assert clamped is False
+    assert rate(0.9, 0.06) == 0.0
 
 
 def test_key_rate_input_validation():
