@@ -161,8 +161,8 @@ def _first_failing(rates: Rates, pairs: Pairs) -> int:
     """First lane on which the scalar bounds raise before solving.
 
     That is s_mu = 0, or a rate or weight so small that the asymptotic
-    bound divides by an underflowed 0 (the scalar code raises
-    ZeroDivisionError there, or DomainError in finite_bound for c = 0).
+    bound would divide by an underflowed 0, where the scalar code raises
+    DomainError (finite_bound already does so for c = 0 through its budget).
     """
     return _first((pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0) | (pairs.c == 0.0))
 

@@ -72,13 +72,21 @@ def _require_weak_rate(rates: ObservedRates) -> None:
         raise ParameterError("weak-class rate s_mu must be positive to bound a fraction of it")
 
 
+def _require_multi_weight(c: float, mu: float) -> None:
+    # Below mu ~ 1e-162, c ~ mu^2 / 2 rounds to 0 and sc = delta S_mu / c has no value.
+    if c == 0.0:
+        raise DomainError(f"multi-photon weight c of mu={mu} underflows to 0")
+
+
 def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Crude bound: every strong-class count is charged to multi-photon pulses.
 
     delta <= mu^2 e^{-mu} S_mu' / (mu'^2 e^{-mu'} S_mu), clamped to 1.
+    Raises DomainError when the multi-photon weight c of mu underflows to 0.
     """
     _require_weak_rate(rates)
     coeffs = decompose(params)
+    _require_multi_weight(coeffs.c, params.mu)
     raw = rates.s_mu_prime / (coeffs.multi_ratio * rates.s_mu)
     delta = min(raw, 1.0)
     return BoundReport(
@@ -200,13 +208,20 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
 
     delta <= mu/(mu'-mu) * (mu e^{-mu} S_mu' / (mu' e^{-mu'} S_mu) - 1)
              + mu e^{-mu} s0 / (mu' S_mu)
+
+    Raises DomainError when mu' e^{-mu'} S_mu or the multi-photon weight c
+    of mu underflows to 0, since the bound divides by both.
     """
     _require_weak_rate(rates)
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
-    ratio = (mu * math.exp(-mu) * rates.s_mu_prime) / (
-        mu_prime * math.exp(-mu_prime) * rates.s_mu
-    )
+    p1_s_mu = mu_prime * math.exp(-mu_prime) * rates.s_mu
+    if p1_s_mu == 0.0:
+        raise DomainError(
+            f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={mu_prime}, s_mu={rates.s_mu})"
+        )
+    _require_multi_weight(coeffs.c, mu)
+    ratio = (mu * math.exp(-mu) * rates.s_mu_prime) / p1_s_mu
     raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (
         mu * math.exp(-mu) * rates.s0
     ) / (mu_prime * rates.s_mu)

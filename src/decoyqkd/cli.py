@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
+from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import batch
 from .bounds import (
@@ -47,19 +49,6 @@ EXIT_VACUOUS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IMPRACTICAL = 5
 
-# Section -> allowed keys; anything else in a config file is an error.
-KNOWN_KEYS: dict[str, set[str]] = {
-    "params": {"mu", "mu_prime"},
-    "scenario": {"kind", "eta", "s0", "q", "yields"},
-    "rates": {"s0", "s_mu", "s_mu_prime"},
-    "budget": {"n_mu", "n_mu_prime", "n_vacuum"},
-    "fluctuation": {"confidence_exponent", "r0", "min_over_classes"},
-    "key": {"qber"},
-    "sweep": {"mu", "mu_prime", "eta", "n_pulses", "s0", "qber"},
-    "output": {"format", "path"},
-    "feasibility": {"eta", "s0", "mu_v", "rep_rate", "confidence_exponent", "target"},
-}
-
 SWEEP_COLUMNS = (
     "mu",
     "mu_prime",
@@ -76,27 +65,7 @@ SWEEP_COLUMNS = (
 
 
 # ---------------------------------------------------------------------------
-# config file handling
-
-
-def load_config(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:
-        # configparser reports offending line numbers in its message.
-        raise ConfigError(f"config file {path} is malformed: {exc}") from None
-    data = {section: dict(parser.items(section)) for section in parser.sections()}
-    for section, entries in data.items():
-        if section not in KNOWN_KEYS:
-            raise ConfigError(f"{path}: unknown config section [{section}]")
-        for key in entries:
-            if key not in KNOWN_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-    return data
+# config values: parsers, the key table, and the flag > config > default lookup
 
 
 def _as_float(raw: str, where: str) -> float:
@@ -104,6 +73,10 @@ def _as_float(raw: str, where: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+
+
+def _as_floats(raw: str, where: str) -> tuple[float, ...]:
+    return tuple(_as_float(token, where) for token in raw.split(",") if token.strip())
 
 
 def _as_count(raw: str, where: str) -> int:
@@ -127,6 +100,10 @@ def _as_bool(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
+def _as_text(raw: str, where: str) -> str:
+    return raw
+
+
 def parse_grid(text: str, where: str) -> list[float]:
     """Grid syntax: 'start:stop:step' (inclusive) or a comma list or one value."""
     text = text.strip()
@@ -142,42 +119,95 @@ def parse_grid(text: str, where: str) -> list[float]:
         count = int(round((stop - start) / step))
         values = [round(start + k * step, 12) for k in range(count + 1)]
         return [v for v in values if v <= stop + 1e-12]
-    values = [
-        _as_float(token, where) for token in text.split(",") if token.strip()
-    ]
+    values = list(_as_floats(text, where))
     if not values:
         raise ConfigError(f"{where}: empty grid")
     return values
 
 
-# ---------------------------------------------------------------------------
-# merging config sections with flag overrides
+# Section -> key -> parser of its text; anything else in a config file is an
+# error.  Text given on the command line goes through the same parser.
+CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
+    "params": {"mu": _as_float, "mu_prime": _as_float},
+    "scenario": {
+        "kind": _as_text,
+        "eta": _as_float,
+        "s0": _as_float,
+        "q": _as_float,
+        "yields": _as_floats,
+    },
+    "rates": {"s0": _as_float, "s_mu": _as_float, "s_mu_prime": _as_float},
+    "budget": {"n_mu": _as_count, "n_mu_prime": _as_count, "n_vacuum": _as_count},
+    "fluctuation": {
+        "confidence_exponent": _as_float,
+        "r0": _as_float,
+        "min_over_classes": _as_bool,
+    },
+    "key": {"qber": _as_float},
+    "sweep": {
+        "mu": parse_grid,
+        "mu_prime": parse_grid,
+        "eta": parse_grid,
+        "n_pulses": _as_count,
+        "s0": _as_float,
+        "qber": _as_float,
+    },
+    "output": {"format": _as_text, "path": _as_text},
+    "feasibility": {
+        key: _as_float
+        for key in ("eta", "s0", "mu_v", "rep_rate", "confidence_exponent", "target")
+    },
+}
+
+Config = dict[str, dict[str, str]]
 
 
-def _pick_float(
-    flag_value: float | None, section: dict[str, str], key: str, where: str
-) -> float | None:
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        return _as_float(section[key], where)
-    return None
+def load_config(path: str) -> Config:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:
+        # configparser reports offending line numbers in its message.
+        raise ConfigError(f"config file {path} is malformed: {exc}") from None
+    data = {section: dict(parser.items(section)) for section in parser.sections()}
+    for section, entries in data.items():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown config section [{section}]")
+        for key in entries:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
+    return data
 
 
-def _pick_count(
-    flag_value: int | None, section: dict[str, str], key: str, where: str
-) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        return _as_count(section[key], where)
-    return None
+def _setting(
+    args: argparse.Namespace | None,
+    config: Config,
+    section: str,
+    key: str,
+    default: Any = None,
+    flag: str | None = None,
+) -> Any:
+    """The flag ``flag`` (default: ``key``), else ``[section] key``, else default.
+
+    Flags that argparse has already typed are taken as they are; text is
+    parsed by the key's CONFIG_KEYS parser.  ``args=None`` reads the config only.
+    """
+    value = getattr(args, flag or key, None)
+    if value is None:
+        value = config.get(section, {}).get(key)
+    if value is None:
+        return default
+    if isinstance(value, str):
+        return CONFIG_KEYS[section][key](value, f"[{section}] {key}")
+    return value
 
 
-def _resolve_params(args: argparse.Namespace, config: dict[str, dict[str, str]]) -> ProtocolParams:
-    section = config.get("params", {})
-    mu = _pick_float(args.mu, section, "mu", "[params] mu")
-    mu_prime = _pick_float(args.mu_prime, section, "mu_prime", "[params] mu_prime")
+def _resolve_params(args: argparse.Namespace, config: Config) -> ProtocolParams:
+    mu = _setting(args, config, "params", "mu")
+    mu_prime = _setting(args, config, "params", "mu_prime")
     if mu is None or mu_prime is None:
         raise ConfigError("mu and mu_prime are required (flags or [params] section)")
     return ProtocolParams(mu=mu, mu_prime=mu_prime)
@@ -189,44 +219,38 @@ def _scenario_flags_present(args: argparse.Namespace) -> bool:
     )
 
 
-def _build_scenario(args: argparse.Namespace, config: dict[str, dict[str, str]]) -> ChannelScenario:
-    section = config.get("scenario", {})
-    kind = args.scenario or section.get("kind")
-    eta = _pick_float(args.eta, section, "eta", "[scenario] eta")
-    s0 = _pick_float(args.s0, section, "s0", "[scenario] s0")
-    q = _pick_float(args.q, section, "q", "[scenario] q")
-    yields_raw = args.yields if args.yields is not None else section.get("yields")
+def _build_scenario(args: argparse.Namespace, config: Config) -> ChannelScenario:
+    kind = _setting(args, config, "scenario", "kind", flag="scenario")
+    eta = _setting(args, config, "scenario", "eta")
+    s0 = _setting(args, config, "scenario", "s0", 0.0)
+    q = _setting(args, config, "scenario", "q")
     if kind is None:
         if eta is not None:
             kind = "no_eve"
         elif q is not None:
             kind = "pns"
-        elif yields_raw is not None:
+        elif _setting(args, config, "scenario", "yields") is not None:
             kind = "yields"
         else:
             raise ConfigError("scenario kind cannot be determined; set [scenario] kind")
     if kind == "no_eve":
         if eta is None:
             raise ConfigError("no_eve scenario requires eta")
-        return NoEve(eta=eta, s0=s0 if s0 is not None else 0.0)
+        return NoEve(eta=eta, s0=s0)
     if kind == "pns":
         if q is None:
             raise ConfigError("pns scenario requires q")
-        return PnsAttack(q=q, s0=s0 if s0 is not None else 0.0)
+        return PnsAttack(q=q, s0=s0)
     if kind == "yields":
-        if yields_raw is None:
+        table = _setting(args, config, "scenario", "yields")
+        if table is None:
             raise ConfigError("yields scenario requires a yields list")
-        table = tuple(
-            _as_float(token, "[scenario] yields")
-            for token in str(yields_raw).split(",")
-            if token.strip()
-        )
-        return YieldTable(s0=s0 if s0 is not None else 0.0, yields=table)
+        return YieldTable(s0=s0, yields=table)
     raise ConfigError(f"unknown scenario kind {kind!r} (expected no_eve, pns, or yields)")
 
 
 def _resolve_rate_source(
-    args: argparse.Namespace, config: dict[str, dict[str, str]], params: ProtocolParams
+    args: argparse.Namespace, config: Config, params: ProtocolParams
 ) -> tuple[ObservedRates, ChannelScenario | None]:
     """Exactly one of direct rates / scenario must be supplied."""
     rates_flag = getattr(args, "rates", None)
@@ -247,36 +271,22 @@ def _resolve_rate_source(
     if has_rates and has_scenario:
         raise ConfigError("config supplies both [rates] and [scenario]; keep exactly one")
     if has_rates:
-        section = config["rates"]
-        missing = {"s0", "s_mu", "s_mu_prime"} - set(section)
+        keys = CONFIG_KEYS["rates"]
+        missing = set(keys) - set(config["rates"])
         if missing:
             raise ConfigError(f"[rates] section is missing {sorted(missing)}")
-        return (
-            ObservedRates(
-                s0=_as_float(section["s0"], "[rates] s0"),
-                s_mu=_as_float(section["s_mu"], "[rates] s_mu"),
-                s_mu_prime=_as_float(section["s_mu_prime"], "[rates] s_mu_prime"),
-            ),
-            None,
-        )
+        return ObservedRates(**{key: _setting(None, config, "rates", key) for key in keys}), None
     if has_scenario:
         scenario = _build_scenario(args, config)
         return expected_rates(scenario, params), scenario
     raise ConfigError("no rate source: supply a scenario, direct rates, or a [rates] section")
 
 
-def _resolve_budget(
-    args: argparse.Namespace, config: dict[str, dict[str, str]]
-) -> PulseBudget | None:
-    section = config.get("budget", {})
+def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | None:
+    n_mu = _setting(args, config, "budget", "n_mu")
+    n_mu_prime = _setting(args, config, "budget", "n_mu_prime")
+    n_vacuum = _setting(args, config, "budget", "n_vacuum")
     shared = getattr(args, "n", None)
-    n_mu = _pick_count(getattr(args, "n_mu", None), section, "n_mu", "[budget] n_mu")
-    n_mu_prime = _pick_count(
-        getattr(args, "n_mu_prime", None), section, "n_mu_prime", "[budget] n_mu_prime"
-    )
-    n_vacuum = _pick_count(
-        getattr(args, "n_vacuum", None), section, "n_vacuum", "[budget] n_vacuum"
-    )
     if shared is not None:
         n_mu = n_mu if n_mu is not None else shared
         n_mu_prime = n_mu_prime if n_mu_prime is not None else shared
@@ -287,40 +297,19 @@ def _resolve_budget(
     return PulseBudget(n_mu=n_mu, n_mu_prime=n_mu_prime, n_vacuum=n_vacuum or 0)
 
 
-def _resolve_settings(
-    args: argparse.Namespace, config: dict[str, dict[str, str]]
-) -> FluctuationSettings:
-    section = config.get("fluctuation", {})
-    exponent = _pick_float(
-        getattr(args, "confidence_exponent", None),
-        section,
-        "confidence_exponent",
-        "[fluctuation] confidence_exponent",
-    )
-    r0 = _pick_float(getattr(args, "r0", None), section, "r0", "[fluctuation] r0")
-    min_over = getattr(args, "min_over_classes", None)
-    if min_over is None and "min_over_classes" in section:
-        min_over = _as_bool(section["min_over_classes"], "[fluctuation] min_over_classes")
+def _resolve_settings(args: argparse.Namespace, config: Config) -> FluctuationSettings:
     return FluctuationSettings(
-        confidence_exponent=exponent if exponent is not None else 25.0,
-        r0=r0 if r0 is not None else 0.0,
-        min_over_classes=bool(min_over) if min_over is not None else False,
+        confidence_exponent=_setting(args, config, "fluctuation", "confidence_exponent", 25.0),
+        r0=_setting(args, config, "fluctuation", "r0", 0.0),
+        min_over_classes=_setting(args, config, "fluctuation", "min_over_classes", False),
     )
 
 
-def _resolve_qber(args: argparse.Namespace, config: dict[str, dict[str, str]]) -> float | None:
-    return _pick_float(getattr(args, "qber", None), config.get("key", {}), "qber", "[key] qber")
-
-
-def _resolve_output(
-    args: argparse.Namespace, config: dict[str, dict[str, str]]
-) -> tuple[str, str | None]:
-    section = config.get("output", {})
-    fmt = args.fmt or section.get("format", "table")
+def _resolve_output(args: argparse.Namespace, config: Config) -> tuple[str, str | None]:
+    fmt = _setting(args, config, "output", "format", "table", flag="fmt")
     if fmt not in ("table", "json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r} (expected table, json, or csv)")
-    out = args.out or section.get("path")
-    return fmt, out
+    return fmt, args.out or _setting(None, config, "output", "path")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +345,7 @@ def _fmt_human(value: Any) -> str:
         kind = value.get("kind", "")
         body = ", ".join(f"{k}={_fmt_human(v)}" for k, v in value.items() if k != "kind")
         return f"{kind}({body})"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ",".join(_fmt_human(v) for v in value)
     return str(value)
 
@@ -372,18 +361,57 @@ def _fmt_column(column: Sequence[Any]) -> list[str]:
     return [_FMT_MACHINE.get(type(cell), _fmt_text)(cell) for cell in column]
 
 
-def _csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
-    """CSV of equal-length columns; each cell is formatted by its exact Python type."""
-    lines = [",".join(map(_fmt_text, header))]
-    lines += map(",".join, zip(*map(_fmt_column, columns)))
-    return "\n".join(lines) + "\n"
+_PERCENT_FIELDS = {"delta_upper", "delta_prime_upper"}
 
 
-def _json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _table_lines(sections: dict[str, dict[str, Any]], prefix: str = "") -> list[str]:
+    """One '== title ==' block of aligned name/value lines per section.
+
+    A section whose values are all sections nests: its title prefixes theirs.
+    """
+    lines: list[str] = []
+    for title, body in sections.items():
+        if all(isinstance(value, dict) for value in body.values()):
+            lines += _table_lines(body, f"{prefix}{title} ")
+            continue
+        lines.append(f"== {prefix}{title} ==")
+        width = max(map(len, body), default=0)
+        for name, value in body.items():
+            if name in _PERCENT_FIELDS and isinstance(value, float):
+                rendered = _fmt_pct(value)
+            else:
+                rendered = _fmt_human(value)
+            lines.append(f"{name.ljust(width)}  {rendered}")
+    return lines
 
 
-def _emit(text: str, out: str | None) -> None:
+def _columns(records: Sequence[dict[str, Any]]) -> Iterable[Sequence[Any]]:
+    """The columns of records that share one key order."""
+    return zip(*(record.values() for record in records))
+
+
+def _render(
+    fmt: str,
+    out: str | None,
+    header: Sequence[str],
+    columns: Iterable[Sequence[Any]],
+    doc: Callable[[], Any],
+    table: Callable[[], list[str]],
+) -> None:
+    """Write a command's output as fmt to the file out, or to stdout.
+
+    csv is header plus equal-length columns, each cell formatted by its exact
+    Python type; json is doc(); the table is the lines table().  Only the
+    requested format is built.
+    """
+    if fmt == "csv":
+        lines = [",".join(map(_fmt_text, header))]
+        lines += map(",".join, zip(*map(_fmt_column, columns)))
+    elif fmt == "json":
+        lines = [json.dumps(doc(), indent=2)]
+    else:
+        lines = table()
+    text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -391,62 +419,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_dict(report: BoundReport, delta_prime: float | None) -> dict[str, Any]:
+# ---------------------------------------------------------------------------
+# command handlers
+
+
+def _report_dict(
+    report: BoundReport, rates: ObservedRates, params: ProtocolParams
+) -> dict[str, Any]:
     return {
         "method": report.method,
         "delta_upper": report.delta_upper,
-        "delta_prime_upper": delta_prime,
+        "delta_prime_upper": delta_prime_bound(report.delta_upper, rates, params),
         "s1_lower": report.s1_lower,
         "sc_upper": report.sc_upper,
         "clamped": report.clamped,
         "vacuous": report.vacuous,
     }
-
-
-def _table_section(title: str, pairs: Sequence[tuple[str, Any]], percent: set[str]) -> list[str]:
-    lines = [f"== {title} =="]
-    width = max((len(name) for name, _ in pairs), default=0)
-    for name, value in pairs:
-        if name in percent and isinstance(value, float):
-            rendered = _fmt_pct(value)
-        else:
-            rendered = _fmt_human(value)
-        lines.append(f"{name.ljust(width)}  {rendered}")
-    return lines
-
-
-_PERCENT_FIELDS = {"delta_upper", "delta_prime_upper"}
-
-
-def _bound_table(report_obj: dict[str, Any]) -> str:
-    lines: list[str] = []
-    lines += _table_section("inputs", list(report_obj["inputs"].items()), set())
-    if report_obj.get("degenerate_strong_class"):
-        lines.append("note: strong class observed zero counts (degenerate input)")
-    for key in ("hwang", "asymptotic", "finite"):
-        if key in report_obj:
-            lines += _table_section(key, list(report_obj[key].items()), _PERCENT_FIELDS)
-    if "key_rate" in report_obj:
-        lines += _table_section("key_rate", list(report_obj["key_rate"].items()), set())
-    return "\n".join(lines) + "\n"
-
-
-def _bound_csv(report_obj: dict[str, Any]) -> str:
-    header = (
-        "method",
-        "delta_upper",
-        "delta_prime_upper",
-        "s1_lower",
-        "sc_upper",
-        "clamped",
-        "vacuous",
-    )
-    entries = [report_obj[key] for key in ("hwang", "asymptotic", "finite") if key in report_obj]
-    return _csv_text(header, [[entry[column] for entry in entries] for column in header])
-
-
-# ---------------------------------------------------------------------------
-# command handlers
 
 
 def _bound_pipeline(
@@ -458,20 +446,12 @@ def _bound_pipeline(
     tol: float,
     max_iter: int,
 ) -> tuple[dict[str, Any], BoundReport]:
-    hwang = hwang_bound(rates, params)
-    asymptotic = wang_asymptotic_bound(rates, params)
-    sections: dict[str, Any] = {
-        "hwang": _report_dict(hwang, delta_prime_bound(hwang.delta_upper, rates, params)),
-        "asymptotic": _report_dict(
-            asymptotic, delta_prime_bound(asymptotic.delta_upper, rates, params)
-        ),
-    }
-    final = asymptotic
+    sections = {"hwang": _report_dict(hwang_bound(rates, params), rates, params)}
+    final = wang_asymptotic_bound(rates, params)
+    sections["asymptotic"] = _report_dict(final, rates, params)
     if budget is not None:
         final = finite_bound(rates, params, budget, settings, tol, max_iter)
-        sections["finite"] = _report_dict(
-            final, delta_prime_bound(final.delta_upper, rates, params)
-        )
+        sections["finite"] = _report_dict(final, rates, params)
     if qber is not None:
         final_delta_prime = delta_prime_bound(final.delta_upper, rates, params)
         sections["key_rate"] = {
@@ -482,60 +462,62 @@ def _bound_pipeline(
     return sections, final
 
 
+def _method_records(sections: dict[str, Any]) -> list[dict[str, Any]]:
+    """The per-bound sections of a _bound_pipeline result, in order."""
+    return [body for name, body in sections.items() if name != "key_rate"]
+
+
+_SCENARIO_KINDS = {NoEve: "no_eve", PnsAttack: "pns", YieldTable: "yields"}
+
+
 def _scenario_echo(scenario: ChannelScenario | None) -> dict[str, Any] | None:
     if scenario is None:
         return None
-    if isinstance(scenario, NoEve):
-        return {"kind": "no_eve", "eta": scenario.eta, "s0": scenario.s0}
-    if isinstance(scenario, PnsAttack):
-        return {"kind": "pns", "q": scenario.q, "s0": scenario.s0}
-    return {"kind": "yields", "s0": scenario.s0, "yields": list(scenario.yields)}
+    return {"kind": _SCENARIO_KINDS[type(scenario)], **asdict(scenario)}
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else {}
+def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     params = _resolve_params(args, config)
     rates, scenario = _resolve_rate_source(args, config, params)
     budget = _resolve_budget(args, config)
     settings = _resolve_settings(args, config)
-    qber = _resolve_qber(args, config)
+    qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
     sections, final = _bound_pipeline(
         rates, params, budget, settings, qber, args.tol, args.max_iter
     )
-    report_obj: dict[str, Any] = {
-        "inputs": {
-            "mu": params.mu,
-            "mu_prime": params.mu_prime,
-            "s0": rates.s0,
-            "s_mu": rates.s_mu,
-            "s_mu_prime": rates.s_mu_prime,
-            "scenario": _scenario_echo(scenario),
-            "n_mu": budget.n_mu if budget else None,
-            "n_mu_prime": budget.n_mu_prime if budget else None,
-            "n_vacuum": budget.n_vacuum if budget else None,
-            "confidence_exponent": settings.confidence_exponent,
-            "r0": settings.r0,
-            "min_over_classes": settings.min_over_classes,
-            "qber": qber,
-        },
-        "degenerate_strong_class": rates.s_mu_prime == 0.0,
+    no_budget = dict.fromkeys(field.name for field in fields(PulseBudget))
+    inputs = {
+        **asdict(params),
+        **asdict(rates),
+        "scenario": _scenario_echo(scenario),
+        **(asdict(budget) if budget is not None else no_budget),
+        **asdict(settings),
+        "qber": qber,
     }
-    report_obj.update(sections)
+    degenerate = rates.s_mu_prime == 0.0
 
-    if fmt == "json":
-        _emit(_json_text(report_obj), out)
-    elif fmt == "csv":
-        _emit(_bound_csv(report_obj), out)
-    else:
-        _emit(_bound_table(report_obj), out)
+    def table() -> list[str]:
+        lines = _table_lines({"inputs": inputs})
+        if degenerate:
+            lines.append("note: strong class observed zero counts (degenerate input)")
+        return lines + _table_lines(sections)
+
+    records = _method_records(sections)
+    _render(
+        fmt,
+        out,
+        tuple(records[0]),
+        _columns(records),
+        lambda: {"inputs": inputs, "degenerate_strong_class": degenerate, **sections},
+        table,
+    )
     return EXIT_VACUOUS if final.vacuous else EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else {}
-    if getattr(args, "rates", None) is not None or "rates" in config:
+def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
+    if "rates" in config:
         raise ConfigError("simulate draws from a scenario; direct rates are not samplable")
     params = _resolve_params(args, config)
     scenario = _build_scenario(args, config)
@@ -545,7 +527,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("simulate requires --seed for reproducible sampling")
     settings = _resolve_settings(args, config)
-    qber = _resolve_qber(args, config)
+    qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
     observation = sample_observation(scenario, params, budget, args.seed)
@@ -557,98 +539,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         observation.rates, params, budget, settings, qber, args.tol, args.max_iter
     )
 
-    report_obj: dict[str, Any] = {
+    doc: dict[str, Any] = {
         "inputs": {
-            "mu": params.mu,
-            "mu_prime": params.mu_prime,
+            **asdict(params),
             "scenario": _scenario_echo(scenario),
-            "n_mu": budget.n_mu,
-            "n_mu_prime": budget.n_mu_prime,
-            "n_vacuum": budget.n_vacuum,
+            **asdict(budget),
             "seed": observation.seed,
-            "confidence_exponent": settings.confidence_exponent,
-            "r0": settings.r0,
-            "min_over_classes": settings.min_over_classes,
+            **asdict(settings),
             "qber": qber,
         },
         "observation": {
             "clicks_mu": observation.clicks_mu,
             "clicks_mu_prime": observation.clicks_mu_prime,
             "clicks_vacuum": observation.clicks_vacuum,
-            "s0": observation.rates.s0,
-            "s_mu": observation.rates.s_mu,
-            "s_mu_prime": observation.rates.s_mu_prime,
+            **asdict(observation.rates),
         },
-        "expected_rates": {
-            "s0": exact.s0,
-            "s_mu": exact.s_mu,
-            "s_mu_prime": exact.s_mu_prime,
-        },
+        "expected_rates": asdict(exact),
         "expected": expected_sections,
         "sampled": sampled_sections,
     }
-
-    if fmt == "json":
-        _emit(_json_text(report_obj), out)
-    elif fmt == "csv":
-        header = (
-            "source",
-            "method",
-            "delta_upper",
-            "delta_prime_upper",
-            "s1_lower",
-            "sc_upper",
-            "clamped",
-            "vacuous",
-        )
-        sources, entries = [], []
-        for source in ("expected", "sampled"):
-            for key in ("hwang", "asymptotic", "finite"):
-                if key in report_obj[source]:
-                    sources.append(source)
-                    entries.append(report_obj[source][key])
-        columns = [sources] + [[entry[column] for entry in entries] for column in header[1:]]
-        _emit(_csv_text(header, columns), out)
-    else:
-        lines: list[str] = []
-        lines += _table_section("inputs", list(report_obj["inputs"].items()), set())
-        lines += _table_section("observation", list(report_obj["observation"].items()), set())
-        lines += _table_section(
-            "expected_rates", list(report_obj["expected_rates"].items()), set()
-        )
-        for source in ("expected", "sampled"):
-            for key in ("hwang", "asymptotic", "finite", "key_rate"):
-                if key in report_obj[source]:
-                    lines += _table_section(
-                        f"{source} {key}",
-                        list(report_obj[source][key].items()),
-                        _PERCENT_FIELDS,
-                    )
-        _emit("\n".join(lines) + "\n", out)
+    records = [
+        {"source": source, **record}
+        for source in ("expected", "sampled")
+        for record in _method_records(doc[source])
+    ]
+    _render(
+        fmt, out, tuple(records[0]), _columns(records), lambda: doc, lambda: _table_lines(doc)
+    )
     return EXIT_VACUOUS if sampled_final.vacuous else EXIT_OK
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    fmt, out = args.fmt or "table", args.out
+def cmd_table1(args: argparse.Namespace, config: Config) -> int:
+    fmt, out = _resolve_output(args, config)
     all_rows = table1_rows()
-    if fmt == "json":
-        payload = [
-            {
-                "quantity": row.quantity,
-                "intensity": row.intensity,
-                "partner": row.partner,
-                "computed": row.computed,
-                "reference": row.reference,
-                "deviation": row.deviation,
-            }
-            for row in all_rows
-        ]
-        _emit(_json_text(payload), out)
-    elif fmt == "csv":
-        header = ("quantity", "intensity", "partner", "computed", "reference", "deviation")
-        columns = [[getattr(row, column) for row in all_rows] for column in header]
-        _emit(_csv_text(header, columns), out)
-    else:
+    records = [{**asdict(row), "deviation": row.deviation} for row in all_rows]
+
+    def table() -> list[str]:
         lines = ["quantity         intensity  partner  computed  reference  deviation"]
         for row in all_rows:
             lines.append(
@@ -657,11 +583,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 f"{_fmt_pct(row.computed):>9} {_fmt_pct(row.reference):>10} "
                 f"{100.0 * row.deviation:>+8.2f}pp"
             )
-        _emit("\n".join(lines) + "\n", out)
+        return lines
+
+    _render(fmt, out, tuple(records[0]), _columns(records), lambda: records, table)
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     """Bound every admissible (mu, mu_prime, eta) grid row on a NoEve channel.
 
     Rows come from the lane-parallel engine in batch.py, which matches the
@@ -669,25 +597,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     class (wang_asymptotic_bound without), then delta_prime_bound and, with
     --qber, gllp_rate.  Exit 3 when every row is vacuous.
     """
-    config = load_config(args.config) if args.config else {}
-    section = config.get("sweep", {})
-
-    def grid_of(flag_value: str | None, key: str) -> list[float] | None:
-        raw = flag_value if flag_value is not None else section.get(key)
-        if raw is None:
-            return None
-        return parse_grid(str(raw), f"[sweep] {key}")
-
-    mu_grid = grid_of(args.mu, "mu")
-    mu_prime_grid = grid_of(args.mu_prime, "mu_prime")
-    eta_grid = grid_of(args.eta, "eta")
+    mu_grid = _setting(args, config, "sweep", "mu")
+    mu_prime_grid = _setting(args, config, "sweep", "mu_prime")
+    eta_grid = _setting(args, config, "sweep", "eta")
     if not mu_grid or not mu_prime_grid or not eta_grid:
         raise ConfigError("sweep needs mu, mu_prime, and eta grids")
-    s0 = _pick_float(args.s0, section, "s0", "[sweep] s0")
-    if s0 is None:
-        s0 = 1e-6
-    n_pulses = _pick_count(args.n, section, "n_pulses", "[sweep] n_pulses")
-    qber = _pick_float(args.qber, section, "qber", "[sweep] qber")
+    s0 = _setting(args, config, "sweep", "s0", 1e-6)
+    n_pulses = _setting(args, config, "sweep", "n_pulses", flag="n")
+    qber = _setting(args, config, "sweep", "qber")
     settings = _resolve_settings(args, config)
     fmt, out = _resolve_output(args, config)
 
@@ -723,58 +640,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.clamped.tolist(),
         rows.vacuous.tolist(),
     ]
-
-    if fmt == "csv":
-        _emit(_csv_text(SWEEP_COLUMNS, columns), out)
-    elif fmt == "json":
-        payload = [dict(zip(SWEEP_COLUMNS, record)) for record in zip(*columns)]
-        _emit(_json_text(payload), out)
-    else:
-        lines = ["  ".join(SWEEP_COLUMNS)]
-        for record in zip(*columns):
-            lines.append("  ".join(_fmt_human(cell) for cell in record))
-        _emit("\n".join(lines) + "\n", out)
+    _render(
+        fmt,
+        out,
+        SWEEP_COLUMNS,
+        columns,
+        lambda: [dict(zip(SWEEP_COLUMNS, record)) for record in zip(*columns)],
+        lambda: [
+            "  ".join(SWEEP_COLUMNS),
+            *("  ".join(map(_fmt_human, record)) for record in zip(*columns)),
+        ],
+    )
     return EXIT_VACUOUS if rows.vacuous.all() else EXIT_OK
 
 
-def cmd_feasibility(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else {}
-    section = config.get("feasibility", {})
-    eta = _pick_float(args.eta, section, "eta", "[feasibility] eta")
-    s0 = _pick_float(args.s0, section, "s0", "[feasibility] s0")
-    mu_v = _pick_float(args.mu_v, section, "mu_v", "[feasibility] mu_v")
-    rep_rate = _pick_float(args.rep_rate, section, "rep_rate", "[feasibility] rep_rate")
-    exponent = _pick_float(
-        args.confidence_exponent,
-        section,
-        "confidence_exponent",
-        "[feasibility] confidence_exponent",
-    )
-    target = _pick_float(args.target, section, "target", "[feasibility] target")
-    if eta is None:
-        eta = 1e-4
-    if s0 is None:
-        s0 = 1e-6
-    if mu_v is None:
-        mu_v = eta
+def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
+    eta = _setting(args, config, "feasibility", "eta", 1e-4)
+    s0 = _setting(args, config, "feasibility", "s0", 1e-6)
+    mu_v = _setting(args, config, "feasibility", "mu_v", eta)
+    rep_rate = _setting(args, config, "feasibility", "rep_rate", 8e7)
+    exponent = _setting(args, config, "feasibility", "confidence_exponent", 25.0)
+    target = _setting(args, config, "feasibility", "target", 1e-3)
     setup = WeakDecoySetup(
-        eta=eta,
-        s0=s0,
-        mu_v=mu_v,
-        rep_rate=rep_rate if rep_rate is not None else 8e7,
-        confidence_exponent=exponent if exponent is not None else 25.0,
+        eta=eta, s0=s0, mu_v=mu_v, rep_rate=rep_rate, confidence_exponent=exponent
     )
-    report = build_report(setup, target if target is not None else 1e-3)
+    report = build_report(setup, target)
     fmt, out = _resolve_output(args, config)
 
-    payload = {
-        "setup": {
-            "eta": setup.eta,
-            "s0": setup.s0,
-            "mu_v": setup.mu_v,
-            "rep_rate": setup.rep_rate,
-            "confidence_exponent": setup.confidence_exponent,
-        },
+    verdict = {
         "s1_bound": report.s1_bound,
         "rel_dark_fluct_target": report.rel_dark_fluct_target,
         "n_pulses_required": report.n_pulses_required,
@@ -784,22 +677,16 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         "dark_rate": report.dark_rate,
         "practical": report.practical,
     }
-    if fmt == "json":
-        _emit(_json_text(payload), out)
-    elif fmt == "csv":
-        header = tuple(payload["setup"].keys()) + tuple(
-            k for k in payload if k != "setup"
-        )
-        record = list(payload["setup"].values()) + [
-            payload[k] for k in payload if k != "setup"
-        ]
-        _emit(_csv_text(header, [[cell] for cell in record]), out)
-    else:
-        lines = _table_section("setup", list(payload["setup"].items()), set())
-        lines += _table_section(
-            "verdict", [(k, v) for k, v in payload.items() if k != "setup"], set()
-        )
-        _emit("\n".join(lines) + "\n", out)
+    setup_echo = asdict(setup)
+    record = {**setup_echo, **verdict}
+    _render(
+        fmt,
+        out,
+        tuple(record),
+        _columns([record]),
+        lambda: {"setup": setup_echo, **verdict},
+        lambda: _table_lines({"setup": setup_echo, "verdict": verdict}),
+    )
     return EXIT_OK if report.practical else EXIT_IMPRACTICAL
 
 
@@ -824,7 +711,20 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH")
     _add_output_flags(parser)
-    parser.add_argument("--seed", type=int)
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--qber", type=float)
+    parser.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
+    parser.add_argument("--r0", type=float)
+    parser.add_argument(
+        "--min-over-classes",
+        dest="min_over_classes",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+    )
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -839,20 +739,12 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-mu", dest="n_mu", type=_count_flag)
     parser.add_argument("--n-mu-prime", dest="n_mu_prime", type=_count_flag)
     parser.add_argument("--n-vacuum", dest="n_vacuum", type=_count_flag)
-    parser.add_argument("--qber", type=float)
-    parser.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-    parser.add_argument("--r0", type=float)
-    parser.add_argument(
-        "--min-over-classes",
-        dest="min_over_classes",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_solver_flags(parser)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="decoyqkd",
         description="Verified multi-photon bounds for two-intensity decoy protocols",
@@ -867,6 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample an observation and bound it")
     _add_common_flags(p_sim)
+    p_sim.add_argument("--seed", type=int)
     _add_model_flags(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
 
@@ -881,17 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eta", metavar="GRID")
     p_sweep.add_argument("--s0", type=float)
     p_sweep.add_argument("--n", type=_count_flag)
-    p_sweep.add_argument("--qber", type=float)
-    p_sweep.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-    p_sweep.add_argument("--r0", type=float)
-    p_sweep.add_argument(
-        "--min-over-classes",
-        dest="min_over_classes",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sweep.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_solver_flags(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_feas = sub.add_parser("feasibility", help="very-weak-decoy pulse-count verdict")
@@ -908,15 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.handler
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParameterError, DomainError) as exc:
+        config = load_config(args.config) if getattr(args, "config", None) else {}
+        return args.handler(args, config)
+    except (ConfigError, ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

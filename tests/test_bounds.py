@@ -246,3 +246,17 @@ def test_monotone_in_strong_rate(pair, factor):
         s0=rates.s0, s_mu=rates.s_mu, s_mu_prime=min(rates.s_mu_prime * factor, 1.0)
     )
     assert wang_asymptotic_bound(brighter, params).delta_upper >= base - 1e-12
+
+
+def test_underflowed_divisors_raise_domain_error():
+    # A subnormal weak rate makes mu' e^{-mu'} S_mu round to 0; at mu = 1e-170
+    # the multi-photon weight c ~ mu^2 / 2 does.  Both used to divide by zero.
+    subnormal = expected_rates(NoEve(eta=0.0, s0=5e-324), ProtocolParams(0.5, 0.6))
+    assert hwang_bound(subnormal, ProtocolParams(0.5, 0.6)).vacuous
+    with pytest.raises(DomainError, match=r"mu' e\^\{-mu'\} S_mu underflows to 0"):
+        wang_asymptotic_bound(subnormal, ProtocolParams(0.5, 0.6))
+    tiny = ProtocolParams(1e-170, 2e-170)
+    rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), tiny)
+    for bound in (hwang_bound, wang_asymptotic_bound):
+        with pytest.raises(DomainError, match="multi-photon weight c of mu=1e-170 underflows"):
+            bound(rates, tiny)

@@ -441,3 +441,21 @@ def test_sweep_solver_controls_unchecked_without_budget(capsys):
     code, out, _ = run(capsys, "sweep", *SWEEP_GRID, "--tol", "1e-3", "--max-iter", "0")
     assert code == 0
     assert out == render_sweep(scalar_sweep()[1], "table")
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (("--mu", "0.5", "--mu-prime", "0.6", "--eta", "0", "--s0", "5e-324"),
+         "mu' e^{-mu'} S_mu underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3"),
+         "multi-photon weight c of mu=1e-170 underflows to 0"),
+    ],
+    ids=["subnormal-rate", "tiny-mu"],
+)
+def test_underflowed_inputs_exit_2(capsys, command, argv, cause):
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and cause in err
