@@ -3,8 +3,8 @@
 A lane is one row of a sweep: one admissible (mu, mu') pair on one NoEve
 channel.  Each function takes numpy arrays with one entry per lane and
 returns, lane by lane, exactly what the scalar function of the same name
-returns: the same bits, flags and errors, and for the finite solver the
-same steps and evaluation count.  The scalar functions stay the reference
+returns: the same bits and flags, and for the finite solver the same steps
+and evaluation count.  The scalar functions stay the reference
 that single bounds, simulation, Table 1 and the tests use; ``decoyqkd
 sweep`` and ``scripts/run_sweep.py`` run on this module.
 
@@ -17,23 +17,25 @@ pair or once per lane, and so does every ``x ** 2``, which Python computes
 with the C library's pow rather than as x * x.  Clamps use np.where, since
 Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.
 
-Errors match a row-by-row run of the scalar functions too: of all lanes,
-the first one on which the scalar function would raise decides the error,
-and that lane is then run through the scalar function, which raises it.  Arguments that dataclass
-constructors validate in the scalar path (NoEve's eta and s0, KeyRateInput's
-qber) are the caller's to check, as ``sweep`` does.
+Errors come from the scalar functions alone.  A layer raises the private
+``_Replay`` when some lane meets a condition on which its scalar function
+raises; ``sweep`` then runs the grid row by row through the scalar
+functions, which raise exactly the error a row-by-row run raises.  The
+layers take arguments that the scalar path's constructors and solver
+validate (NoEve's eta and s0, KeyRateInput's qber, tol and max_iter) as
+valid; ``sweep`` checks them before it runs the lanes.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from . import bounds, finite_stats
-from .bounds import ObservedRates, _validate_iteration_controls
+from . import bounds, channel, finite_stats, key_rate
+from .bounds import _validate_iteration_controls
 from .channel import NoEve
 from .errors import ParameterError
 from .finite_stats import FluctuationSettings, PulseBudget
@@ -60,14 +62,8 @@ def _clamp01(x: np.ndarray) -> np.ndarray:
     return np.where(1.0 < x, 1.0, x)
 
 
-def _first(failed: np.ndarray) -> int:
-    """Index of the first True lane, or the lane count."""
-    hits = np.flatnonzero(failed)
-    return int(hits[0]) if hits.size else failed.size
-
-
-def _head(lanes: NamedTuple, count: int) -> NamedTuple:
-    return type(lanes)._make(a[:count] for a in lanes)
+class _Replay(Exception):
+    """A lane met a condition on which its scalar function raises."""
 
 
 class Pairs(NamedTuple):
@@ -149,30 +145,15 @@ def expected_rates(eta: np.ndarray, s0: np.ndarray | float, pairs: Pairs) -> Rat
     )
 
 
-def _lane(rates: Rates, pairs: Pairs, lane: int) -> tuple[ObservedRates, ProtocolParams]:
-    """One lane's arguments to the scalar bounds."""
-    return (
-        ObservedRates(*(float(a[lane]) for a in rates)),
-        ProtocolParams(float(pairs.mu[lane]), float(pairs.mu_prime[lane])),
-    )
-
-
-def _first_failing(rates: Rates, pairs: Pairs) -> int:
-    """First lane on which the scalar bounds raise before solving.
-
-    That is s_mu = 0, or a rate or weight so small that the asymptotic
-    bound would divide by an underflowed 0, where the scalar code raises
-    DomainError (finite_bound already does so for c = 0 through its budget).
-    """
-    return _first((pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0) | (pairs.c == 0.0))
-
-
 @_quiet
 def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
-    """bounds.wang_asymptotic_bound."""
-    lane = _first_failing(rates, pairs)
-    if lane < rates.s_mu.size:
-        bounds.wang_asymptotic_bound(*_lane(rates, pairs, lane))
+    """bounds.wang_asymptotic_bound.
+
+    Raises _Replay where s_mu = 0, or where mu' e^{-mu'} S_mu or c has
+    underflowed to 0: there the scalar bound (and finite_bound) raises.
+    """
+    if ((pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0) | (pairs.c == 0.0)).any():
+        raise _Replay
     mu, mu_prime = pairs.mu, pairs.mu_prime
     p1_mu = mu * pairs.exp_mu
     ratio = (p1_mu * rates.s_mu_prime) / (mu_prime * pairs.exp_mu_prime * rates.s_mu)
@@ -193,33 +174,24 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
     return f - sc, 2.0 * p1_mu * y / c - slope, f
 
 
-class _OutOfEvaluations(Exception):
-    """The solver reached max_iter with lanes left, first of them ``lane``."""
-
-    def __init__(self, lane: int):
-        super().__init__(lane)
-        self.lane = lane
-
-
 def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """sc of bounds._solve_sc on every lane, stepping all unfinished lanes together.
 
     ``lanes`` stacks weak, strong, c, a, p1_mu, p1_mu', k1 and kc.  Every
     lane evaluates the excess exactly as often as the scalar solver does, so
-    the lanes on which the scalar solver raises ConvergenceError are the
-    ones that reach max_iter here.
+    _Replay is raised once a lane needs more than max_iter evaluations, as
+    the scalar solver then raises ConvergenceError.
     """
     evals = 0
 
     def excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
         nonlocal evals
         if evals == max_iter and y.size:
-            raise _OutOfEvaluations(int(idx[0]))
+            raise _Replay
         evals += 1
         return _excess(lanes, y, sc)
 
     weak, _, c, _, p1_mu, _, k1, _ = lanes
-    idx = np.arange(sc_lo.size)
     g_floor, _, sc_out = excess(lanes, k1, (weak - p1_mu * k1 * k1) / c)
     s1_lo = (weak - c * sc_lo) / p1_mu
     # Lanes with s1_lo <= k1^2 keep the floor value.
@@ -259,15 +231,8 @@ def finite_bound(
     tol: float,
     max_iter: int,
 ) -> Bounds:
-    """finite_stats.finite_bound."""
-    scalar = (budget, settings, tol, max_iter)
-    lane = _first_failing(rates, pairs)
-    if lane < rates.s_mu.size:
-        if lane:
-            # The lanes before it are bounded first, so their errors come first.
-            finite_bound(_head(rates, lane), _head(pairs, lane), *scalar)
-        finite_stats.finite_bound(*_lane(rates, pairs, lane), *scalar)
-    _validate_iteration_controls(tol, max_iter)
+    """finite_stats.finite_bound; raises _Replay where that raises."""
+    seed = wang_asymptotic_bound(rates, pairs)
     mu_prime, c = pairs.mu_prime, pairs.c
     p1_mu = pairs.mu * pairs.exp_mu
     n_singles = float(budget.n_mu) * p1_mu
@@ -281,7 +246,6 @@ def finite_bound(
     k1 = 2.0 * np.sqrt(settings.confidence_exponent / n_singles)
     kc = 2.0 * np.sqrt(settings.confidence_exponent / n_multi)
 
-    seed = wang_asymptotic_bound(rates, pairs)
     weak = rates.s_mu - pairs.exp_mu * rates.s0
     strong = rates.s_mu_prime - pairs.exp_mu_prime * (1.0 + settings.r0) * rates.s0
     live = np.flatnonzero(~seed.vacuous)
@@ -289,10 +253,7 @@ def finite_bound(
     constants = np.stack(
         (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, mu_prime * pairs.exp_mu_prime, k1, kc)
     )
-    try:
-        sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], tol, max_iter)
-    except _OutOfEvaluations as out:
-        finite_stats.finite_bound(*_lane(rates, pairs, live[out.lane]), *scalar)
+    sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], tol, max_iter)
     sc = np.where(seed.sc_upper > sc, seed.sc_upper, sc)
     s1 = (rates.s_mu - pairs.exp_mu * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
@@ -328,34 +289,6 @@ def gllp_rate(delta: np.ndarray, qber: float) -> np.ndarray:
     return np.where(distillable & ~(raw < 0.0), raw, 0.0)
 
 
-def _first_row_error(
-    etas: Sequence[float], s0: float, n_pulses: int | None, qber: float | None
-) -> tuple[int, ParameterError] | None:
-    """(lanes bounded before it, error) for the first input error of a row-by-row run.
-
-    Row j builds NoEve(eta_j, s0), then the budget, then bounds the row,
-    then builds the key rate's KeyRateInput; budget and qber errors thus
-    surface in row 0.
-    """
-    try:
-        NoEve(eta=etas[0], s0=s0)
-        if n_pulses is not None:
-            PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-    except ParameterError as exc:
-        return 0, exc
-    if qber is not None:
-        try:
-            KeyRateInput(delta=0.0, qber=qber)
-        except ParameterError as exc:
-            return 1, exc
-    for j, eta in enumerate(etas[1:], start=1):
-        try:
-            NoEve(eta=eta, s0=s0)
-        except ParameterError as exc:
-            return j, exc
-    return None
-
-
 def sweep(
     pairs: Sequence[tuple[float, float]],
     etas: Sequence[float],
@@ -369,28 +302,63 @@ def sweep(
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
     Rows use the finite bound with n_pulses in each signal class, or the
-    asymptotic bound without them; pairs must be admissible.
+    asymptotic bound without them; pairs must be admissible.  Raises the
+    error that a row-by-row run of the scalar functions raises.
     """
-    error = _first_row_error(etas, s0, n_pulses, qber)
-    if error is not None:
-        rows_before, exc = error
-        if rows_before:
-            # Those rows are bounded first, so their errors come first.
-            sweep(pairs[:1], etas[:rows_before], s0, n_pulses, settings, None, tol, max_iter)
-        raise exc
-    grid = Pairs.of([mu for mu, _ in pairs], [mu_prime for _, mu_prime in pairs])
-    grid = grid.repeat(len(etas))
-    rates = expected_rates(np.tile(np.asarray(etas, float), len(pairs)), s0, grid)
-    if n_pulses is None:
-        report = wang_asymptotic_bound(rates, grid)
-    else:
-        budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-        report = finite_bound(rates, grid, budget, settings, tol, max_iter)
-    return Rows(
-        delta_upper=report.delta_upper,
-        delta_prime_upper=delta_prime_bound(report.delta_upper, rates, grid),
-        s1_lower=report.s1_lower,
-        key_rate=None if qber is None else gllp_rate(report.delta_upper, qber),
-        clamped=report.clamped,
-        vacuous=report.vacuous,
-    )
+    if not (pairs and etas):
+        # A row-by-row run of an empty grid builds, checks and raises nothing.
+        empty, flags = np.zeros(0), np.zeros(0, bool)
+        return Rows(empty, empty, empty, None if qber is None else empty, flags, flags)
+    try:
+        # What each row's constructors and solver check.
+        for eta in etas:
+            NoEve(eta=eta, s0=s0)
+        if qber is not None:
+            KeyRateInput(delta=0.0, qber=qber)
+        grid = Pairs.of([mu for mu, _ in pairs], [mu_prime for _, mu_prime in pairs])
+        grid = grid.repeat(len(etas))
+        rates = expected_rates(np.tile(np.asarray(etas, float), len(pairs)), s0, grid)
+        if n_pulses is None:
+            report = wang_asymptotic_bound(rates, grid)
+        else:
+            budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
+            _validate_iteration_controls(tol, max_iter)
+            report = finite_bound(rates, grid, budget, settings, tol, max_iter)
+        return Rows(
+            delta_upper=report.delta_upper,
+            delta_prime_upper=delta_prime_bound(report.delta_upper, rates, grid),
+            s1_lower=report.s1_lower,
+            key_rate=None if qber is None else gllp_rate(report.delta_upper, qber),
+            clamped=report.clamped,
+            vacuous=report.vacuous,
+        )
+    except (_Replay, ParameterError):
+        pass
+    # Outside the except block, so the scalar error carries no _Replay context.
+    _replay(pairs, etas, s0, n_pulses, settings, qber, tol, max_iter)
+
+
+def _replay(
+    pairs: Sequence[tuple[float, float]],
+    etas: Sequence[float],
+    s0: float,
+    n_pulses: int | None,
+    settings: FluctuationSettings,
+    qber: float | None,
+    tol: float,
+    max_iter: int,
+) -> NoReturn:
+    """Run the sweep row by row through the scalar functions, which raise its error."""
+    for mu, mu_prime in pairs:
+        params = ProtocolParams(mu, mu_prime)
+        for eta in etas:
+            rates = channel.expected_rates(NoEve(eta=eta, s0=s0), params)
+            if n_pulses is None:
+                report = bounds.wang_asymptotic_bound(rates, params)
+            else:
+                budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
+                report = finite_stats.finite_bound(rates, params, budget, settings, tol, max_iter)
+            bounds.delta_prime_bound(report.delta_upper, rates, params)
+            if qber is not None:
+                key_rate.gllp_rate(KeyRateInput(delta=report.delta_upper, qber=qber))
+    raise RuntimeError("the sweep lanes flagged an error that no scalar function raises")

@@ -15,7 +15,6 @@ from .errors import ConvergenceError, DomainError, ParameterError
 from .photon_stats import ProtocolParams, decompose
 
 METHOD_HWANG = "hwang_crude"
-METHOD_HWANG_OPTIMIZED = "hwang_optimized"
 METHOD_WANG_ASYMPTOTIC = "wang_asymptotic"
 METHOD_WANG_FINITE = "wang_finite"
 

@@ -219,6 +219,10 @@ def _scenario_flags_present(args: argparse.Namespace) -> bool:
     )
 
 
+# The input each scenario kind reads besides s0.
+_SCENARIO_INPUT = {"no_eve": "eta", "pns": "q", "yields": "yields"}
+
+
 def _build_scenario(args: argparse.Namespace, config: Config) -> ChannelScenario:
     kind = _setting(args, config, "scenario", "kind", flag="scenario")
     eta = _setting(args, config, "scenario", "eta")
@@ -233,6 +237,11 @@ def _build_scenario(args: argparse.Namespace, config: Config) -> ChannelScenario
             kind = "yields"
         else:
             raise ConfigError("scenario kind cannot be determined; set [scenario] kind")
+    if kind in _SCENARIO_INPUT:
+        for key in _SCENARIO_INPUT.values():
+            given = getattr(args, key, None) is not None or key in config.get("scenario", {})
+            if given and key != _SCENARIO_INPUT[kind]:
+                raise ConfigError(f"{kind} scenario does not use {key}")
     if kind == "no_eve":
         if eta is None:
             raise ConfigError("no_eve scenario requires eta")
@@ -413,8 +422,11 @@ def _render(
         lines = table()
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

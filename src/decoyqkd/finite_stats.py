@@ -19,6 +19,7 @@ from .bounds import (
     METHOD_WANG_FINITE,
     BoundReport,
     ObservedRates,
+    _require_multi_weight,
     _require_weak_rate,
     _solve_sc,
     _validate_iteration_controls,
@@ -129,6 +130,7 @@ def finite_bound(
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
     c = coeffs.c
+    _require_multi_weight(c, mu)
     p1_mu = mu * math.exp(-mu)
 
     n_singles = budget.n_mu * p1_mu

@@ -224,45 +224,51 @@ def test_near_diagonal_pairs():
         assert isinstance(assert_lanes_match(drawn, n, qber=0.01), list)
 
 
+def both_orders(pairs, etas, **flags):
+    """assert_sweep_matches on the grid, then on its pairs and etas reversed."""
+    return [
+        assert_sweep_matches(pairs, etas, **flags),
+        assert_sweep_matches(pairs[::-1], etas[::-1], **flags),
+    ]
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
 def test_convergence_error_at_max_iter(max_iter):
-    drawn = [(0.3, mu_prime, eta, 1e-6) for mu_prime in (0.35, 0.45, 0.6) for eta in (1e-4, 1e-2)]
-    expected = assert_lanes_match(drawn, 8 * 10**10, max_iter=max_iter)
-    assert expected[0] is ConvergenceError
+    pairs = [(0.3, mu_prime) for mu_prime in (0.35, 0.45, 0.6)]
+    for expected in both_orders(pairs, [1e-4, 1e-2], n=8 * 10**10, max_iter=max_iter):
+        assert expected[0] is ConvergenceError
 
 
 @pytest.mark.parametrize("max_iter", range(1, 8))
 def test_convergence_error_only_on_lanes_needing_more_evaluations(max_iter):
-    # At N = 1e6 the scalar solver needs at most 1, 2, 6 and 7 evaluations
-    # on these lanes, so each max_iter below 7 stops a different subset.
-    drawn = [
-        (0.1, 0.105, 1e-4, 1e-6),
-        (0.1, 0.105, 1e-2, 1e-6),
-        (0.1, 0.3, 1e-2, 1e-6),
-        (0.1, 0.2, 1e-2, 1e-6),
-    ]
-    for order in (drawn, drawn[::-1]):
-        expected = assert_lanes_match(order, 10**6, max_iter=max_iter)
+    # At N = 1e6 the scalar solver needs 1 and 2, 1 and 6, and 1 and 7
+    # evaluations on these pairs at the two etas, so each max_iter below 7
+    # stops a different subset of rows.
+    pairs = [(0.1, 0.105), (0.1, 0.3), (0.1, 0.2)]
+    for expected in both_orders(pairs, [1e-4, 1e-2], n=10**6, max_iter=max_iter):
         assert isinstance(expected, list) == (max_iter == 7)
 
 
 @pytest.mark.parametrize("tol, max_iter", [(0.0, 10), (1e-3, 10), (1e-10, 0)])
 def test_bad_solver_controls_rejected_only_with_a_budget(tol, max_iter):
-    drawn = [(0.3, 0.45, 1e-3, 1e-6)]
-    expected = assert_lanes_match(drawn, 10**10, tol=tol, max_iter=max_iter)
+    grid = ([(0.3, 0.45)], [1e-3])
+    expected = assert_sweep_matches(*grid, n=10**10, tol=tol, max_iter=max_iter)
     assert expected[0] is ParameterError
-    assert isinstance(assert_lanes_match(drawn, None, tol=tol, max_iter=max_iter), list)
+    assert isinstance(assert_sweep_matches(*grid, tol=tol, max_iter=max_iter), list)
 
 
 def test_zero_weak_rate_rejected_in_lane_order():
-    ok, dead = (0.3, 0.45, 1e-3, 1e-6), (0.3, 0.45, 0.0, 0.0)
+    # With s0 = 0, eta = 0 leaves s_mu = 0 while eta = 1e-3 bounds fine.
+    pairs, etas = [(0.3, 0.45)], [0.0, 1e-3]
     for n in (None, 10**10):
-        assert assert_lanes_match([dead, ok], n)[0] is ParameterError
-        assert assert_lanes_match([ok, dead], n)[0] is ParameterError
-        # The weak-rate check comes before the solver controls in each lane.
-        assert assert_lanes_match([dead, ok], n, tol=1.0)[0] is ParameterError
-    # A lane that fails to converge before the dead one raises first.
-    assert assert_lanes_match([ok, dead], 10**10, max_iter=2)[0] is ConvergenceError
+        for expected in both_orders(pairs, etas, s0=0.0, n=n):
+            assert expected[0] is ParameterError
+        # The weak-rate check comes before the solver controls in each row.
+        for expected in both_orders(pairs, etas, s0=0.0, n=n, tol=1.0):
+            assert expected[0] is ParameterError
+    # A row that fails to converge before the dead one raises first.
+    expected = assert_sweep_matches(pairs, etas[::-1], s0=0.0, n=10**10, max_iter=2)
+    assert expected[0] is ConvergenceError
 
 
 def test_sweep_errors_follow_row_order():
@@ -287,9 +293,27 @@ def test_sweep_errors_follow_row_order():
 
 def test_underflow_errors_match_scalar():
     # Subnormal rates and a multi-photon weight that underflows to 0 make
-    # the scalar bounds divide by zero (or, for c = 0, reject the budget).
-    ok = (0.3, 0.45, 1e-3, 1e-6)
-    for bad in ((0.5, 0.6, 0.0, 5e-324), (1e-170, 2e-170, 1e-3, 1e-6)):
+    # the scalar bounds divide by zero, so they raise DomainError instead.
+    grids = [
+        ([(0.3, 0.45), (0.5, 0.6)], [1e-3, 0.0], 5e-324),
+        ([(0.3, 0.45), (1e-170, 2e-170)], [1e-3], 1e-6),
+    ]
+    for pairs, etas, s0 in grids:
         for n in (None, 10**10):
-            assert not isinstance(assert_lanes_match([ok, bad], n), list)
-            assert not isinstance(assert_lanes_match([bad, ok], n, tol=1.0), list)
+            for expected in both_orders(pairs, etas, s0=s0, n=n):
+                assert not isinstance(expected, list)
+            for expected in both_orders(pairs, etas, s0=s0, n=n, tol=1.0):
+                assert not isinstance(expected, list)
+
+
+def test_sweep_errors_carry_no_replay_context():
+    for etas, max_iter in (([1e-3], 1), ([1e-3, 2.0], DEFAULT_MAX_ITER)):
+        with pytest.raises((ConvergenceError, ParameterError)) as raised:
+            batch.sweep([(0.3, 0.45)], etas, 1e-6, 10**10, DEFAULTS, None, DEFAULT_TOL, max_iter)
+        assert raised.value.__context__ is None
+
+
+def test_empty_grid_checks_nothing():
+    # A row-by-row run builds no channel, budget or key input, so bad ones pass.
+    for pairs, etas in (([], [2.0]), ([(0.3, 0.45)], [])):
+        assert assert_sweep_matches(pairs, etas, n=0, qber=0.7) == []

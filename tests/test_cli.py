@@ -168,6 +168,41 @@ def test_config_rejects_rates_and_scenario(tmp_path, capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("--scenario", "pns", "--q", "0.5", "--eta", "1e-3"), "pns scenario does not use eta"),
+        (("--eta", "1e-3", "--yields", "0.1"), "no_eve scenario does not use yields"),
+        (("--scenario", "yields", "--yields", "0.1", "--q", "0.5"),
+         "yields scenario does not use q"),
+    ],
+    ids=["pns-eta", "no_eve-yields", "yields-q"],
+)
+def test_scenario_flags_the_kind_does_not_use(capsys, argv, unused):
+    code, out, err = run(capsys, "bound", "--mu", "0.3", "--mu-prime", "0.45", *argv)
+    assert (code, out, err) == (2, "", f"error: {unused}\n")
+
+
+def test_config_scenario_keys_the_kind_does_not_use(tmp_path, capsys):
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text(
+        "[params]\nmu = 0.3\nmu_prime = 0.45\n"
+        "[scenario]\neta = 1e-3\nq = 0.5\nyields = abc\n"
+    )
+    code, out, err = run(capsys, "bound", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: no_eve scenario does not use q\n")
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "nodir" / "x.txt"
+    code, out, err = run(capsys, "table1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {target}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[params]\nmu = 0.3\nmu_primee = 0.45\n")
@@ -451,8 +486,12 @@ def test_sweep_solver_controls_unchecked_without_budget(capsys):
          "mu' e^{-mu'} S_mu underflows to 0"),
         (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3"),
          "multi-photon weight c of mu=1e-170 underflows to 0"),
+        (("--mu", "0.5", "--mu-prime", "0.6", "--eta", "0", "--s0", "5e-324", "--n", "1e10"),
+         "mu' e^{-mu'} S_mu underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--n", "1e10"),
+         "multi-photon weight c of mu=1e-170 underflows to 0"),
     ],
-    ids=["subnormal-rate", "tiny-mu"],
+    ids=["subnormal-rate", "tiny-mu", "subnormal-rate-finite", "tiny-mu-finite"],
 )
 def test_underflowed_inputs_exit_2(capsys, command, argv, cause):
     code, out, err = run(capsys, command, *argv)
