@@ -6,7 +6,7 @@ returns, lane by lane, exactly what the scalar function of the same name
 returns: the same bits and flags, and for the finite solver the same steps
 and evaluation count.  The scalar functions stay the reference
 that single bounds, simulation, Table 1 and the tests use; ``decoyqkd
-sweep`` and ``scripts/run_sweep.py`` run on this module.
+sweep`` runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
@@ -40,7 +40,7 @@ from .channel import NoEve
 from .errors import ParameterError
 from .finite_stats import FluctuationSettings, PulseBudget
 from .key_rate import KeyRateInput, binary_entropy
-from .photon_stats import ProtocolParams, multi_photon_weight
+from .photon_stats import ProtocolParams, _multi_ratio, multi_photon_weight
 
 _quiet = np.errstate(divide="ignore", invalid="ignore")
 
@@ -70,7 +70,8 @@ class Pairs(NamedTuple):
     """Intensity pairs, one per lane, with the Poisson terms every layer shares.
 
     Pairs must be admissible (``validate_pair``); decompose's remainder
-    check then holds, so it is not repeated here.
+    check then holds, so it is not repeated here.  Raises _Replay where
+    decompose's ratio overflows.
     """
 
     mu: np.ndarray
@@ -84,15 +85,17 @@ class Pairs(NamedTuple):
     @classmethod
     def of(cls, mu: Sequence[float], mu_prime: Sequence[float]) -> Pairs:
         mu, mu_prime = np.asarray(mu, float), np.asarray(mu_prime, float)
-        exp_gap = _libm(math.exp, mu - mu_prime)
+        multi_ratio = _libm(_multi_ratio, mu, mu_prime)
+        if (multi_ratio == np.inf).any():
+            raise _Replay
         return cls(
             mu=mu,
             mu_prime=mu_prime,
             exp_mu=_libm(math.exp, -mu),
             exp_mu_prime=_libm(math.exp, -mu_prime),
-            exp_gap=exp_gap,
+            exp_gap=_libm(math.exp, mu - mu_prime),
             c=_libm(multi_photon_weight, mu),
-            multi_ratio=_libm(math.pow, mu_prime / mu, repeat(2.0)) * exp_gap,
+            multi_ratio=multi_ratio,
         )
 
     def repeat(self, count: int) -> Pairs:

@@ -86,6 +86,8 @@ def _as_count(raw: str, where: str) -> int:
         value = Decimal(raw)
     except InvalidOperation:
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+    if not value.is_finite():
+        raise ConfigError(f"{where}: expected a finite integer, got {raw!r}")
     if value != value.to_integral_value():
         raise ConfigError(f"{where}: expected an integer, got {raw!r}")
     return int(value)
@@ -707,12 +709,12 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
 
 
 def _count_flag(raw: str) -> int:
-    # Same grammar as config-file counts, so "--n 8e10" works on the
-    # command line too.
+    # Same grammar and messages as config-file counts, so "--n 8e10" works
+    # on the command line too; argparse names the flag.
     try:
-        return _as_count(raw, "flag")
-    except ConfigError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        return _as_count(raw, "")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix(": ")) from None
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

@@ -44,6 +44,10 @@ class PulseBudget:
                 as_int = operator.index(value)
             except TypeError:
                 raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+            try:
+                float(as_int)
+            except OverflowError:
+                raise ParameterError(f"{name} is too large to convert to a float") from None
             object.__setattr__(self, name, as_int)
         if self.n_mu < 1 or self.n_mu_prime < 1:
             raise ParameterError("signal-class pulse counts must be at least 1")

@@ -9,6 +9,7 @@ class, and a non-negative remainder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,33 @@ class ProtocolParams:
         if not check:
             raise ParameterError(check.reason)
 
+    @functools.cached_property
+    def coefficients(self) -> DecompositionCoefficients:
+        """decompose(self), computed on first use; not a dataclass field."""
+        mu, mu_prime = self.mu, self.mu_prime
+        c = multi_photon_weight(mu)
+        multi_ratio = _multi_ratio(mu, mu_prime)
+        if multi_ratio == math.inf:
+            raise DomainError(
+                f"(mu'/mu)^2 e^{{mu-mu'}} overflows for mu={mu}, mu_prime={mu_prime}"
+            )
+        d = multi_photon_weight(mu_prime) - c * multi_ratio
+        if d < 0.0:
+            if d < -D_TOL:
+                raise DecompositionError(
+                    f"remainder weight is negative ({d}) for pair ({mu}, {mu_prime})"
+                )
+            d = 0.0
+        return DecompositionCoefficients(c=c, d=d, multi_ratio=multi_ratio)
+
+
+def _multi_ratio(mu: float, mu_prime: float) -> float:
+    """(mu'/mu)^2 e^{mu-mu'}, or inf where it overflows."""
+    try:
+        return (mu_prime / mu) ** 2 * math.exp(mu - mu_prime)
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class DecompositionCoefficients:
@@ -139,15 +167,10 @@ class DecompositionCoefficients:
 
 
 def decompose(params: ProtocolParams) -> DecompositionCoefficients:
-    """Split the stronger class over {vacuum, scaled weak tail, remainder}."""
-    mu, mu_prime = params.mu, params.mu_prime
-    c = multi_photon_weight(mu)
-    multi_ratio = (mu_prime / mu) ** 2 * math.exp(mu - mu_prime)
-    d = multi_photon_weight(mu_prime) - c * multi_ratio
-    if d < 0.0:
-        if d < -D_TOL:
-            raise DecompositionError(
-                f"remainder weight is negative ({d}) for pair ({mu}, {mu_prime})"
-            )
-        d = 0.0
-    return DecompositionCoefficients(c=c, d=d, multi_ratio=multi_ratio)
+    """Split the stronger class over {vacuum, scaled weak tail, remainder}.
+
+    Computed once per ``params`` and cached on it.  Raises DomainError when
+    the ratio (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu
+    beside an ordinary mu'.
+    """
+    return params.coefficients

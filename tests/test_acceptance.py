@@ -143,6 +143,8 @@ def test_criterion_07_pulse_budget():
 
 def test_criterion_08_soundness():
     rng = random.Random(12345)
+    budget = PulseBudget(10**10, 10**10)
+    settings = FluctuationSettings()
     t0 = time.perf_counter()
     violations = 0
     worst_margin = 1.0
@@ -163,16 +165,19 @@ def test_criterion_08_soundness():
         truth, _ = true_delta(scenario, params)
         wang = wang_asymptotic_bound(rates, params)
         crude = hwang_bound(rates, params)
-        if wang.delta_upper < truth - 1e-12 or crude.delta_upper < truth - 1e-12:
-            violations += 1
+        finite = finite_bound(rates, params, budget, settings)
+        for report in (crude, wang, finite):
+            if report.delta_upper < truth - 1e-12:
+                violations += 1
         worst_margin = min(worst_margin, wang.delta_upper - truth)
     elapsed = time.perf_counter() - t0
     _check(
         8,
         "soundness vs arbitrary yields",
         violations == 0 and elapsed < 30.0,
-        f"{checked} strategies, {violations} violations, "
-        f"worst margin {worst_margin:+.2e}, {elapsed:.2f} s",
+        f"{checked} strategies, crude/asymptotic/finite (N=1e10) bounds, "
+        f"{violations} violations, worst asymptotic margin {worst_margin:+.2e}, "
+        f"{elapsed:.2f} s",
     )
 
 

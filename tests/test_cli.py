@@ -490,11 +490,63 @@ def test_sweep_solver_controls_unchecked_without_budget(capsys):
          "mu' e^{-mu'} S_mu underflows to 0"),
         (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--n", "1e10"),
          "multi-photon weight c of mu=1e-170 underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "0.45", "--eta", "1e-3"),
+         "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-170, mu_prime=0.45"),
+        # c is subnormal here, not 0.
+        (("--mu", "1e-160", "--mu-prime", "0.45", "--eta", "1e-3"),
+         "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-160, mu_prime=0.45"),
     ],
-    ids=["subnormal-rate", "tiny-mu", "subnormal-rate-finite", "tiny-mu-finite"],
+    ids=[
+        "subnormal-rate",
+        "tiny-mu",
+        "subnormal-rate-finite",
+        "tiny-mu-finite",
+        "tiny-mu-ordinary-mu-prime",
+        "tiny-mu-ordinary-mu-prime-subnormal-c",
+    ],
 )
 def test_underflowed_inputs_exit_2(capsys, command, argv, cause):
     code, out, err = run(capsys, command, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and cause in err
+
+
+COUNT_COMMANDS = {
+    "bound": ("bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3"),
+    "simulate": ("simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--seed", "1"),
+    "sweep": ("sweep", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3"),
+}
+
+
+@pytest.mark.parametrize("command", list(COUNT_COMMANDS))
+@pytest.mark.parametrize(
+    "form, value, cause",
+    [
+        ("flag", "inf", "argument --n: expected a finite integer, got 'inf'"),
+        ("flag", "1e400", "error: n_mu is too large to convert to a float"),
+        ("config", "inf", "expected a finite integer, got 'inf'"),
+        ("config", "1e400", "error: n_mu is too large to convert to a float"),
+    ],
+    ids=["flag-inf", "flag-1e400", "config-inf", "config-1e400"],
+)
+def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value, cause):
+    argv = list(COUNT_COMMANDS[command])
+    if form == "flag":
+        argv += ["--n", value]
+    else:
+        cfg = tmp_path / "run.ini"
+        if command == "sweep":
+            cfg.write_text(f"[sweep]\nn_pulses = {value}\n")
+        else:
+            cfg.write_text(f"[budget]\nn_mu = {value}\nn_mu_prime = 1e10\n")
+        argv += ["--config", str(cfg)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and cause in errors[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import mpmath as mp
 import pytest
@@ -109,6 +110,22 @@ def test_decompose_oracle():
     assert coeffs.c == pytest.approx(0.036936313113766774, rel=1e-13)
     assert coeffs.multi_ratio == pytest.approx(1.9365929469563801, rel=1e-13)
     assert coeffs.d == pytest.approx(0.003908576685735541, rel=1e-10)
+
+
+def test_decompose_computed_once_per_params():
+    params = ProtocolParams(0.3, 0.45)
+    assert decompose(params) is decompose(params)
+    assert decompose(params) == decompose(ProtocolParams(0.3, 0.45))
+    assert asdict(params) == {"mu": 0.3, "mu_prime": 0.45}
+    assert params == ProtocolParams(0.3, 0.45)
+
+
+def test_decompose_ratio_overflow_is_a_domain_error():
+    # c = mu^2/2 is subnormal at mu = 1e-160, and (mu'/mu)^2 overflows.
+    params = ProtocolParams(1e-160, 0.45)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"\(mu'/mu\)\^2 e\^\{mu-mu'\} overflows"):
+            decompose(params)
 
 
 @st.composite

@@ -1,0 +1,77 @@
+"""The README's examples run, and their sample output is what the code prints.
+
+Every ``decoyqkd`` command in a ``sh`` block runs in-process, in a fresh
+directory that holds the README's ``run.ini``; a pipeline runs only its
+first stage.  Each exit code must be one the README's exit-code table
+lists.  An untagged block right after a ``sh`` block is the sample output
+of that block's first command: each of its lines must be a line of the real
+output, a line ending in ``...`` the start of one, and a bare ``...`` line
+stands for omitted lines.
+"""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from decoyqkd.cli import main
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
+EXIT_CODES = {int(code) for code in re.findall(r"^\| (\d+) \|", README, flags=re.M)}
+RUN_INI = next(body for info, body in BLOCKS if info == "ini")
+
+
+def _commands(block: str) -> list[list[str]]:
+    """The first stage of each ``decoyqkd`` command line of a sh block."""
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if tokens[:1] == ["decoyqkd"]:
+            commands.append(tokens[1 : tokens.index("|") if "|" in tokens else None])
+    return commands
+
+
+CASES = [
+    (_commands(body), BLOCKS[i + 1][1] if i + 1 < len(BLOCKS) and not BLOCKS[i + 1][0] else "")
+    for i, (info, body) in enumerate(BLOCKS)
+    if info == "sh" and _commands(body)
+]
+
+
+@pytest.mark.parametrize("commands, sample", CASES, ids=[cmds[0][0] for cmds, _ in CASES])
+def test_readme_commands_and_samples(tmp_path, monkeypatch, capsys, commands, sample):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(RUN_INI, encoding="utf-8")
+    outputs = []
+    for argv in commands:
+        code = main(argv)
+        assert code in EXIT_CODES, (argv, code)
+        outputs.append(capsys.readouterr().out.splitlines())
+    for line in sample.splitlines():
+        if line.endswith("..."):
+            assert line == "..." or any(
+                out.startswith(line[:-3]) for out in outputs[0]
+            ), line
+        else:
+            assert line in outputs[0], line
+
+
+def test_readme_covers_every_command():
+    # Guards the parsing above: a README it no longer reads would pass vacuously.
+    run = {commands[0][0] for commands, _ in CASES}
+    assert run == {"bound", "simulate", "table1", "sweep", "feasibility"}
+    assert sum(bool(sample) for _, sample in CASES) == 3
+
+
+def test_readme_library_sample(capsys):
+    code = next(body for info, body in BLOCKS if info == "python")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    expected = re.findall(r"^print\(.*\)\s+# (\S+)$", code, flags=re.M)
+    assert len(printed) == len(expected) == 4
+    for line, value in zip(printed, expected):
+        assert line.split()[-1] == value
