@@ -63,7 +63,6 @@ class BoundReport:
     method: str
     clamped: bool = False
     vacuous: bool = False
-    delta_prime_upper: float | None = None
 
 
 def _require_weak_rate(rates: ObservedRates) -> None:

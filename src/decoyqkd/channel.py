@@ -20,10 +20,6 @@ from .errors import ParameterError
 from .finite_stats import PulseBudget
 from .photon_stats import ProtocolParams, multi_photon_weight, poisson_prefix
 
-# Photon numbers above this carry Poisson weight below 1e-20 for all
-# intensities of interest (<= 1).
-DEFAULT_N_MAX = 20
-
 # Largest class size sampled with numpy's exact binomial sampler; beyond
 # this (int64 territory) counts are drawn from the rounded and clamped
 # normal approximation, which is indistinguishable at such sizes.
@@ -167,8 +163,6 @@ class SimulatedObservation:
     clicks_mu: int
     clicks_mu_prime: int
     clicks_vacuum: int
-    budget: PulseBudget
-    seed: int
 
 
 def _sample_count(rng: np.random.Generator, n_pulses: int, rate: float) -> int:
@@ -191,8 +185,10 @@ def sample_observation(
     """Draw per-class click counts binomially; deterministic for a fixed seed.
 
     Draw order is fixed (weak, strong, vacuum) so a given seed always maps
-    to the same observation.
+    to the same observation.  The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     clicks_mu = _sample_count(rng, budget.n_mu, scenario.class_rate(params.mu))
     clicks_mu_prime = _sample_count(rng, budget.n_mu_prime, scenario.class_rate(params.mu_prime))
@@ -207,6 +203,4 @@ def sample_observation(
         clicks_mu=clicks_mu,
         clicks_mu_prime=clicks_mu_prime,
         clicks_vacuum=clicks_vacuum,
-        budget=budget,
-        seed=seed,
     )

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
@@ -48,6 +49,9 @@ EXIT_CONFIG = 2
 EXIT_VACUOUS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IMPRACTICAL = 5
+
+# Most points a start:stop:step grid range may hold.
+MAX_GRID_POINTS = 10**6
 
 SWEEP_COLUMNS = (
     "mu",
@@ -114,12 +118,16 @@ def parse_grid(text: str, where: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"{where}: grid ranges use start:stop:step, got {text!r}")
         start, stop, step = (_as_float(p, where) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{where}: grid start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError(f"{where}: grid step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"{where}: grid stop {stop} is below start {start}")
-        count = int(round((stop - start) / step))
-        values = [round(start + k * step, 12) for k in range(count + 1)]
+        steps = (stop - start) / step
+        if math.isinf(steps) or round(steps) + 1 > MAX_GRID_POINTS:
+            raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
+        values = [round(start + k * step, 12) for k in range(round(steps) + 1)]
         return [v for v in values if v <= stop + 1e-12]
     values = list(_as_floats(text, where))
     if not values:
@@ -207,113 +215,114 @@ def _setting(
     return value
 
 
+def _given(
+    args: argparse.Namespace, config: Config, section: str, keys: Iterable[str] = ()
+) -> dict[str, Any]:
+    """The set keys (default: all of section), parsed; unset ones keep library defaults."""
+    values = {key: _setting(args, config, section, key) for key in keys or CONFIG_KEYS[section]}
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _resolve_params(args: argparse.Namespace, config: Config) -> ProtocolParams:
-    mu = _setting(args, config, "params", "mu")
-    mu_prime = _setting(args, config, "params", "mu_prime")
-    if mu is None or mu_prime is None:
+    values = _given(args, config, "params")
+    if len(values) < 2:
         raise ConfigError("mu and mu_prime are required (flags or [params] section)")
-    return ProtocolParams(mu=mu, mu_prime=mu_prime)
+    return ProtocolParams(**values)
 
 
-def _scenario_flags_present(args: argparse.Namespace) -> bool:
-    return any(
-        getattr(args, name, None) is not None for name in ("scenario", "eta", "q", "yields")
-    )
+# Each channel scenario kind: its class and the input it reads besides s0.
+# A kind left unset is inferred from the first of these inputs given.
+SCENARIOS: dict[str, tuple[type, str]] = {
+    "no_eve": (NoEve, "eta"),
+    "pns": (PnsAttack, "q"),
+    "yields": (YieldTable, "yields"),
+}
 
 
-# The input each scenario kind reads besides s0.
-_SCENARIO_INPUT = {"no_eve": "eta", "pns": "q", "yields": "yields"}
+def _scenario_inputs_given(args: argparse.Namespace, config: Config) -> list[str]:
+    return [
+        key
+        for _, key in SCENARIOS.values()
+        if getattr(args, key, None) is not None or key in config.get("scenario", {})
+    ]
 
 
-def _build_scenario(args: argparse.Namespace, config: Config) -> ChannelScenario:
+def _build_scenario(
+    args: argparse.Namespace, config: Config
+) -> tuple[ChannelScenario, dict[str, Any]]:
     kind = _setting(args, config, "scenario", "kind", flag="scenario")
-    eta = _setting(args, config, "scenario", "eta")
-    s0 = _setting(args, config, "scenario", "s0", 0.0)
-    q = _setting(args, config, "scenario", "q")
+    # Numbers parse up front, in CONFIG_KEYS order; a list only once it is read.
+    parsers = CONFIG_KEYS["scenario"]
+    numbers = _given(args, config, "scenario", [k for k in parsers if parsers[k] is _as_float])
+    given = _scenario_inputs_given(args, config)
     if kind is None:
-        if eta is not None:
-            kind = "no_eve"
-        elif q is not None:
-            kind = "pns"
-        elif _setting(args, config, "scenario", "yields") is not None:
-            kind = "yields"
-        else:
+        kind = next((kind for kind, (_, key) in SCENARIOS.items() if key in given), None)
+        if kind is None:
             raise ConfigError("scenario kind cannot be determined; set [scenario] kind")
-    if kind in _SCENARIO_INPUT:
-        for key in _SCENARIO_INPUT.values():
-            given = getattr(args, key, None) is not None or key in config.get("scenario", {})
-            if given and key != _SCENARIO_INPUT[kind]:
-                raise ConfigError(f"{kind} scenario does not use {key}")
-    if kind == "no_eve":
-        if eta is None:
-            raise ConfigError("no_eve scenario requires eta")
-        return NoEve(eta=eta, s0=s0)
-    if kind == "pns":
-        if q is None:
-            raise ConfigError("pns scenario requires q")
-        return PnsAttack(q=q, s0=s0)
-    if kind == "yields":
-        table = _setting(args, config, "scenario", "yields")
-        if table is None:
-            raise ConfigError("yields scenario requires a yields list")
-        return YieldTable(s0=s0, yields=table)
-    raise ConfigError(f"unknown scenario kind {kind!r} (expected no_eve, pns, or yields)")
+    if kind not in SCENARIOS:
+        *others, last = SCENARIOS
+        raise ConfigError(
+            f"unknown scenario kind {kind!r} (expected {', '.join(others)}, or {last})"
+        )
+    cls, key = SCENARIOS[kind]
+    for unused in given:
+        if unused != key:
+            raise ConfigError(f"{kind} scenario does not use {unused}")
+    if key not in given:
+        needed = key if parsers[key] is _as_float else f"a {key} list"
+        raise ConfigError(f"{kind} scenario requires {needed}")
+    scenario = cls(**{"s0": 0.0, **numbers, key: _setting(args, config, "scenario", key)})
+    return scenario, {"kind": kind, **asdict(scenario)}
+
+
+def _read_rates(source: str | dict[str, str]) -> ObservedRates:
+    """Direct rates from the --rates text or the [rates] config section."""
+    if isinstance(source, str):
+        parts = [p for p in source.split(",") if p.strip()]
+        if len(parts) != 3:
+            raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
+        return ObservedRates(*(_as_float(p, "--rates") for p in parts))
+    keys = CONFIG_KEYS["rates"]
+    missing = set(keys) - set(source)
+    if missing:
+        raise ConfigError(f"[rates] section is missing {sorted(missing)}")
+    return ObservedRates(**{key: _as_float(source[key], f"[rates] {key}") for key in keys})
 
 
 def _resolve_rate_source(
     args: argparse.Namespace, config: Config, params: ProtocolParams
-) -> tuple[ObservedRates, ChannelScenario | None]:
-    """Exactly one of direct rates / scenario must be supplied."""
-    rates_flag = getattr(args, "rates", None)
-    scenario_flagged = _scenario_flags_present(args)
-    if rates_flag is not None and scenario_flagged:
-        raise ConfigError("supply either --rates or scenario flags, not both")
-    if rates_flag is not None:
-        parts = [p for p in rates_flag.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
-        s0, s_mu, s_mu_prime = (_as_float(p, "--rates") for p in parts)
-        return ObservedRates(s0=s0, s_mu=s_mu, s_mu_prime=s_mu_prime), None
-    if scenario_flagged:
-        scenario = _build_scenario(args, config)
-        return expected_rates(scenario, params), scenario
-    has_rates = "rates" in config
-    has_scenario = "scenario" in config
-    if has_rates and has_scenario:
-        raise ConfigError("config supplies both [rates] and [scenario]; keep exactly one")
-    if has_rates:
-        keys = CONFIG_KEYS["rates"]
-        missing = set(keys) - set(config["rates"])
-        if missing:
-            raise ConfigError(f"[rates] section is missing {sorted(missing)}")
-        return ObservedRates(**{key: _setting(None, config, "rates", key) for key in keys}), None
-    if has_scenario:
-        scenario = _build_scenario(args, config)
-        return expected_rates(scenario, params), scenario
+) -> tuple[ObservedRates, dict[str, Any] | None]:
+    """Direct rates, or a scenario's rates and echo; the flags decide, else the config."""
+    for rates, scenario, conflict in (
+        (
+            args.rates,
+            args.scenario is not None or _scenario_inputs_given(args, {}),
+            "supply either --rates or scenario flags, not both",
+        ),
+        (
+            config.get("rates"),
+            "scenario" in config,
+            "config supplies both [rates] and [scenario]; keep exactly one",
+        ),
+    ):
+        if rates is not None and scenario:
+            raise ConfigError(conflict)
+        if rates is not None:
+            return _read_rates(rates), None
+        if scenario:
+            built, echo = _build_scenario(args, config)
+            return expected_rates(built, params), echo
     raise ConfigError("no rate source: supply a scenario, direct rates, or a [rates] section")
 
 
 def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | None:
-    n_mu = _setting(args, config, "budget", "n_mu")
-    n_mu_prime = _setting(args, config, "budget", "n_mu_prime")
-    n_vacuum = _setting(args, config, "budget", "n_vacuum")
-    shared = getattr(args, "n", None)
-    if shared is not None:
-        n_mu = n_mu if n_mu is not None else shared
-        n_mu_prime = n_mu_prime if n_mu_prime is not None else shared
-    if n_mu is None and n_mu_prime is None:
-        return None
-    if n_mu is None or n_mu_prime is None:
+    counts = _given(args, config, "budget")
+    if args.n is not None:
+        counts = {"n_mu": args.n, "n_mu_prime": args.n, **counts}
+    signal = {"n_mu", "n_mu_prime"} & counts.keys()
+    if len(signal) == 1:
         raise ConfigError("a pulse budget needs both n_mu and n_mu_prime (or --n)")
-    return PulseBudget(n_mu=n_mu, n_mu_prime=n_mu_prime, n_vacuum=n_vacuum or 0)
-
-
-def _resolve_settings(args: argparse.Namespace, config: Config) -> FluctuationSettings:
-    return FluctuationSettings(
-        confidence_exponent=_setting(args, config, "fluctuation", "confidence_exponent", 25.0),
-        r0=_setting(args, config, "fluctuation", "r0", 0.0),
-        min_over_classes=_setting(args, config, "fluctuation", "min_over_classes", False),
-    )
+    return PulseBudget(**counts) if signal else None
 
 
 def _resolve_output(args: argparse.Namespace, config: Config) -> tuple[str, str | None]:
@@ -481,20 +490,11 @@ def _method_records(sections: dict[str, Any]) -> list[dict[str, Any]]:
     return [body for name, body in sections.items() if name != "key_rate"]
 
 
-_SCENARIO_KINDS = {NoEve: "no_eve", PnsAttack: "pns", YieldTable: "yields"}
-
-
-def _scenario_echo(scenario: ChannelScenario | None) -> dict[str, Any] | None:
-    if scenario is None:
-        return None
-    return {"kind": _SCENARIO_KINDS[type(scenario)], **asdict(scenario)}
-
-
 def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     params = _resolve_params(args, config)
-    rates, scenario = _resolve_rate_source(args, config, params)
+    rates, scenario_echo = _resolve_rate_source(args, config, params)
     budget = _resolve_budget(args, config)
-    settings = _resolve_settings(args, config)
+    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
     qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
@@ -505,7 +505,7 @@ def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     inputs = {
         **asdict(params),
         **asdict(rates),
-        "scenario": _scenario_echo(scenario),
+        "scenario": scenario_echo,
         **(asdict(budget) if budget is not None else no_budget),
         **asdict(settings),
         "qber": qber,
@@ -534,13 +534,13 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     if "rates" in config:
         raise ConfigError("simulate draws from a scenario; direct rates are not samplable")
     params = _resolve_params(args, config)
-    scenario = _build_scenario(args, config)
+    scenario, scenario_echo = _build_scenario(args, config)
     budget = _resolve_budget(args, config)
     if budget is None:
         raise ConfigError("simulate requires a pulse budget (--n or [budget] section)")
     if args.seed is None:
         raise ConfigError("simulate requires --seed for reproducible sampling")
-    settings = _resolve_settings(args, config)
+    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
     qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
@@ -556,9 +556,9 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     doc: dict[str, Any] = {
         "inputs": {
             **asdict(params),
-            "scenario": _scenario_echo(scenario),
+            "scenario": scenario_echo,
             **asdict(budget),
-            "seed": observation.seed,
+            "seed": args.seed,
             **asdict(settings),
             "qber": qber,
         },
@@ -619,7 +619,7 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     s0 = _setting(args, config, "sweep", "s0", 1e-6)
     n_pulses = _setting(args, config, "sweep", "n_pulses", flag="n")
     qber = _setting(args, config, "sweep", "qber")
-    settings = _resolve_settings(args, config)
+    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
     fmt, out = _resolve_output(args, config)
 
     pairs: list[tuple[float, float]] = []
@@ -672,13 +672,10 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
     eta = _setting(args, config, "feasibility", "eta", 1e-4)
     s0 = _setting(args, config, "feasibility", "s0", 1e-6)
     mu_v = _setting(args, config, "feasibility", "mu_v", eta)
-    rep_rate = _setting(args, config, "feasibility", "rep_rate", 8e7)
-    exponent = _setting(args, config, "feasibility", "confidence_exponent", 25.0)
-    target = _setting(args, config, "feasibility", "target", 1e-3)
-    setup = WeakDecoySetup(
-        eta=eta, s0=s0, mu_v=mu_v, rep_rate=rep_rate, confidence_exponent=exponent
-    )
-    report = build_report(setup, target)
+    options = _given(args, config, "feasibility", ("rep_rate", "confidence_exponent", "target"))
+    target = {"rel_dark_fluct_target": options.pop("target")} if "target" in options else {}
+    setup = WeakDecoySetup(eta=eta, s0=s0, mu_v=mu_v, **options)
+    report = build_report(setup, **target)
     fmt, out = _resolve_output(args, config)
 
     verdict = {
@@ -744,7 +741,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float)
     parser.add_argument("--mu-prime", dest="mu_prime", type=float)
-    parser.add_argument("--scenario", choices=("no_eve", "pns", "yields"))
+    parser.add_argument("--scenario", choices=tuple(SCENARIOS))
     parser.add_argument("--eta", type=float)
     parser.add_argument("--s0", type=float)
     parser.add_argument("--q", type=float)
@@ -817,9 +814,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NO_CONVERGENCE
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -58,6 +58,7 @@ def required_pulses(setup: WeakDecoySetup, rel_dark_fluct_target: float = 1e-3) 
     """Smallest pulse count holding the dark-rate fluctuation to the target.
 
     Solves 2 sqrt(E / (s0 N)) <= target for N, giving N = 4 E / (s0 target^2).
+    Raises DomainError when target^2 underflows to 0 or N overflows.
     """
     if not 0.0 < rel_dark_fluct_target <= 1.0:
         raise DomainError(
@@ -65,7 +66,18 @@ def required_pulses(setup: WeakDecoySetup, rel_dark_fluct_target: float = 1e-3) 
         )
     if setup.s0 == 0.0:
         raise DomainError("a zero dark rate admits no relative-fluctuation requirement")
-    return 4.0 * setup.confidence_exponent / setup.s0 / rel_dark_fluct_target**2
+    squared = rel_dark_fluct_target**2
+    if squared == 0.0:
+        raise DomainError(
+            f"relative fluctuation target {rel_dark_fluct_target} squared underflows to 0"
+        )
+    n_pulses = 4.0 * setup.confidence_exponent / setup.s0 / squared
+    if not math.isfinite(n_pulses):
+        raise DomainError(
+            f"required pulse count 4 E / (s0 target^2) overflows for "
+            f"E={setup.confidence_exponent}, s0={setup.s0}, target={rel_dark_fluct_target}"
+        )
+    return n_pulses
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,6 @@ class FeasibilityReport:
     shows why the dark fluctuation dominates the estimate.
     """
 
-    setup: WeakDecoySetup
     s1_bound: float
     rel_dark_fluct_target: float
     n_pulses_required: float
@@ -108,7 +119,6 @@ def build_report(setup: WeakDecoySetup, rel_dark_fluct_target: float = 1e-3) -> 
     n_pulses = required_pulses(setup, rel_dark_fluct_target)
     time = acquisition_time(n_pulses, setup.rep_rate)
     return FeasibilityReport(
-        setup=setup,
         s1_bound=weak_decoy_s1_bound(setup),
         rel_dark_fluct_target=rel_dark_fluct_target,
         n_pulses_required=n_pulses,

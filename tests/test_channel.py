@@ -112,6 +112,12 @@ def test_sample_observation_deterministic():
     assert c != a
 
 
+def test_sample_observation_rejects_negative_seed():
+    budget = PulseBudget(10**6, 10**6)
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        sample_observation(NoEve(eta=1e-2), PARAMS, budget, seed=-1)
+
+
 def test_sample_observation_empty_vacuum_class():
     budget = PulseBudget(10**5, 10**5, 0)
     obs = sample_observation(NoEve(eta=1e-2, s0=1e-3), PARAMS, budget, seed=5)

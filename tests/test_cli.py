@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
 from decoyqkd.errors import ConfigError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -193,6 +200,45 @@ def test_config_scenario_keys_the_kind_does_not_use(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: no_eve scenario does not use q\n")
 
 
+PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
+
+
+@pytest.mark.parametrize(
+    "argv, ini, message",
+    [
+        (("--scenario", "no_eve"), None, "no_eve scenario requires eta"),
+        (("--scenario", "pns"), None, "pns scenario requires q"),
+        (("--scenario", "yields"), None, "yields scenario requires a yields list"),
+        ((), "[scenario]\nkind = foo\neta = 1e-3\n",
+         "unknown scenario kind 'foo' (expected no_eve, pns, or yields)"),
+        ((), "[rates]\ns0 = 0\ns_mu = 1e-4\ns_mu_prime = 1.5e-4\n[scenario]\neta = 1e-3\n",
+         "config supplies both [rates] and [scenario]; keep exactly one"),
+        ((), "", "no rate source: supply a scenario, direct rates, or a [rates] section"),
+        ((), "[rates]\ns0 = 0\ns_mu = 1e-4\n", "[rates] section is missing ['s_mu_prime']"),
+        (("--rates", "0,1e-4"), None, "--rates expects three values: s0,s_mu,s_mu_prime"),
+    ],
+    ids=[
+        "no_eve-without-eta",
+        "pns-without-q",
+        "yields-without-list",
+        "unknown-kind",
+        "config-rates-and-scenario",
+        "no-rate-source",
+        "rates-section-incomplete",
+        "rates-flag-count",
+    ],
+)
+def test_rate_source_resolution_errors(tmp_path, capsys, argv, ini, message):
+    if ini is None:
+        argv = ("--mu", "0.3", "--mu-prime", "0.45", *argv)
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(PARAMS_INI + ini)
+        argv = ("--config", str(cfg), *argv)
+    code, out, err = run(capsys, "bound", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     target = tmp_path / "nodir" / "x.txt"
     code, out, err = run(capsys, "table1", "--out", str(target))
@@ -218,6 +264,15 @@ def test_simulate_requires_seed(capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+def test_simulate_negative_seed_exit_2(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "1e6",
+        "--seed", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
 
 
 def test_simulate_rejects_direct_rates(tmp_path, capsys):
@@ -349,6 +404,34 @@ def test_feasibility_practical_case(capsys):
     assert payload["practical"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--target", "1e-300"), "relative fluctuation target 1e-300 squared underflows to 0"),
+        (("--s0", "1e-320", "--format", "json"),
+         "required pulse count 4 E / (s0 target^2) overflows for E=25.0, s0=1e-320, "
+         "target=0.001"),
+    ],
+    ids=["target-squared-underflows", "pulse-count-overflows"],
+)
+def test_feasibility_unrepresentable_pulse_count_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "feasibility", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_module_entry_point_exits_with_main_code():
+    proc = subprocess.run(
+        [sys.executable, "-m", "decoyqkd.cli", "bound", "--rates", "0,1e-4,1.5e-4"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: mu and mu_prime are required (flags or [params] section)\n"
+    assert 'decoyqkd = "decoyqkd.cli:main"' in (SRC.parent / "pyproject.toml").read_text()
+
+
 def test_parse_grid_range():
     values = parse_grid("0.4:0.5:0.01", "test")
     assert len(values) == 11
@@ -359,6 +442,35 @@ def test_parse_grid_range():
 def test_parse_grid_list_and_scalar():
     assert parse_grid("0.1, 0.2", "test") == [0.1, 0.2]
     assert parse_grid("5", "test") == [5.0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--mu", "0.1:inf:0.1", "--mu-prime", "0.45"),
+         "[sweep] mu: grid start, stop and step must be finite, got '0.1:inf:0.1'"),
+        (("--mu", "0.1:nan:0.1", "--mu-prime", "0.45"),
+         "[sweep] mu: grid start, stop and step must be finite, got '0.1:nan:0.1'"),
+        (("--mu", "0.3", "--mu-prime", "0.45:0.5:inf"),
+         "[sweep] mu_prime: grid start, stop and step must be finite, got '0.45:0.5:inf'"),
+        (("--mu", "0.1:0.2:1e-12", "--mu-prime", "0.45"),
+         "[sweep] mu: grid '0.1:0.2:1e-12' has more than 1000000 points"),
+        (("--mu", "0.3", "--mu-prime=-1e308:1e308:1"),
+         "[sweep] mu_prime: grid '-1e308:1e308:1' has more than 1000000 points"),
+    ],
+    ids=["inf-stop", "nan-stop", "inf-step", "too-many-points", "span-overflows"],
+)
+def test_unusable_grid_ranges_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv, "--eta", "1e-3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_parse_grid_point_limit():
+    from decoyqkd.cli import MAX_GRID_POINTS
+
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1", "test")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        parse_grid(f"0:{MAX_GRID_POINTS}:1", "test")
 
 
 def test_parse_grid_malformed():

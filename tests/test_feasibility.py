@@ -98,3 +98,17 @@ def test_build_report_bright_darks_practical():
     report = build_report(bright)
     assert report.practical is True
     assert report.time.days <= 1.0
+
+
+@pytest.mark.parametrize(
+    "setup, target, cause",
+    [
+        (DEFAULT, 1e-300, "squared underflows to 0"),
+        (WeakDecoySetup(eta=1e-4, s0=1e-320, mu_v=1e-4), 1e-3, "overflows"),
+        (DEFAULT, 1e-160, "overflows"),
+    ],
+    ids=["target-squared-underflows", "subnormal-dark-rate", "subnormal-target-squared"],
+)
+def test_required_pulses_unrepresentable_count_is_domain_error(setup, target, cause):
+    with pytest.raises(DomainError, match=cause):
+        required_pulses(setup, target)
