@@ -21,28 +21,29 @@ Errors come from the scalar functions alone.  A layer raises the private
 ``_Replay`` when some lane meets a condition on which its scalar function
 raises; ``sweep`` then runs the grid row by row through the scalar
 functions, which raise exactly the error a row-by-row run raises.  The
-layers take arguments that the scalar path's constructors and solver
-validate (NoEve's eta and s0, KeyRateInput's qber, tol and max_iter) as
-valid; ``sweep`` checks them before it runs the lanes.
+layers take arguments that the scalar path's constructors validate
+(NoEve's eta and s0, KeyRateInput's qber) as valid; ``sweep`` checks them
+before it runs the lanes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from . import bounds, channel, finite_stats, key_rate
-from .bounds import _validate_iteration_controls
+from .bounds import DEFAULT_MAX_ITER, TOL
 from .channel import NoEve
 from .errors import ParameterError
 from .finite_stats import FluctuationSettings, PulseBudget
 from .key_rate import KeyRateInput, binary_entropy
 from .photon_stats import ProtocolParams, _multi_ratio, multi_photon_weight
 
-_quiet = np.errstate(divide="ignore", invalid="ignore")
+_quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _libm(fn: Callable[..., float], *args: np.ndarray | repeat) -> np.ndarray:
@@ -152,10 +153,14 @@ def expected_rates(eta: np.ndarray, s0: np.ndarray | float, pairs: Pairs) -> Rat
 def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
     """bounds.wang_asymptotic_bound.
 
-    Raises _Replay where s_mu = 0, or where mu' e^{-mu'} S_mu or c has
-    underflowed to 0: there the scalar bound (and finite_bound) raises.
+    Raises _Replay where s_mu = 0, where mu' e^{-mu'} S_mu has underflowed
+    to 0, or where c is subnormal or 0: there the scalar bound (and
+    finite_bound) raises.
     """
-    if ((pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0) | (pairs.c == 0.0)).any():
+    if (
+        (pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0)
+        | (pairs.c < sys.float_info.min)
+    ).any():
         raise _Replay
     mu, mu_prime = pairs.mu, pairs.mu_prime
     p1_mu = mu * pairs.exp_mu
@@ -177,7 +182,7 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
     return f - sc, 2.0 * p1_mu * y / c - slope, f
 
 
-def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray:
     """sc of bounds._solve_sc on every lane, stepping all unfinished lanes together.
 
     ``lanes`` stacks weak, strong, c, a, p1_mu, p1_mu', k1 and kc.  Every
@@ -214,7 +219,7 @@ def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, tol: float, max_iter: int) -
         y_next = np.where((y_next != y) & ~((lo < y_next) & (y_next < hi)), 0.5 * (lo + hi), y_next)
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
-        stop = (abs(sc_next - sc) <= tol * sc_next) | ~((lo < y_next) & (y_next < hi))
+        stop = (abs(sc_next - sc) <= TOL * sc_next) | ~((lo < y_next) & (y_next < hi))
         sc_out[idx[stop]] = sc_next[stop]
         keep = ~stop
         idx, lanes, y, sc, lo, hi = (v[..., keep] for v in (idx, lanes, y_next, sc_next, lo, hi))
@@ -231,8 +236,7 @@ def finite_bound(
     pairs: Pairs,
     budget: PulseBudget,
     settings: FluctuationSettings,
-    tol: float,
-    max_iter: int,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Bounds:
     """finite_stats.finite_bound; raises _Replay where that raises."""
     seed = wang_asymptotic_bound(rates, pairs)
@@ -251,16 +255,18 @@ def finite_bound(
 
     weak = rates.s_mu - pairs.exp_mu * rates.s0
     strong = rates.s_mu_prime - pairs.exp_mu_prime * (1.0 + settings.r0) * rates.s0
-    live = np.flatnonzero(~seed.vacuous)
+    # A k that overflows to inf is a fluctuation far beyond 1.
+    blown = np.isinf(k1) | np.isinf(kc)
+    live = np.flatnonzero(~(seed.vacuous | blown))
     sc = seed.sc_upper.copy()
     constants = np.stack(
         (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, mu_prime * pairs.exp_mu_prime, k1, kc)
     )
-    sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], tol, max_iter)
+    sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], max_iter)
     sc = np.where(seed.sc_upper > sc, seed.sc_upper, sc)
     s1 = (rates.s_mu - pairs.exp_mu * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
-    vacuous = seed.vacuous | (s1 <= k1 * k1) | (delta_raw >= 1.0)
+    vacuous = seed.vacuous | blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
     return Bounds(
         delta_upper=np.where(vacuous, 1.0, delta_raw),
         s1_lower=np.where(vacuous, 0.0, _floor0(s1 - k1 * np.sqrt(s1))),
@@ -299,8 +305,6 @@ def sweep(
     n_pulses: int | None,
     settings: FluctuationSettings,
     qber: float | None,
-    tol: float,
-    max_iter: int,
 ) -> Rows:
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
@@ -325,8 +329,7 @@ def sweep(
             report = wang_asymptotic_bound(rates, grid)
         else:
             budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-            _validate_iteration_controls(tol, max_iter)
-            report = finite_bound(rates, grid, budget, settings, tol, max_iter)
+            report = finite_bound(rates, grid, budget, settings)
         return Rows(
             delta_upper=report.delta_upper,
             delta_prime_upper=delta_prime_bound(report.delta_upper, rates, grid),
@@ -338,7 +341,7 @@ def sweep(
     except (_Replay, ParameterError):
         pass
     # Outside the except block, so the scalar error carries no _Replay context.
-    _replay(pairs, etas, s0, n_pulses, settings, qber, tol, max_iter)
+    _replay(pairs, etas, s0, n_pulses, settings, qber)
 
 
 def _replay(
@@ -348,8 +351,6 @@ def _replay(
     n_pulses: int | None,
     settings: FluctuationSettings,
     qber: float | None,
-    tol: float,
-    max_iter: int,
 ) -> NoReturn:
     """Run the sweep row by row through the scalar functions, which raise its error."""
     for mu, mu_prime in pairs:
@@ -360,7 +361,7 @@ def _replay(
                 report = bounds.wang_asymptotic_bound(rates, params)
             else:
                 budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-                report = finite_stats.finite_bound(rates, params, budget, settings, tol, max_iter)
+                report = finite_stats.finite_bound(rates, params, budget, settings)
             bounds.delta_prime_bound(report.delta_upper, rates, params)
             if qber is not None:
                 key_rate.gllp_rate(KeyRateInput(delta=report.delta_upper, qber=qber))

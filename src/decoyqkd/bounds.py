@@ -9,6 +9,7 @@ given photon number identically regardless of which class emitted it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError
@@ -18,11 +19,10 @@ METHOD_HWANG = "hwang_crude"
 METHOD_WANG_ASYMPTOTIC = "wang_asymptotic"
 METHOD_WANG_FINITE = "wang_finite"
 
-DEFAULT_TOL = 1e-10
+# The sc/s1 solver stops once its relative step in sc is at most TOL.
+TOL = 1e-10
+# Constraint evaluations after which the solver gives up with ConvergenceError.
 DEFAULT_MAX_ITER = 10_000
-# Iteration tolerances are relative; anything looser than this defeats the
-# agreement guarantee against the closed form.
-MAX_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,17 @@ def _require_weak_rate(rates: ObservedRates) -> None:
 
 
 def _require_multi_weight(c: float, mu: float) -> None:
-    # Below mu ~ 1e-162, c ~ mu^2 / 2 rounds to 0 and sc = delta S_mu / c has no value.
-    if c == 0.0:
-        raise DomainError(f"multi-photon weight c of mu={mu} underflows to 0")
+    # Below mu ~ 2.1e-154, c ~ mu^2 / 2 is subnormal or 0, and sc = delta S_mu / c
+    # can overflow.
+    if c < sys.float_info.min:
+        raise DomainError(f"multi-photon weight c of mu={mu} underflows to {c:g}")
 
 
 def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Crude bound: every strong-class count is charged to multi-photon pulses.
 
     delta <= mu^2 e^{-mu} S_mu' / (mu'^2 e^{-mu'} S_mu), clamped to 1.
-    Raises DomainError when the multi-photon weight c of mu underflows to 0.
+    Raises DomainError when the multi-photon weight c of mu is subnormal or 0.
     """
     _require_weak_rate(rates)
     coeffs = decompose(params)
@@ -104,13 +105,6 @@ def hwang_optimized(mu: float) -> float:
     return mu * math.exp(1.0 - mu)
 
 
-def _validate_iteration_controls(tol: float, max_iter: int) -> None:
-    if not 0.0 < tol <= MAX_TOL:
-        raise ParameterError(f"tol must lie in (0, {MAX_TOL}], got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-
-
 def _solve_sc(
     rates: ObservedRates,
     params: ProtocolParams,
@@ -118,8 +112,7 @@ def _solve_sc(
     kc: float,
     r0: float,
     sc_lo: float,
-    tol: float,
-    max_iter: int,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, float]:
     """Solve F(sc) = sc for (sc, s1) with sc on [sc_lo, fluctuation floor].
 
@@ -128,8 +121,10 @@ def _solve_sc(
     c sc (1 - kc/sqrt(sc)) = room, its singles term down-weighted to
     (1 - k1/y) y^2 and its vacuum term raised by (1 + r0).  Newton steps
     in y fall back to bisection when they leave the bracket between y at
-    sc_lo and the floor y = k1, where r1 = 1.  Returns sc_lo when
-    F(sc_lo) <= sc_lo, and F at the floor (s1 below it) if no root is left.
+    sc_lo and the floor y = k1, where r1 = 1, and stop once the relative
+    step in sc is at most TOL.  Returns sc_lo when F(sc_lo) <= sc_lo, and F
+    at the floor (s1 below it) if no root is left.  Raises ConvergenceError
+    when a root needs more than max_iter evaluations of F.
     """
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
@@ -170,7 +165,7 @@ def _solve_sc(
             y_next = 0.5 * (lo + hi)
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
-        if abs(sc_next - sc) <= tol * sc_next or not lo < y_next < hi:
+        if abs(sc_next - sc) <= TOL * sc_next or not lo < y_next < hi:
             return sc_next, y_next * y_next
         y, sc = y_next, sc_next
         g, dg, _ = excess(y, sc)
@@ -180,24 +175,17 @@ def _solve_sc(
             lo = y
 
 
-def iterate_sc_s1(
-    rates: ObservedRates,
-    params: ProtocolParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, float]:
+def iterate_sc_s1(rates: ObservedRates, params: ProtocolParams) -> tuple[float, float]:
     """Solve the two rate constraints for the self-consistent pair (sc, s1).
 
     The weak class ties the single-photon rate to the multi-photon rate;
     the strong class caps the multi-photon rate given the single-photon
     rate.  The shared solver searches from sc = 0 without fluctuation
-    terms, independently of the closed form; tol bounds the relative
-    final step in sc and max_iter the number of constraint evaluations.
-    With no root above s1 = 0 the pair clamps to (crude sc, 0).
+    terms, independently of the closed form.  With no root above s1 = 0
+    the pair clamps to (crude sc, 0).
     """
     _require_weak_rate(rates)
-    _validate_iteration_controls(tol, max_iter)
-    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, tol, max_iter)
+    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0)
     return sc, max(s1, 0.0)
 
 
@@ -207,8 +195,9 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     delta <= mu/(mu'-mu) * (mu e^{-mu} S_mu' / (mu' e^{-mu'} S_mu) - 1)
              + mu e^{-mu} s0 / (mu' S_mu)
 
-    Raises DomainError when mu' e^{-mu'} S_mu or the multi-photon weight c
-    of mu underflows to 0, since the bound divides by both.
+    Raises DomainError when mu' e^{-mu'} S_mu underflows to 0 or the
+    multi-photon weight c of mu is subnormal or 0, since the bound divides
+    by both.
     """
     _require_weak_rate(rates)
     mu, mu_prime = params.mu, params.mu_prime

@@ -4,7 +4,7 @@ Every command is deterministic given its config (plus seed where sampling
 is involved): no timestamps, no locale formatting, machine formats carry
 full precision (17 significant digits), human tables 4 significant digits.
 Exit codes: 0 ok, 2 config/parameter problem, 3 vacuous bound, 4 solver
-non-convergence, 5 impractical feasibility verdict.
+used up its evaluation cap, 5 impractical feasibility verdict.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import batch
 from .bounds import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     BoundReport,
     ObservedRates,
     delta_prime_bound,
@@ -50,7 +48,7 @@ EXIT_VACUOUS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_IMPRACTICAL = 5
 
-# Most points a start:stop:step grid range may hold.
+# Most points a start:stop:step grid range may hold, and most rows a sweep may run.
 MAX_GRID_POINTS = 10**6
 
 SWEEP_COLUMNS = (
@@ -466,14 +464,12 @@ def _bound_pipeline(
     budget: PulseBudget | None,
     settings: FluctuationSettings,
     qber: float | None,
-    tol: float,
-    max_iter: int,
 ) -> tuple[dict[str, Any], BoundReport]:
     sections = {"hwang": _report_dict(hwang_bound(rates, params), rates, params)}
     final = wang_asymptotic_bound(rates, params)
     sections["asymptotic"] = _report_dict(final, rates, params)
     if budget is not None:
-        final = finite_bound(rates, params, budget, settings, tol, max_iter)
+        final = finite_bound(rates, params, budget, settings)
         sections["finite"] = _report_dict(final, rates, params)
     if qber is not None:
         final_delta_prime = delta_prime_bound(final.delta_upper, rates, params)
@@ -498,9 +494,7 @@ def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
-    sections, final = _bound_pipeline(
-        rates, params, budget, settings, qber, args.tol, args.max_iter
-    )
+    sections, final = _bound_pipeline(rates, params, budget, settings, qber)
     no_budget = dict.fromkeys(field.name for field in fields(PulseBudget))
     inputs = {
         **asdict(params),
@@ -546,11 +540,9 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
 
     observation = sample_observation(scenario, params, budget, args.seed)
     exact = expected_rates(scenario, params)
-    expected_sections, _ = _bound_pipeline(
-        exact, params, budget, settings, qber, args.tol, args.max_iter
-    )
+    expected_sections, _ = _bound_pipeline(exact, params, budget, settings, qber)
     sampled_sections, sampled_final = _bound_pipeline(
-        observation.rates, params, budget, settings, qber, args.tol, args.max_iter
+        observation.rates, params, budget, settings, qber
     )
 
     doc: dict[str, Any] = {
@@ -622,6 +614,9 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     settings = FluctuationSettings(**_given(args, config, "fluctuation"))
     fmt, out = _resolve_output(args, config)
 
+    size = len(mu_grid) * len(mu_prime_grid) * len(eta_grid)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep grid has {size} rows, more than {MAX_GRID_POINTS}")
     pairs: list[tuple[float, float]] = []
     for mu in mu_grid:
         for mu_prime in mu_prime_grid:
@@ -637,9 +632,7 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     if not pairs:
         raise ConfigError("sweep grid contains no admissible (mu, mu_prime) pairs")
 
-    rows = batch.sweep(
-        pairs, eta_grid, s0, n_pulses, settings, qber, args.tol, args.max_iter
-    )
+    rows = batch.sweep(pairs, eta_grid, s0, n_pulses, settings, qber)
     count = len(pairs) * len(eta_grid)
     columns = [
         [mu for mu, _ in pairs for _ in eta_grid],
@@ -734,8 +727,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=None,
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:

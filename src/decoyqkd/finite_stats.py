@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 from .bounds import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     METHOD_WANG_FINITE,
     BoundReport,
     ObservedRates,
     _require_multi_weight,
     _require_weak_rate,
     _solve_sc,
-    _validate_iteration_controls,
     wang_asymptotic_bound,
 )
 from .errors import DomainError, ParameterError
@@ -116,7 +114,6 @@ def finite_bound(
     params: ProtocolParams,
     budget: PulseBudget,
     settings: FluctuationSettings = FluctuationSettings(),
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BoundReport:
     """Worst-case multi-photon fraction consistent with a finite budget.
@@ -125,12 +122,13 @@ def finite_bound(
     strong class constrains sc with every rate shifted adversarially by
     its relative fluctuation (singles and vacuum down-weighted against
     the multi-photon term, the multi-photon rate itself under-observed).
-    The shared solver searches above the asymptotic solution; tol bounds
-    the relative final step in sc and max_iter the number of constraint
-    evaluations.  Any fluctuation reaching 1 makes the bound vacuous.
+    The shared solver searches above the asymptotic solution; max_iter
+    caps its constraint evaluations.  Any fluctuation reaching 1 makes the
+    bound vacuous.
     """
     _require_weak_rate(rates)
-    _validate_iteration_controls(tol, max_iter)
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
     c = coeffs.c
@@ -147,9 +145,10 @@ def finite_bound(
     kc = relative_fluctuation(1.0, n_multi, settings)
 
     seed = wang_asymptotic_bound(rates, params)
-    if seed.vacuous:
+    # A k that overflows to inf is a fluctuation far beyond 1.
+    if seed.vacuous or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
-    sc, _ = _solve_sc(rates, params, k1, kc, settings.r0, seed.sc_upper, tol, max_iter)
+    sc, _ = _solve_sc(rates, params, k1, kc, settings.r0, seed.sc_upper, max_iter)
     # A positive r0 subtracts extra dark credit and can undercut the
     # asymptotic value; the finite bound is never allowed to be tighter.
     sc = max(sc, seed.sc_upper)

@@ -12,13 +12,16 @@ from decoyqkd import (
     ObservedRates,
     ParameterError,
     ProtocolParams,
+    PulseBudget,
     delta_prime_bound,
     expected_rates,
+    finite_bound,
     hwang_bound,
     hwang_optimized,
     iterate_sc_s1,
     wang_asymptotic_bound,
 )
+from decoyqkd.bounds import TOL, _solve_sc
 
 PARAMS = ProtocolParams(0.3, 0.45)
 # Exact no-eavesdropper class-rate ratio S'/S = mu'/mu.
@@ -126,8 +129,10 @@ def test_iterate_converges_within_100_iterations():
     rates = ObservedRates(
         s0=1e-6, s_mu=-math.expm1(-1e-4 * 0.25), s_mu_prime=-math.expm1(-1e-4 * 0.41)
     )
-    sc, s1 = iterate_sc_s1(rates, ProtocolParams(0.25, 0.41), tol=1e-10, max_iter=100)
+    params = ProtocolParams(0.25, 0.41)
+    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, max_iter=100)
     assert sc > 0.0 and s1 > 0.0
+    assert iterate_sc_s1(rates, params) == (sc, s1)
 
 
 def test_iterate_near_diagonal_matches_closed_form():
@@ -152,18 +157,9 @@ def test_iterate_clamps_s1_at_zero():
     assert sc == pytest.approx(crude, rel=1e-12)
 
 
-def test_iterate_control_validation():
-    with pytest.raises(ParameterError):
-        iterate_sc_s1(RATIO_RATES, PARAMS, tol=0.0)
-    with pytest.raises(ParameterError):
-        iterate_sc_s1(RATIO_RATES, PARAMS, tol=1e-5)
-    with pytest.raises(ParameterError):
-        iterate_sc_s1(RATIO_RATES, PARAMS, max_iter=0)
-
-
 def test_iterate_non_convergence_carries_last_iterate():
     with pytest.raises(ConvergenceError) as excinfo:
-        iterate_sc_s1(RATIO_RATES, PARAMS, max_iter=2)
+        finite_bound(RATIO_RATES, PARAMS, PulseBudget(10**10, 10**10), max_iter=2)
     assert excinfo.value.sc is not None and excinfo.value.sc > 0.0
     assert excinfo.value.s1 is not None
 
@@ -231,11 +227,10 @@ def test_iterate_agrees_with_closed_form_property(pair):
         return
     if closed.s1_lower <= 0.0:
         return
-    tol = 1e-10
-    sc, _ = iterate_sc_s1(rates, params, tol=tol)
+    sc, _ = iterate_sc_s1(rates, params)
     coeffs_c = 1.0 - math.exp(-params.mu) - params.mu * math.exp(-params.mu)
     delta = coeffs_c * sc / rates.s_mu
-    assert abs(delta - closed.delta_upper) <= 10 * tol * closed.delta_upper
+    assert abs(delta - closed.delta_upper) <= 10 * TOL * closed.delta_upper
 
 
 @given(physical_inputs(), st.floats(min_value=1.001, max_value=1.5))

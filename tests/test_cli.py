@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
-from decoyqkd.errors import ConfigError
+from decoyqkd.errors import ConfigError, ConvergenceError
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,14 +100,20 @@ def test_bound_rates_and_scenario_conflict(capsys):
     assert "not both" in err
 
 
-def test_bound_non_convergence_exit_code(capsys):
-    code, _, err = run(
+def test_bound_non_convergence_exit_code(capsys, monkeypatch):
+    # No input is known to exhaust the solver's cap, so the solver is replaced.
+    def exhausted(*args, **kwargs):
+        raise ConvergenceError("no sc/s1 root within 10000 evaluations", sc=1e-3, s1=1e-4)
+
+    monkeypatch.setattr(cli, "finite_bound", exhausted)
+    code, out, err = run(
         capsys,
         "bound", "--mu", "0.25", "--mu-prime", "0.41",
-        "--eta", "1e-4", "--s0", "1e-6", "--n", "80000000000", "--max-iter", "1",
+        "--eta", "1e-4", "--s0", "1e-6", "--n", "80000000000",
     )
     assert code == 4
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: no sc/s1 root within 10000 evaluations\n"
 
 
 def test_bound_human_table_percentages(capsys):
@@ -457,8 +465,12 @@ def test_parse_grid_list_and_scalar():
          "[sweep] mu: grid '0.1:0.2:1e-12' has more than 1000000 points"),
         (("--mu", "0.3", "--mu-prime=-1e308:1e308:1"),
          "[sweep] mu_prime: grid '-1e308:1e308:1' has more than 1000000 points"),
+        # 5001 * 7001 rows, rejected before any pair is checked.
+        (("--mu", "0.1:0.6:0.0001", "--mu-prime", "0.2:0.9:0.0001"),
+         "sweep grid has 35012001 rows, more than 1000000"),
     ],
-    ids=["inf-stop", "nan-stop", "inf-step", "too-many-points", "span-overflows"],
+    ids=["inf-stop", "nan-stop", "inf-step", "too-many-points", "span-overflows",
+         "too-many-rows"],
 )
 def test_unusable_grid_ranges_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "sweep", *argv, "--eta", "1e-3")
@@ -482,7 +494,7 @@ def test_parse_grid_malformed():
 SWEEP_GRID = ("--mu", "0.1,0.3,0.5", "--mu-prime", "0.2:0.6:0.1", "--eta", "1e-4,1e-2")
 
 
-def scalar_sweep(n=None, qber=None, r0=0.0, min_over_classes=False, tol=1e-10, max_iter=10_000):
+def scalar_sweep(n=None, qber=None, **fluctuation):
     """Notes and rows of the sweep over SWEEP_GRID, assembled from the scalar functions."""
     from decoyqkd import (
         FluctuationSettings, KeyRateInput, NoEve, ProtocolParams, PulseBudget,
@@ -490,7 +502,7 @@ def scalar_sweep(n=None, qber=None, r0=0.0, min_over_classes=False, tol=1e-10, m
         wang_asymptotic_bound,
     )
 
-    fluct = FluctuationSettings(r0=r0, min_over_classes=min_over_classes)
+    fluct = FluctuationSettings(**fluctuation)
     notes, rows = [], []
     for mu in (0.1, 0.3, 0.5):
         for mu_prime in (0.2, 0.3, 0.4, 0.5, 0.6):
@@ -508,7 +520,7 @@ def scalar_sweep(n=None, qber=None, r0=0.0, min_over_classes=False, tol=1e-10, m
                     report = wang_asymptotic_bound(rates, params)
                 else:
                     budget = PulseBudget(n, n)
-                    report = finite_bound(rates, params, budget, fluct, tol, max_iter)
+                    report = finite_bound(rates, params, budget, fluct)
                 rows.append([
                     mu, mu_prime, eta, n, 1e-6, report.delta_upper,
                     delta_prime_bound(report.delta_upper, rates, params), report.s1_lower,
@@ -550,9 +562,12 @@ SWEEP_FLAG_SETS = [
         {"n": 10**9, "r0": 0.2, "min_over_classes": True, "qber": 0.01},
     ),
     (("--n", "1000"), {"n": 1000}),
+    # E / (n p1) overflows to inf.
+    (("--n", "1", "--confidence-exponent", "1e308"), {"n": 1, "confidence_exponent": 1e308}),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 @pytest.mark.parametrize("flags, scalar_args", SWEEP_FLAG_SETS)
 def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
@@ -562,17 +577,15 @@ def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
     assert err == "".join(note + "\n" for note in notes)
     assert notes
     all_vacuous = all(row[-1] for row in rows)
-    assert all_vacuous == (scalar_args.get("n") == 1000)
+    assert all_vacuous == (scalar_args.get("n") in (1, 1000))
     assert code == (3 if all_vacuous else 0)
 
 
 @pytest.mark.parametrize(
     "flags, scalar_args, exit_code",
     [
-        (("--n", "1e10", "--tol", "1e-3"), {"n": 10**10, "tol": 1e-3}, 2),
-        (("--n", "1e10", "--max-iter", "0"), {"n": 10**10, "max_iter": 0}, 2),
-        (("--n", "1e10", "--max-iter", "1"), {"n": 10**10, "max_iter": 1}, 4),
-        (("--n", "1e10", "--max-iter", "3"), {"n": 10**10, "max_iter": 3}, 4),
+        (("--n", "1e10", "--qber", "0.7"), {"n": 10**10, "qber": 0.7}, 2),
+        (("--n", "0"), {"n": 0}, 2),
     ],
 )
 def test_sweep_errors_equal_scalar_errors(capsys, flags, scalar_args, exit_code):
@@ -584,10 +597,24 @@ def test_sweep_errors_equal_scalar_errors(capsys, flags, scalar_args, exit_code)
     assert err.splitlines()[-1] == f"error: {raised.value}"
 
 
-def test_sweep_solver_controls_unchecked_without_budget(capsys):
-    code, out, _ = run(capsys, "sweep", *SWEEP_GRID, "--tol", "1e-3", "--max-iter", "0")
-    assert code == 0
-    assert out == render_sweep(scalar_sweep()[1], "table")
+def test_bound_overflowed_fluctuation_is_vacuous(capsys):
+    code, payload = run_json(
+        capsys,
+        "bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3",
+        "--n", "1", "--confidence-exponent", "1e308",
+    )
+    assert code == 3
+    assert payload["finite"]["vacuous"] is True
+    assert payload["finite"]["delta_upper"] == 1.0
+
+
+def test_sweep_row_count_limit(capsys, monkeypatch):
+    # SWEEP_GRID has 3 * 5 * 2 = 30 rows, admissible or not.
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 30)
+    assert run(capsys, "sweep", *SWEEP_GRID)[0] == 0
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 29)
+    code, out, err = run(capsys, "sweep", *SWEEP_GRID)
+    assert (code, out, err) == (2, "", "error: sweep grid has 30 rows, more than 29\n")
 
 
 @pytest.mark.parametrize("command", ["bound", "sweep"])
@@ -607,6 +634,9 @@ def test_sweep_solver_controls_unchecked_without_budget(capsys):
         # c is subnormal here, not 0.
         (("--mu", "1e-160", "--mu-prime", "0.45", "--eta", "1e-3"),
          "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-160, mu_prime=0.45"),
+        # c = 5e-321 is subnormal: sc_upper = S_mu / c would overflow to inf.
+        (("--mu", "1e-160", "--mu-prime", "2e-160", "--eta", "1e-3", "--s0", "1e-6"),
+         "multi-photon weight c of mu=1e-160 underflows to 4.99994e-321"),
     ],
     ids=[
         "subnormal-rate",
@@ -615,6 +645,7 @@ def test_sweep_solver_controls_unchecked_without_budget(capsys):
         "tiny-mu-finite",
         "tiny-mu-ordinary-mu-prime",
         "tiny-mu-ordinary-mu-prime-subnormal-c",
+        "subnormal-c",
     ],
 )
 def test_underflowed_inputs_exit_2(capsys, command, argv, cause):
@@ -662,3 +693,38 @@ def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and cause in errors[0]
+
+
+MODEL_FLAGS = (
+    "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
+    "--n", "--n-mu", "--n-mu-prime", "--n-vacuum",
+)
+FLUCTUATION_FLAGS = ("--qber", "--confidence-exponent", "--r0", "--min-over-classes")
+FLAG_INVENTORY = {
+    "bound": ("--config", "--format", "--out", *MODEL_FLAGS, *FLUCTUATION_FLAGS, "--rates"),
+    "simulate": ("--config", "--format", "--out", "--seed", *MODEL_FLAGS, *FLUCTUATION_FLAGS),
+    "table1": ("--format", "--out"),
+    "sweep": (
+        "--config", "--format", "--out", "--mu", "--mu-prime", "--eta", "--s0", "--n",
+        *FLUCTUATION_FLAGS,
+    ),
+    "feasibility": (
+        "--config", "--format", "--out", "--eta", "--s0", "--mu-v", "--rep-rate",
+        "--confidence-exponent", "--target",
+    ),
+}
+
+
+def test_flag_inventory():
+    # One entry per option (--min-over-classes also takes a --no- form); --help aside.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: tuple(
+            action.option_strings[0] for action in command._actions
+            if action.option_strings and action.dest != "help"
+        )
+        for name, command in sub.choices.items()
+    }
+    assert flags == FLAG_INVENTORY
+    assert sum(map(len, flags.values())) == 61

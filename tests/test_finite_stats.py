@@ -20,6 +20,7 @@ from decoyqkd import (
     validate_pair,
     wang_asymptotic_bound,
 )
+from decoyqkd.bounds import TOL
 from decoyqkd.table1 import loss_only_rates
 
 PARAMS = ProtocolParams(0.3, 0.45)
@@ -152,6 +153,13 @@ def test_finite_bound_returns_within_ten_evaluations():
         finite_bound(rates, params, PulseBudget(n, n), max_iter=10)
 
 
+def test_finite_bound_max_iter_validation():
+    rates = loss_only_rates(0.3, 0.45, 1e-4)
+    for max_iter in (0, -1):
+        with pytest.raises(ParameterError, match=f"max_iter must be at least 1, got {max_iter}"):
+            finite_bound(rates, PARAMS, PulseBudget(10**10, 10**10), max_iter=max_iter)
+
+
 PINNED_BRANCHES = {
     # Asymptotic bound clamped to 0; the finite root is the floor sc = kc^2.
     "asymptotic_clamped": (
@@ -222,13 +230,21 @@ def test_finite_bound_vacuous_when_darks_swallow_weak_class():
     assert report.vacuous
 
 
+def test_finite_bound_vacuous_when_fluctuation_overflows():
+    # E / (n p1) overflows, so k1 = inf; the solver would compute inf - inf.
+    rates = expected_rates(NoEve(1e-3, 1e-6), PARAMS)
+    settings = FluctuationSettings(confidence_exponent=1e308)
+    report = finite_bound(rates, PARAMS, PulseBudget(1, 1), settings)
+    assert report.vacuous and report.clamped
+    assert report.delta_upper == 1.0 and report.s1_lower == 0.0
+
+
 def test_finite_bound_self_consistent_fixed_point():
     params = ProtocolParams(0.25, 0.41)
     rates = loss_only_rates(0.25, 0.41, 1e-4)
     budget = PulseBudget(8 * 10**10, 8 * 10**10)
     settings = FluctuationSettings()
-    tol = 1e-10
-    report = finite_bound(rates, params, budget, settings, tol=tol)
+    report = finite_bound(rates, params, budget, settings)
     # one more constraint pass from the returned iterates
     mu, mu_prime = params.mu, params.mu_prime
     c = 1.0 - math.exp(-mu) - mu * math.exp(-mu)
@@ -244,7 +260,7 @@ def test_finite_bound_self_consistent_fixed_point():
     ) / multi_ratio
     sc_resolved = room / (c * (1.0 - rc))
     delta_resolved = c * sc_resolved / rates.s_mu
-    assert abs(delta_resolved - report.delta_upper) < tol
+    assert abs(delta_resolved - report.delta_upper) < TOL
 
 
 def test_min_over_classes_never_tightens():
