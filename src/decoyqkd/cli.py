@@ -373,10 +373,23 @@ def _fmt_pct(value: float) -> str:
 
 
 def _fmt_column(column: Sequence[Any]) -> list[str]:
+    """The csv cells of one column, each formatted by its exact type.
+
+    A float column with repeated values formats each distinct value once,
+    unless it holds a zero: 0.0 and -0.0 are one key but print "0" and "-0".
+    """
     kinds = set(map(type, column))
-    if len(kinds) == 1:
-        return list(map(_FMT_MACHINE.get(kinds.pop(), _fmt_text), column))
-    return [_FMT_MACHINE.get(type(cell), _fmt_text)(cell) for cell in column]
+    if len(kinds) != 1:
+        return [_FMT_MACHINE.get(type(cell), _fmt_text)(cell) for cell in column]
+    kind = kinds.pop()
+    fmt = _FMT_MACHINE.get(kind, _fmt_text)
+    if kind is float:
+        # A NaN cell finds its own key by identity, so NaNs need no guard.
+        distinct = set(column)
+        if len(distinct) < len(column) and 0.0 not in distinct:
+            text = {value: fmt(value) for value in distinct}
+            return list(map(text.__getitem__, column))
+    return list(map(fmt, column))
 
 
 _PERCENT_FIELDS = {"delta_upper", "delta_prime_upper"}

@@ -87,12 +87,20 @@ class AcquisitionTime:
 
 
 def acquisition_time(n_pulses: float, rep_rate: float) -> AcquisitionTime:
-    """Wall-clock time to emit n_pulses at rep_rate pulses per second."""
+    """Wall-clock time to emit n_pulses at rep_rate pulses per second.
+
+    Raises DomainError when n_pulses / rep_rate is not finite.
+    """
     if n_pulses < 0:
         raise DomainError(f"pulse count must be non-negative, got {n_pulses}")
     if rep_rate <= 0:
         raise DomainError(f"repetition rate must be positive, got {rep_rate}")
     seconds = n_pulses / rep_rate
+    if not math.isfinite(seconds):
+        raise DomainError(
+            f"acquisition time n_pulses / rep_rate is not finite for "
+            f"n_pulses={n_pulses}, rep_rate={rep_rate}"
+        )
     return AcquisitionTime(seconds=seconds, days=seconds / SECONDS_PER_DAY)
 
 

@@ -1,11 +1,13 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
@@ -419,8 +421,11 @@ def test_feasibility_practical_case(capsys):
         (("--s0", "1e-320", "--format", "json"),
          "required pulse count 4 E / (s0 target^2) overflows for E=25.0, s0=1e-320, "
          "target=0.001"),
+        (("--rep-rate", "1e-320", "--format", "json"),
+         "acquisition time n_pulses / rep_rate is not finite for "
+         "n_pulses=100000000000000.0, rep_rate=1e-320"),
     ],
-    ids=["target-squared-underflows", "pulse-count-overflows"],
+    ids=["target-squared-underflows", "pulse-count-overflows", "acquisition-time-overflows"],
 )
 def test_feasibility_unrepresentable_pulse_count_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "feasibility", *argv)
@@ -579,6 +584,78 @@ def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
     all_vacuous = all(row[-1] for row in rows)
     assert all_vacuous == (scalar_args.get("n") in (1, 1000))
     assert code == (3 if all_vacuous else 0)
+
+
+# Floats whose text a value-keyed table could get wrong: both zeros, NaN,
+# infinities and subnormals.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310]
+
+
+@st.composite
+def float_columns(draw):
+    """Columns of all-distinct floats, or of repeats drawn from a small pool."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(), unique=True, max_size=30))
+    pool = draw(st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@given(float_columns())
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, 1.5, 1.5])
+@example([math.nan, math.nan, float("nan"), 2.0])
+def test_float_columns_format_each_cell_as_17g(column):
+    assert cli._fmt_column(column) == [format(value, ".17g") for value in column]
+
+
+def fmt_cell(cell):
+    return cli._FMT_MACHINE.get(type(cell), cli._fmt_text)(cell)
+
+
+@given(st.one_of(
+    *map(st.lists, (
+        st.floats() | st.integers() | st.booleans() | st.none() | st.text(",\"\n\ra"),
+        st.booleans(),
+        st.integers(),
+        st.none(),
+        st.text(",\"\n\ra"),
+    ))
+))
+def test_other_columns_format_cell_by_cell(column):
+    assert cli._fmt_column(column) == list(map(fmt_cell, column))
+
+
+def test_sweep_csv_keeps_signed_zeros(capsys):
+    pair = ("sweep", "--mu", "0.3", "--mu-prime", "0.45", "--format", "csv")
+    code, out, _ = run(capsys, *pair, "--eta", "0,-0,1e-3", "--s0", "1e-6")
+    assert code == 0
+    eta = SWEEP_COLUMNS.index("eta")
+    assert [line.split(",")[eta] for line in out.splitlines()[1:]] == ["0", "-0", "0.001"]
+    code, out, _ = run(capsys, *pair, "--eta", "1e-4,1e-3,1e-2", "--s0", "-0")
+    assert code == 0
+    s0 = SWEEP_COLUMNS.index("s0")
+    assert [line.split(",")[s0] for line in out.splitlines()[1:]] == ["-0"] * 3
+
+
+def test_sweep_csv_equals_per_cell_reference(capsys, monkeypatch):
+    rendered = {}
+    render = cli._render
+
+    def spy(fmt, out, header, columns, doc, table):
+        rendered["columns"] = columns
+        render(fmt, out, header, columns, doc, table)
+
+    monkeypatch.setattr(cli, "_render", spy)
+    code, out, _ = run(
+        capsys,
+        "sweep", "--mu", "0.05:0.5:0.05", "--mu-prime", "0.1:1.0:0.01",
+        "--eta", "1e-4,1e-3,1e-2", "--n", "1e8", "--qber", "0.015", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(zip(*rendered["columns"]))
+    assert (len(rows), sum(row[-1] for row in rows)) == (2163, 166)
+    lines = [",".join(SWEEP_COLUMNS), *(",".join(map(fmt_cell, row)) for row in rows)]
+    assert out == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(

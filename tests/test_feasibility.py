@@ -75,6 +75,20 @@ def test_acquisition_time_edge_cases():
         acquisition_time(1e10, 0.0)
 
 
+@pytest.mark.parametrize(
+    "n_pulses, rep_rate",
+    [(1e14, 1e-320), (1e300, 1e-10), (float("inf"), 8e7), (float("nan"), 8e7)],
+    ids=["subnormal-rate", "overflow", "infinite-count", "nan-count"],
+)
+def test_acquisition_time_not_finite_is_domain_error(n_pulses, rep_rate):
+    with pytest.raises(DomainError) as raised:
+        acquisition_time(n_pulses, rep_rate)
+    assert str(raised.value) == (
+        f"acquisition time n_pulses / rep_rate is not finite for "
+        f"n_pulses={n_pulses}, rep_rate={rep_rate}"
+    )
+
+
 def test_acquisition_contrast():
     # A counting-statistics budget that fits in under an hour vs one that
     # takes weeks at the same repetition rate.
