@@ -10,6 +10,7 @@ generator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,7 +19,7 @@ import numpy as np
 from .bounds import ObservedRates
 from .errors import ParameterError
 from .finite_stats import PulseBudget
-from .photon_stats import ProtocolParams, multi_photon_weight, poisson_prefix
+from .photon_stats import ProtocolParams, multi_photon_weight, poisson_mixture
 
 # Largest class size sampled with numpy's exact binomial sampler; beyond
 # this (int64 territory) counts are drawn from the rounded and clamped
@@ -107,11 +108,7 @@ class YieldTable:
         return 0.0
 
     def class_rate(self, intensity: float) -> float:
-        probs = poisson_prefix(intensity, len(self.yields))
-        rate = probs[0] * self.s0
-        for n, y in enumerate(self.yields, start=1):
-            rate += probs[n] * y
-        return rate
+        return poisson_mixture(intensity, self.s0, self.yields)
 
 
 ChannelScenario = Union[NoEve, PnsAttack, YieldTable]
@@ -187,6 +184,10 @@ def sample_observation(
     Draw order is fixed (weak, strong, vacuum) so a given seed always maps
     to the same observation.  The seed must be a non-negative integer.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

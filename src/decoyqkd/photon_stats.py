@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DecompositionError, DomainError, ParameterError
 
-# Tolerance for the prefix-sum sanity check in poisson_prefix.
+# Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
 SUM_TOL = 1e-12
 
 # Remainder weights above -D_TOL are treated as exact zeros; anything more
@@ -38,23 +38,29 @@ def poisson_pmf(n: int, mu: float) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
-def poisson_prefix(mu: float, n_max: int) -> list[float]:
-    """Return ``[P_0(mu), ..., P_n_max(mu)]`` via the upward recurrence.
+def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
+    """Return ``sum_n P_n(mu) y_n``, with ``y_0 = y0`` and ``y_n = yields[n - 1]``.
 
-    The recurrence ``P_{n+1} = P_n * mu / (n + 1)`` is exact in the
-    relative sense, so the prefix is consistent to machine precision.
+    Each ``P_n`` comes from the upward recurrence
+    ``P_n = P_{n-1} * mu / n``, which is exact in the relative sense, and
+    is weighted as soon as it is formed.  At ``mu = 0`` every term past the
+    vacuum is a signed zero, so a vacuum weight that is not -0.0 is the sum
+    itself (the yields are finite).
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max}")
     if mu < 0 or not math.isfinite(mu):
         raise DomainError(f"intensity must be finite and non-negative, got {mu}")
-    probs = [math.exp(-mu)]
-    for n in range(n_max):
-        probs.append(probs[-1] * mu / (n + 1))
+    if mu == 0.0 and math.copysign(1.0, y0) > 0.0:
+        return y0
+    p = total = math.exp(-mu)
+    rate = p * y0
+    for n, y in enumerate(yields, start=1):
+        p = p * mu / n
+        total += p
+        rate += p * y
     # Partial sums may not exceed 1 by more than rounding noise.
-    if sum(probs) > 1.0 + SUM_TOL:
-        raise DomainError(f"prefix sum exceeds 1 for mu={mu}, n_max={n_max}")
-    return probs
+    if total > 1.0 + SUM_TOL:
+        raise DomainError(f"prefix sum exceeds 1 for mu={mu}, n_max={len(yields)}")
+    return rate
 
 
 def multi_photon_weight(mu: float) -> float:
@@ -84,6 +90,10 @@ class PairValidity:
         return self.valid
 
 
+# Every admissible pair gets this one immutable verdict.
+_VALID = PairValidity(True)
+
+
 def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     """Check whether ``(mu, mu_prime)`` supports the decomposition.
 
@@ -104,7 +114,7 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
             "single-photon weight of mu_prime does not dominate: "
             f"{mu_prime}*exp(-{mu_prime}) <= {mu}*exp(-{mu})",
         )
-    return PairValidity(True)
+    return _VALID
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import itertools
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import decoyqkd.channel as channel_mod
 from decoyqkd import (
+    DomainError,
     NoEve,
     ObservedRates,
     ParameterError,
@@ -67,6 +70,58 @@ def test_yield_table_matches_poisson_sum():
     assert rate == pytest.approx(brute, rel=1e-12)
 
 
+def _two_pass_class_rate(s0, yields, intensity):
+    """YieldTable.class_rate as two passes: the Poisson prefix, then its weighting."""
+    probs = [math.exp(-intensity)]
+    for n in range(len(yields)):
+        probs.append(probs[-1] * intensity / (n + 1))
+    if sum(probs) > 1.0 + 1e-12:
+        raise DomainError("prefix sum exceeds 1")
+    rate = probs[0] * s0
+    for n, y in enumerate(yields, start=1):
+        rate += probs[n] * y
+    return rate
+
+
+def _bits_or_error(rate):
+    try:
+        return struct.pack("<d", rate())
+    except DomainError:
+        return "DomainError"
+
+
+def _assert_class_rate_bit_identical(s0, yields, intensity):
+    table = YieldTable(s0=s0, yields=tuple(yields))
+    assert _bits_or_error(lambda: table.class_rate(intensity)) == _bits_or_error(
+        lambda: _two_pass_class_rate(s0, yields, intensity)
+    ), (s0, yields, intensity)
+
+
+WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+INTENSITIES = (
+    st.sampled_from([0.0, -0.0, 745.0, 800.0])
+    | st.floats(min_value=5e-324, max_value=2.225073858507201e-308)
+    | st.floats(min_value=0.0, max_value=1.0)
+    | st.floats(min_value=0.0, max_value=50.0)
+)
+
+
+@settings(max_examples=400)
+@given(WEIGHTS, st.lists(WEIGHTS, min_size=2, max_size=60), INTENSITIES)
+def test_yield_table_class_rate_bit_identical_to_two_pass(s0, yields, intensity):
+    _assert_class_rate_bit_identical(s0, yields, intensity)
+
+
+def test_yield_table_class_rate_signed_zeros():
+    # Every sign pattern of an all-zero table at both zero intensities: the
+    # sum's sign then hangs on each term's sign.
+    for size in (2, 3, 4):
+        for s0, *yields in itertools.product((0.0, -0.0), repeat=size + 1):
+            for intensity in (0.0, -0.0):
+                _assert_class_rate_bit_identical(s0, yields, intensity)
+    _assert_class_rate_bit_identical(-0.0, [5e-324, -0.0], 0.0)
+
+
 def test_yield_table_truncation_negligible():
     base = YieldTable(s0=1e-6, yields=tuple([0.5] * 20))
     extended = YieldTable(s0=1e-6, yields=tuple([0.5] * 20 + [1.0] * 20))
@@ -116,6 +171,13 @@ def test_sample_observation_rejects_negative_seed():
     budget = PulseBudget(10**6, 10**6)
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
         sample_observation(NoEve(eta=1e-2), PARAMS, budget, seed=-1)
+
+
+def test_sample_observation_rejects_non_integer_seed():
+    budget = PulseBudget(10**6, 10**6)
+    for seed, shown in ((1.5, "1.5"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got {shown}"):
+            sample_observation(NoEve(eta=1e-2), PARAMS, budget, seed=seed)
 
 
 def test_sample_observation_empty_vacuum_class():

@@ -97,6 +97,24 @@ def test_finite_bound_oracle_cell():
     assert not report.vacuous
 
 
+def test_finite_bound_ignores_n_vacuum():
+    # Documented in the README: the vacuum class size never reaches the
+    # bound, so s0 counts as exact unless r0 is set.
+    rates = loss_only_rates(0.3, 0.45, 1e-3)
+    n = 10**8
+    for settings in (
+        FluctuationSettings(),
+        FluctuationSettings(r0=0.1),
+        FluctuationSettings(confidence_exponent=5.0, min_over_classes=True),
+    ):
+        reports = [
+            finite_bound(rates, PARAMS, PulseBudget(n, 3 * n, n_vacuum), settings)
+            for n_vacuum in (0, 1, n, 10**20)
+        ]
+        assert not reports[0].vacuous
+        assert all(report == reports[0] for report in reports[1:])
+
+
 def test_finite_bound_approaches_asymptotic():
     rates = loss_only_rates(0.3, 0.45, 1e-4)
     asym = wang_asymptotic_bound(rates, PARAMS)

@@ -12,9 +12,9 @@ from decoyqkd import (
     decompose,
     multi_photon_weight,
     poisson_pmf,
-    poisson_prefix,
     validate_pair,
 )
+from decoyqkd.photon_stats import poisson_mixture
 
 mp.mp.dps = 50
 
@@ -53,18 +53,20 @@ def test_pmf_domain():
 
 @given(st.floats(min_value=1e-6, max_value=2.0), st.integers(min_value=0, max_value=30))
 def test_prefix_matches_pmf(mu, n_max):
-    probs = poisson_prefix(mu, n_max)
-    assert len(probs) == n_max + 1
-    for n, p in enumerate(probs):
-        assert p == pytest.approx(poisson_pmf(n, mu), rel=1e-12, abs=1e-300)
-    assert sum(probs) <= 1.0 + 1e-12
+    # A unit weight at n picks P_n(mu) out of the mixture.
+    for n in range(n_max + 1):
+        weights = [0.0] * (n_max + 1)
+        weights[n] = 1.0
+        assert poisson_mixture(mu, weights[0], tuple(weights[1:])) == pytest.approx(
+            poisson_pmf(n, mu), rel=1e-12, abs=1e-300
+        )
+    assert poisson_mixture(mu, 1.0, (1.0,) * n_max) <= 1.0 + 1e-12
 
 
 def test_prefix_domain():
-    with pytest.raises(DomainError):
-        poisson_prefix(0.3, -1)
-    with pytest.raises(DomainError):
-        poisson_prefix(-0.3, 5)
+    for mu in (-0.3, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="intensity must be finite and non-negative"):
+            poisson_mixture(mu, 1e-6, (0.5, 0.5))
 
 
 @given(st.floats(min_value=1e-12, max_value=1.5))
