@@ -9,7 +9,6 @@ from .bounds import (
     delta_prime_bound,
     hwang_bound,
     hwang_optimized,
-    iterate_sc_s1,
     wang_asymptotic_bound,
 )
 from .channel import (
@@ -42,7 +41,6 @@ from .feasibility import (
 from .finite_stats import (
     FluctuationSettings,
     PulseBudget,
-    confidence_bound,
     finite_bound,
     relative_fluctuation,
 )
@@ -53,7 +51,6 @@ from .photon_stats import (
     ProtocolParams,
     decompose,
     multi_photon_weight,
-    poisson_pmf,
     validate_pair,
 )
 
@@ -87,7 +84,6 @@ __all__ = [
     "acquisition_time",
     "binary_entropy",
     "build_report",
-    "confidence_bound",
     "decompose",
     "delta_prime_bound",
     "expected_rates",
@@ -95,10 +91,8 @@ __all__ = [
     "gllp_rate",
     "hwang_bound",
     "hwang_optimized",
-    "iterate_sc_s1",
     "multi_photon_fraction",
     "multi_photon_weight",
-    "poisson_pmf",
     "required_pulses",
     "relative_fluctuation",
     "sample_observation",

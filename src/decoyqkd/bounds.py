@@ -175,20 +175,6 @@ def _solve_sc(
             lo = y
 
 
-def iterate_sc_s1(rates: ObservedRates, params: ProtocolParams) -> tuple[float, float]:
-    """Solve the two rate constraints for the self-consistent pair (sc, s1).
-
-    The weak class ties the single-photon rate to the multi-photon rate;
-    the strong class caps the multi-photon rate given the single-photon
-    rate.  The shared solver searches from sc = 0 without fluctuation
-    terms, independently of the closed form.  With no root above s1 = 0
-    the pair clamps to (crude sc, 0).
-    """
-    _require_weak_rate(rates)
-    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0)
-    return sc, max(s1, 0.0)
-
-
 def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Closed-form solution of the sc/s1 constraint system.
 

@@ -19,7 +19,6 @@ from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Iterable, Sequence
 
-from . import batch
 from .bounds import (
     BoundReport,
     ObservedRates,
@@ -40,7 +39,6 @@ from .feasibility import WeakDecoySetup, build_report
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .key_rate import KeyRateInput, gllp_rate
 from .photon_stats import ProtocolParams, validate_pair
-from .table1 import rows as table1_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -589,8 +587,11 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_table1(args: argparse.Namespace, config: Config) -> int:
+    # Imported here, like batch in cmd_sweep, so other commands never load it.
+    from .table1 import rows
+
     fmt, out = _resolve_output(args, config)
-    all_rows = table1_rows()
+    all_rows = rows()
     records = [{**asdict(row), "deviation": row.deviation} for row in all_rows]
 
     def table() -> list[str]:
@@ -616,6 +617,8 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     class (wang_asymptotic_bound without), then delta_prime_bound and, with
     --qber, gllp_rate.  Exit 3 when every row is vacuous.
     """
+    from . import batch
+
     mu_grid = _setting(args, config, "sweep", "mu")
     mu_prime_grid = _setting(args, config, "sweep", "mu_prime")
     eta_grid = _setting(args, config, "sweep", "eta")

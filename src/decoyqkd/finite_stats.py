@@ -77,20 +77,6 @@ class FluctuationSettings:
             raise ParameterError(f"r0 must lie in [0, 1), got {self.r0}")
 
 
-def confidence_bound(delta_abs: float, s: float, n0: float) -> float:
-    """Probability that an observed rate deviates from s by more than delta_abs.
-
-    Returns exp(-delta_abs^2 * n0 / (4 s)) for a sub-population of n0 pulses.
-    """
-    if delta_abs < 0:
-        raise DomainError(f"deviation must be non-negative, got {delta_abs}")
-    if s <= 0:
-        raise DomainError(f"counting rate must be positive, got {s}")
-    if n0 <= 0:
-        raise DomainError(f"sub-population size must be positive, got {n0}")
-    return math.exp(-(delta_abs * delta_abs) * n0 / (4.0 * s))
-
-
 def relative_fluctuation(s: float, n0: float, settings: FluctuationSettings) -> float:
     """Relative half-width 2 sqrt(E / (s n0)) at violation probability e^{-E}."""
     if s <= 0 or n0 <= 0:

@@ -23,21 +23,6 @@ SUM_TOL = 1e-12
 D_TOL = 1e-12
 
 
-def poisson_pmf(n: int, mu: float) -> float:
-    """Probability of exactly ``n`` photons at intensity ``mu``.
-
-    Evaluated in log space so large ``n`` underflows gracefully to 0.0
-    instead of overflowing the factorial.
-    """
-    if n < 0:
-        raise DomainError(f"photon number must be non-negative, got {n}")
-    if mu < 0 or not math.isfinite(mu):
-        raise DomainError(f"intensity must be finite and non-negative, got {mu}")
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     """Return ``sum_n P_n(mu) y_n``, with ``y_0 = y0`` and ``y_n = yields[n - 1]``.
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import ObservedRates, delta_prime_bound, hwang_optimized
-from .channel import NoEve, expected_rates, multi_photon_fraction
+from .channel import NoEve, multi_photon_fraction
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .photon_stats import ProtocolParams
 
@@ -106,29 +106,6 @@ def finite_cell(
 def true_fraction(intensity: float, eta: float = TRUE_FRACTION_ETA) -> float:
     """Exact multi-photon click fraction on a dark-free lossy channel."""
     return multi_photon_fraction(NoEve(eta=eta, s0=0.0), intensity)
-
-
-def dark_rate_sensitivity(
-    mu: float,
-    mu_prime: float,
-    eta: float,
-    n_pulses: int,
-    factor: float = 1.5,
-    s0: float = S0,
-) -> float:
-    """Absolute change of the finite bound when the dark rate scales by factor.
-
-    The dark rate is varied coherently: it enters both the simulated class
-    rates (independent-OR channel model) and the verification formulas.
-    """
-    params = ProtocolParams(mu=mu, mu_prime=mu_prime)
-    budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses, n_vacuum=VACUUM_PULSES)
-    settings = FluctuationSettings()
-    base = finite_bound(expected_rates(NoEve(eta=eta, s0=s0), params), params, budget, settings)
-    bumped = finite_bound(
-        expected_rates(NoEve(eta=eta, s0=factor * s0), params), params, budget, settings
-    )
-    return abs(bumped.delta_upper - base.delta_upper)
 
 
 @dataclass(frozen=True)

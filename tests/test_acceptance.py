@@ -4,8 +4,10 @@ Each test prints a single PASS/FAIL line (replayed in the terminal summary
 by conftest) with the measured deviation and, where bounded, the runtime.
 """
 
+import math
 import random
 import time
+from collections import Counter
 
 import conftest
 
@@ -23,7 +25,6 @@ from decoyqkd import (
     finite_bound,
     hwang_bound,
     hwang_optimized,
-    iterate_sc_s1,
     required_pulses,
     sample_observation,
     table1,
@@ -31,6 +32,10 @@ from decoyqkd import (
     validate_pair,
     wang_asymptotic_bound,
 )
+from decoyqkd.bounds import _solve_sc
+
+from finite_oracle import INTERIOR, SEED, VACUOUS, finite_oracle
+from reference import dark_rate_sensitivity
 
 
 def _check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -103,7 +108,7 @@ def test_criterion_05_dark_rate_sensitivity():
     configs = [(pair, table1.W1_ETA, table1.W1_PULSES) for pair in table1.W1_PAIRS]
     configs += [(pair, table1.W2_ETA, table1.W2_PULSES) for pair in table1.W2_PAIRS]
     worst = max(
-        table1.dark_rate_sensitivity(pair[0], pair[1], eta, pulses)
+        dark_rate_sensitivity(pair[0], pair[1], eta, pulses)
         for pair, eta, pulses in configs
     )
     _check(
@@ -181,7 +186,43 @@ def test_criterion_08_soundness():
     )
 
 
+def _oracle_cases(rng: random.Random, count: int):
+    """Finite-bound inputs at practical budgets, N = 1e6 .. 1e14 weak-class pulses.
+
+    NoEve channels and 12-entry yield tables, with r0 either 0 or up to 0.5
+    and min_over_classes on or off.
+    """
+    while count:
+        mu = rng.uniform(0.05, 0.5)
+        mu_prime = rng.uniform(mu + 0.02, mu + 0.6)
+        if not validate_pair(mu, mu_prime):
+            continue
+        count -= 1
+        eta = 10.0 ** rng.uniform(-4.0, -1.0)
+        s0 = 10.0 ** rng.uniform(-7.0, -4.0)
+        if rng.random() < 0.5:
+            scenario = NoEve(eta=eta, s0=s0)
+        else:
+            scenario = YieldTable(
+                s0=s0,
+                yields=tuple(
+                    min(rng.uniform(0.5, 1.5) * -math.expm1(n * math.log1p(-eta)), 1.0)
+                    for n in range(1, 13)
+                ),
+            )
+        params = ProtocolParams(mu, mu_prime)
+        n_mu = int(10.0 ** rng.uniform(6.0, 14.0))
+        budget = PulseBudget(n_mu, int(n_mu * rng.uniform(0.2, 5.0)))
+        settings = FluctuationSettings(
+            confidence_exponent=rng.uniform(1.0, 40.0),
+            r0=rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+            min_over_classes=rng.random() < 0.5,
+        )
+        yield expected_rates(scenario, params), params, budget, settings
+
+
 def test_criterion_09_cross_validation():
+    # Closed form against the shared solver without fluctuation terms.
     rng = random.Random(777)
     accepted = 0
     draws = 0
@@ -206,23 +247,41 @@ def test_criterion_09_cross_validation():
             # value by design, so the closed form is not its fixed point.
             continue
         accepted += 1
-        sc, _ = iterate_sc_s1(rates, params)
+        sc, _ = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0)
         delta_iter = decompose(params).c * sc / rates.s_mu
         worst_rel = max(
             worst_rel, abs(delta_iter - closed.delta_upper) / closed.delta_upper
         )
 
-    params = ProtocolParams(0.3, 0.45)
-    rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), params)
-    asymptotic = wang_asymptotic_bound(rates, params)
-    huge = finite_bound(rates, params, PulseBudget(10**30, 10**30))
-    gap = huge.delta_upper - asymptotic.delta_upper
+    # finite_bound against the independent mpmath solve of the same system.
+    labels = Counter()
+    flags_agree = 0
+    worst_delta = 0.0
+    for rates, params, budget, settings in _oracle_cases(random.Random(909), 120):
+        report = finite_bound(rates, params, budget, settings)
+        delta, label = finite_oracle(
+            rates.s0, rates.s_mu, rates.s_mu_prime, params.mu, params.mu_prime,
+            budget.n_mu, budget.n_mu_prime, settings.confidence_exponent,
+            settings.r0, settings.min_over_classes,
+        )
+        labels[label] += 1
+        flags_agree += report.vacuous == (label == VACUOUS)
+        if not report.vacuous:
+            worst_delta = max(worst_delta, abs(report.delta_upper - delta))
+    cases = sum(labels.values())
     _check(
         9,
         "solver cross-validation",
-        worst_rel < 1e-6 and 0.0 <= gap < 1e-3,
-        f"{accepted} inputs, worst rel diff {worst_rel:.2e} (tol 1e-6); "
-        f"asymptotic gap at N=1e30: {gap:.2e} (tol 1e-3)",
+        worst_rel < 1e-6
+        and cases >= 100
+        and worst_delta <= 1e-12
+        and flags_agree == cases
+        and all(labels[name] for name in (VACUOUS, SEED, INTERIOR)),
+        f"closed form vs solver: {accepted} inputs, worst rel diff {worst_rel:.2e} "
+        f"(tol 1e-6); finite_bound vs mpmath oracle: {cases} cases at N=1e6..1e14, "
+        f"max |d delta_upper| {worst_delta:.1e} (tol 1e-12), vacuous flags agree on "
+        f"{flags_agree}/{cases}; {labels[VACUOUS]} vacuous, {labels[SEED]} seed, "
+        f"{labels[INTERIOR]} interior",
     )
 
 

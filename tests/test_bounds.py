@@ -18,10 +18,9 @@ from decoyqkd import (
     finite_bound,
     hwang_bound,
     hwang_optimized,
-    iterate_sc_s1,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import TOL, _solve_sc
+from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _solve_sc
 
 PARAMS = ProtocolParams(0.3, 0.45)
 # Exact no-eavesdropper class-rate ratio S'/S = mu'/mu.
@@ -118,8 +117,13 @@ def test_wang_rate_decomposition_consistent():
     assert recomposed == pytest.approx(RATIO_RATES.s_mu, rel=1e-10)
 
 
+def _solve_exact(rates, params, max_iter=DEFAULT_MAX_ITER):
+    """The shared sc/s1 solver without fluctuations, searching from sc = 0."""
+    return _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, max_iter)
+
+
 def test_iterate_matches_closed_form():
-    sc, s1 = iterate_sc_s1(RATIO_RATES, PARAMS)
+    sc, s1 = _solve_exact(RATIO_RATES, PARAMS)
     delta = 0.036936313113766774 * sc / RATIO_RATES.s_mu
     assert delta == pytest.approx(0.32366848545656625, rel=1e-9)
     assert s1 > 0.0
@@ -130,9 +134,9 @@ def test_iterate_converges_within_100_iterations():
         s0=1e-6, s_mu=-math.expm1(-1e-4 * 0.25), s_mu_prime=-math.expm1(-1e-4 * 0.41)
     )
     params = ProtocolParams(0.25, 0.41)
-    sc, s1 = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, max_iter=100)
+    sc, s1 = _solve_exact(rates, params, max_iter=100)
     assert sc > 0.0 and s1 > 0.0
-    assert iterate_sc_s1(rates, params) == (sc, s1)
+    assert _solve_exact(rates, params) == (sc, s1)
 
 
 def test_iterate_near_diagonal_matches_closed_form():
@@ -141,19 +145,19 @@ def test_iterate_near_diagonal_matches_closed_form():
     params = ProtocolParams(0.3, 0.3001)
     rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), params)
     closed = wang_asymptotic_bound(rates, params)
-    sc, s1 = iterate_sc_s1(rates, params)
+    sc, s1 = _solve_exact(rates, params)
     assert sc == pytest.approx(closed.sc_upper, rel=1e-6)
     assert s1 == pytest.approx(closed.s1_lower, rel=1e-6)
 
 
 def test_iterate_clamps_s1_at_zero():
     # Strong class so bright the weak class cannot contain any singles:
-    # fixed point is the crude value with s1 = 0.
+    # fixed point is the crude value, with no singles left (s1 <= 0).
     rates = ObservedRates(0.0, 1e-6, 0.5)
-    sc, s1 = iterate_sc_s1(rates, PARAMS)
+    sc, s1 = _solve_exact(rates, PARAMS)
     coeffs_c = 0.036936313113766774
     crude = (1.0 / 1.9365929469563801) * 0.5 / coeffs_c
-    assert s1 == 0.0
+    assert s1 <= 0.0
     assert sc == pytest.approx(crude, rel=1e-12)
 
 
@@ -227,7 +231,7 @@ def test_iterate_agrees_with_closed_form_property(pair):
         return
     if closed.s1_lower <= 0.0:
         return
-    sc, _ = iterate_sc_s1(rates, params)
+    sc, _ = _solve_exact(rates, params)
     coeffs_c = 1.0 - math.exp(-params.mu) - params.mu * math.exp(-params.mu)
     delta = coeffs_c * sc / rates.s_mu
     assert abs(delta - closed.delta_upper) <= 10 * TOL * closed.delta_upper

