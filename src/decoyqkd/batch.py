@@ -254,7 +254,7 @@ def finite_bound(
     kc = 2.0 * np.sqrt(settings.confidence_exponent / n_multi)
 
     weak = rates.s_mu - pairs.exp_mu * rates.s0
-    strong = rates.s_mu_prime - pairs.exp_mu_prime * (1.0 + settings.r0) * rates.s0
+    strong = rates.s_mu_prime - pairs.exp_mu_prime * rates.s0
     # A k that overflows to inf is a fluctuation far beyond 1.
     blown = np.isinf(k1) | np.isinf(kc)
     live = np.flatnonzero(~(seed.vacuous | blown))
@@ -263,7 +263,6 @@ def finite_bound(
         (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, mu_prime * pairs.exp_mu_prime, k1, kc)
     )
     sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], max_iter)
-    sc = np.where(seed.sc_upper > sc, seed.sc_upper, sc)
     s1 = (rates.s_mu - pairs.exp_mu * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
     vacuous = seed.vacuous | blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)

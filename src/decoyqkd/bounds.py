@@ -110,7 +110,6 @@ def _solve_sc(
     params: ProtocolParams,
     k1: float,
     kc: float,
-    r0: float,
     sc_lo: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, float]:
@@ -119,12 +118,14 @@ def _solve_sc(
     F is one pass through both constraints.  The weak class fixes
     s1 = y^2 at sc; the strong class then allows the larger root of
     c sc (1 - kc/sqrt(sc)) = room, its singles term down-weighted to
-    (1 - k1/y) y^2 and its vacuum term raised by (1 + r0).  Newton steps
-    in y fall back to bisection when they leave the bracket between y at
-    sc_lo and the floor y = k1, where r1 = 1, and stop once the relative
-    step in sc is at most TOL.  Returns sc_lo when F(sc_lo) <= sc_lo, and F
-    at the floor (s1 below it) if no root is left.  Raises ConvergenceError
-    when a root needs more than max_iter evaluations of F.
+    (1 - k1/y) y^2 and its vacuum term taken as observed.  Neither k
+    lowers F below its k = 0 form, so, up to rounding, no exit falls below
+    an asymptotic sc_lo.  Newton steps in y fall back to bisection when
+    they leave the bracket between y at sc_lo and the floor y = k1, where
+    r1 = 1, and stop once the relative step in sc is at most TOL.  Returns
+    sc_lo when F(sc_lo) <= sc_lo, and F at the floor (s1 below it) if no
+    root is left.  Raises ConvergenceError when a root needs more than
+    max_iter evaluations of F.
     """
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
@@ -133,7 +134,7 @@ def _solve_sc(
     p1_mu = mu * math.exp(-mu)
     p1_mu_prime = mu_prime * math.exp(-mu_prime)
     weak = rates.s_mu - math.exp(-mu) * rates.s0
-    strong = rates.s_mu_prime - math.exp(-mu_prime) * (1.0 + r0) * rates.s0
+    strong = rates.s_mu_prime - math.exp(-mu_prime) * rates.s0
     evals = 0
 
     def excess(y: float, sc: float) -> tuple[float, float, float]:

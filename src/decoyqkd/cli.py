@@ -146,7 +146,6 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
     "budget": {"n_mu": _as_count, "n_mu_prime": _as_count, "n_vacuum": _as_count},
     "fluctuation": {
         "confidence_exponent": _as_float,
-        "r0": _as_float,
         "min_over_classes": _as_bool,
     },
     "key": {"qber": _as_float},
@@ -736,7 +735,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qber", type=float)
     parser.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-    parser.add_argument("--r0", type=float)
     parser.add_argument(
         "--min-over-classes",
         dest="min_over_classes",

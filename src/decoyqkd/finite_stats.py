@@ -58,14 +58,13 @@ class FluctuationSettings:
     """Statistical treatment of rate fluctuations.
 
     confidence_exponent: exponent E; every worst-case shift is violated
-        with probability at most e^{-E}.
-    r0: relative fluctuation applied to the vacuum rate (0 disables it).
+        with probability at most e^{-E}.  The vacuum rate has no shift:
+        the observed s0 counts as exact.
     min_over_classes: size each photon-number sub-population by the
         smaller of the two signal classes instead of the weak class alone.
     """
 
     confidence_exponent: float = 25.0
-    r0: float = 0.0
     min_over_classes: bool = False
 
     def __post_init__(self) -> None:
@@ -73,8 +72,6 @@ class FluctuationSettings:
             raise ParameterError(
                 f"confidence_exponent must be positive, got {self.confidence_exponent}"
             )
-        if not 0.0 <= self.r0 < 1.0:
-            raise ParameterError(f"r0 must lie in [0, 1), got {self.r0}")
 
 
 def relative_fluctuation(s: float, n0: float, settings: FluctuationSettings) -> float:
@@ -105,12 +102,13 @@ def finite_bound(
     """Worst-case multi-photon fraction consistent with a finite budget.
 
     Solves the coupled system: the weak class ties s1 to sc exactly, the
-    strong class constrains sc with every rate shifted adversarially by
-    its relative fluctuation (singles and vacuum down-weighted against
-    the multi-photon term, the multi-photon rate itself under-observed).
-    The shared solver searches above the asymptotic solution; max_iter
-    caps its constraint evaluations.  Any fluctuation reaching 1 makes the
-    bound vacuous.
+    strong class constrains sc with each sub-population rate shifted
+    adversarially by its relative fluctuation (singles down-weighted
+    against the multi-photon term, the multi-photon rate itself
+    under-observed; s0 exact).  Each shift only widens the consistent
+    yields, so the shared solver searches above the asymptotic solution
+    and the bound is never below it; max_iter caps its constraint
+    evaluations.  Any fluctuation reaching 1 makes the bound vacuous.
     """
     _require_weak_rate(rates)
     if max_iter < 1:
@@ -134,10 +132,7 @@ def finite_bound(
     # A k that overflows to inf is a fluctuation far beyond 1.
     if seed.vacuous or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
-    sc, _ = _solve_sc(rates, params, k1, kc, settings.r0, seed.sc_upper, max_iter)
-    # A positive r0 subtracts extra dark credit and can undercut the
-    # asymptotic value; the finite bound is never allowed to be tighter.
-    sc = max(sc, seed.sc_upper)
+    sc, _ = _solve_sc(rates, params, k1, kc, seed.sc_upper, max_iter)
     s1 = (rates.s_mu - math.exp(-mu) * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.

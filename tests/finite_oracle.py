@@ -6,15 +6,16 @@ multi-photon ratio, asymptotic seed and fluctuations, and no package
 helper.  With y = sqrt(s1):
 
 - weak class:   S_mu = e^{-mu} s0 + P1(mu) s1 + c sc;
-- strong class: S_mu' - e^{-mu'} (1 + r0) s0
+- strong class: S_mu' - e^{-mu'} s0
                 = P1(mu') (1 - k1/y) y^2 + ratio c F (1 - kc/sqrt(F)),
 
 where c = 1 - P0(mu) - P1(mu), ratio = P2(mu') / P2(mu), and F(sc) is the
 multi-photon rate the strong class allows once the weak class fixes s1 at
-sc.  The bound is the largest sc on [asymptotic sc, floor] with F(sc) >= sc,
-where the floor is the sc at which s1 = k1^2 (r1 = 1).  A coarse scan from
-the floor down finds the top sign change and bisection refines it; the scan
-would see a second root that a bracketed search started at the seed skips.
+sc; the observed s0 counts as exact.  The bound is the largest sc on
+[asymptotic sc, floor] with F(sc) >= sc, where the floor is the sc at which
+s1 = k1^2 (r1 = 1).  A coarse scan from the floor down finds the top sign
+change and bisection refines it; the scan would see a second root that a
+bracketed search started at the seed skips.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ def finite_oracle(
     n_mu: int,
     n_mu_prime: int,
     exponent: float,
-    r0: float = 0.0,
     min_over_classes: bool = False,
 ) -> tuple[float, str]:
     """Return (delta_upper, label) with label VACUOUS, SEED or INTERIOR.
@@ -62,12 +62,11 @@ def finite_oracle(
         kc = 2 * mp.sqrt(exponent / n_multi)
 
         weak = s_mu - mp.exp(-mu) * s0
-        strong = s_mu_prime - mp.exp(-mu_prime) * (1 + r0) * s0
+        strong = s_mu_prime - mp.exp(-mu_prime) * s0
 
-        # Asymptotic seed: both constraints exact (k1 = kc = r0 = 0) are
-        # linear in sc; its tagged fraction is clamped to [0, 1].
-        exact_strong = s_mu_prime - mp.exp(-mu_prime) * s0
-        sc_raw = (exact_strong - p1_prime * weak / p1) / (c * (ratio - p1_prime / p1))
+        # Asymptotic seed: both constraints exact (k1 = kc = 0) are linear
+        # in sc; its tagged fraction is clamped to [0, 1].
+        sc_raw = (strong - p1_prime * weak / p1) / (c * (ratio - p1_prime / p1))
         sc_seed = min(max(c * sc_raw / s_mu, 0), 1) * s_mu / c
         sc_floor = (weak - p1 * k1**2) / c
         if sc_floor <= sc_seed:

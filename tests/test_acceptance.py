@@ -189,8 +189,9 @@ def test_criterion_08_soundness():
 def _oracle_cases(rng: random.Random, count: int):
     """Finite-bound inputs at practical budgets, N = 1e6 .. 1e14 weak-class pulses.
 
-    NoEve channels and 12-entry yield tables, with r0 either 0 or up to 0.5
-    and min_over_classes on or off.
+    NoEve channels and 12-entry yield tables, with min_over_classes on or
+    off, then one pinned NoEve case whose solver leaves at the floor with
+    s1 = 0.61 k1^2, vacuous only by the r1 >= 1 test.
     """
     while count:
         mu = rng.uniform(0.05, 0.5)
@@ -215,10 +216,12 @@ def _oracle_cases(rng: random.Random, count: int):
         budget = PulseBudget(n_mu, int(n_mu * rng.uniform(0.2, 5.0)))
         settings = FluctuationSettings(
             confidence_exponent=rng.uniform(1.0, 40.0),
-            r0=rng.choice([0.0, rng.uniform(0.0, 0.5)]),
             min_over_classes=rng.random() < 0.5,
         )
         yield expected_rates(scenario, params), params, budget, settings
+    params = ProtocolParams(0.29, 0.472)
+    rates = expected_rates(NoEve(eta=9.7e-5, s0=7.6e-5), params)
+    yield rates, params, PulseBudget(33_000_000, 33_000_000), FluctuationSettings()
 
 
 def test_criterion_09_cross_validation():
@@ -247,7 +250,7 @@ def test_criterion_09_cross_validation():
             # value by design, so the closed form is not its fixed point.
             continue
         accepted += 1
-        sc, _ = _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0)
+        sc, _ = _solve_sc(rates, params, 0.0, 0.0, 0.0)
         delta_iter = decompose(params).c * sc / rates.s_mu
         worst_rel = max(
             worst_rel, abs(delta_iter - closed.delta_upper) / closed.delta_upper
@@ -262,7 +265,7 @@ def test_criterion_09_cross_validation():
         delta, label = finite_oracle(
             rates.s0, rates.s_mu, rates.s_mu_prime, params.mu, params.mu_prime,
             budget.n_mu, budget.n_mu_prime, settings.confidence_exponent,
-            settings.r0, settings.min_over_classes,
+            settings.min_over_classes,
         )
         labels[label] += 1
         flags_agree += report.vacuous == (label == VACUOUS)
@@ -276,12 +279,16 @@ def test_criterion_09_cross_validation():
         and cases >= 100
         and worst_delta <= 1e-12
         and flags_agree == cases
-        and all(labels[name] for name in (VACUOUS, SEED, INTERIOR)),
+        and labels[VACUOUS]
+        and labels[INTERIOR]
+        # With k1, kc > 0 the strong-class map lies above its asymptotic form,
+        # so the asymptotic seed itself is never the bound.
+        and not labels[SEED],
         f"closed form vs solver: {accepted} inputs, worst rel diff {worst_rel:.2e} "
         f"(tol 1e-6); finite_bound vs mpmath oracle: {cases} cases at N=1e6..1e14, "
         f"max |d delta_upper| {worst_delta:.1e} (tol 1e-12), vacuous flags agree on "
-        f"{flags_agree}/{cases}; {labels[VACUOUS]} vacuous, {labels[SEED]} seed, "
-        f"{labels[INTERIOR]} interior",
+        f"{flags_agree}/{cases}; {labels[VACUOUS]} vacuous, {labels[SEED]} seed "
+        f"(want 0), {labels[INTERIOR]} interior",
     )
 
 

@@ -5,6 +5,7 @@ the sign of a zero must match, and errors must match in type and message.
 Where the scalar solver runs out of evaluations, the layers raise _Replay.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -178,32 +179,47 @@ budgets = st.one_of(st.none(), st.floats(5.0, 20.0).map(lambda e: int(10.0**e)))
 fluctuations = st.builds(
     FluctuationSettings,
     confidence_exponent=st.floats(1.0, 50.0),
-    r0=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     min_over_classes=st.booleans(),
 )
 qbers = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.5))
 
 
-@hyp_settings(max_examples=300)
+@hyp_settings(max_examples=40)
 @given(lanes(), budgets, fluctuations, qbers)
 def test_layers_equal_scalar_functions(drawn, n, fluct, qber):
     assert_lanes_match(drawn, n, fluct, qber)
 
 
+def random_lane(rng):
+    """One lane from the classes lanes() draws: near-diagonal or wide pairs, dead eta."""
+    while True:
+        mu = rng.uniform(0.02, 0.7)
+        if rng.random() < 0.5:
+            gap = 10.0 ** rng.uniform(-6.0, -2.0)
+        else:
+            gap = rng.uniform(0.01, 3.0)
+        if validate_pair(mu, mu * (1.0 + gap)):
+            break
+    eta = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-5.0, 0.0)
+    s0 = rng.choice((0.0, 1e-6, rng.uniform(0.0, 1e-3)))
+    if eta == 0.0 and s0 == 0.0:
+        s0 = 1e-6  # s_mu = 0 is covered by the error tests
+    return mu, mu * (1.0 + gap), eta, s0
+
+
 def test_layers_equal_scalar_on_random_lanes():
+    # The depth behind the hypothesis test above: 300 lanes a call, and each
+    # fluctuation setting meets every qber class over the budgets.
     rng = random.Random(20050712)
-    for n in (None, 10**5, 10**8, 8 * 10**10, 10**14, 10**20):
-        for fluct in (DEFAULTS, FluctuationSettings(5.0, r0=0.3, min_over_classes=True)):
-            drawn = []
-            while len(drawn) < 300:
-                mu = rng.uniform(0.02, 0.7)
-                mu_prime = mu * (1.0 + 10.0 ** rng.uniform(-6.0, 0.5))
-                if validate_pair(mu, mu_prime):
-                    eta = 10.0 ** rng.uniform(-5.0, -1.0)
-                    s0 = rng.choice((0.0, 1e-6, rng.uniform(0.0, 1e-3)))
-                    drawn.append((mu, mu_prime, eta, s0))
-            expected = assert_lanes_match(drawn, n, fluct, qber=0.015)
-            assert isinstance(expected, list)
+    qbers = itertools.cycle((None, 0.0, 0.015, 0.3))
+    for n in (None, 10**5, 10**8, 8 * 10**10, 10**14, 10**20, int(10.0 ** rng.uniform(5, 20))):
+        for fluct in (
+            DEFAULTS,
+            FluctuationSettings(5.0, min_over_classes=True),
+            FluctuationSettings(rng.uniform(1.0, 50.0)),
+        ):
+            drawn = [random_lane(rng) for _ in range(300)]
+            assert isinstance(assert_lanes_match(drawn, n, fluct, next(qbers)), list)
 
 
 def test_baseline_grid_slice_with_vacuous_rows():
@@ -214,7 +230,7 @@ def test_baseline_grid_slice_with_vacuous_rows():
         {},
         {"n": 8 * 10**10, "qber": 0.015},
         {"n": 10**6, "qber": 0.2},
-        {"n": 8 * 10**10, "fluct": FluctuationSettings(r0=0.2, min_over_classes=True)},
+        {"n": 8 * 10**10, "fluct": FluctuationSettings(20.0, min_over_classes=True)},
         {"n": 1000},
     ]
     seen = set()
@@ -222,6 +238,13 @@ def test_baseline_grid_slice_with_vacuous_rows():
         rows = assert_sweep_matches(pairs, etas, **flags)
         seen |= {(row[4], row[5]) for row in rows}
     assert seen == {(False, False), (True, True)}
+
+
+def test_floor_exit_with_s1_near_k1_squared_is_vacuous():
+    # test_finite_stats' floor exit with s1 = 0.61 k1^2, beside two lanes
+    # that stay informative.
+    rows = assert_sweep_matches([(0.29, 0.472)], [9.7e-5, 1e-3, 1e-2], s0=7.6e-5, n=33_000_000)
+    assert [row[-1] for row in rows] == [True, False, False]
 
 
 def test_overflowed_fluctuation_lanes_are_vacuous():
@@ -236,6 +259,12 @@ def test_near_diagonal_pairs():
     drawn = [(0.3, 0.3 * (1.0 + gap), 1e-3, 1e-6) for gap in (1e-6, 1e-5, 1e-4, 1e-3)]
     for n in (None, 10**8, 10**20):
         assert isinstance(assert_lanes_match(drawn, n, qber=0.01), list)
+
+
+def test_seed_exit_lanes():
+    # test_finite_stats' budgets at which F(seed) - seed rounds to <= 0.
+    for lane, exponent in (((0.3, 0.3001, 1e-3, 1e-6), 38), ((0.25, 0.41, 1e-4, 1e-6), 40)):
+        assert isinstance(assert_lanes_match([lane], 10**exponent), list)
 
 
 def both_orders(pairs, etas, **flags):

@@ -119,7 +119,7 @@ def test_wang_rate_decomposition_consistent():
 
 def _solve_exact(rates, params, max_iter=DEFAULT_MAX_ITER):
     """The shared sc/s1 solver without fluctuations, searching from sc = 0."""
-    return _solve_sc(rates, params, 0.0, 0.0, 0.0, 0.0, max_iter)
+    return _solve_sc(rates, params, 0.0, 0.0, 0.0, max_iter)
 
 
 def test_iterate_matches_closed_form():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import struct
 
 import pytest
@@ -107,10 +108,51 @@ INTENSITIES = (
 )
 
 
-@settings(max_examples=400)
+@settings(max_examples=60)
 @given(WEIGHTS, st.lists(WEIGHTS, min_size=2, max_size=60), INTENSITIES)
 def test_yield_table_class_rate_bit_identical_to_two_pass(s0, yields, intensity):
     _assert_class_rate_bit_identical(s0, yields, intensity)
+
+
+def test_yield_table_class_rate_bit_identical_on_random_tables():
+    # The depth behind the hypothesis test above, from the same pools.
+    rng = random.Random(1994)
+
+    def weight():
+        return rng.choice((0.0, -0.0, 5e-324, 1.0, rng.random()))
+
+    intensities = (
+        lambda: rng.choice((0.0, -0.0, 745.0, 800.0)),
+        lambda: rng.uniform(5e-324, 2.225073858507201e-308),
+        lambda: rng.uniform(0.0, 1.0),
+        lambda: rng.uniform(0.0, 50.0),
+    )
+    for _ in range(2000):
+        yields = [weight() for _ in range(rng.randint(2, 60))]
+        _assert_class_rate_bit_identical(weight(), yields, rng.choice(intensities)())
+
+
+def test_yield_table_prefix_sum_overflow_is_a_domain_error():
+    # e^{-730} is subnormal, so the recurrence's weights sum past 1 + SUM_TOL.
+    with pytest.raises(DomainError, match="prefix sum exceeds 1 for mu=730.0, n_max=2000"):
+        YieldTable(0.0, (0.5,) * 2000).class_rate(730.0)
+    _assert_class_rate_bit_identical(0.0, (0.5,) * 2000, 730.0)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        NoEve(eta=1e-3, s0=1e-6),
+        NoEve(eta=0.3, s0=0.01),
+        PnsAttack(q=0.4, s0=1e-5),
+        YieldTable(s0=1e-6, yields=(0.1, 0.2, 0.3)),
+    ],
+    ids=["no_eve-lossy", "no_eve-bright", "pns", "yields"],
+)
+def test_class_rate_is_the_photon_yield_mixture(scenario):
+    for intensity in (0.0, 0.3, 0.45, 1.0):
+        mixture = sum(poisson_pmf(n, intensity) * scenario.photon_yield(n) for n in range(60))
+        assert scenario.class_rate(intensity) == pytest.approx(mixture, rel=1e-9)
 
 
 def test_yield_table_class_rate_signed_zeros():

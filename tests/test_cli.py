@@ -267,6 +267,41 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown key 'mu_primee'" in err
 
 
+def test_malformed_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("mu = 0.3\n")
+    code, out, err = run(capsys, "bound", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config file {cfg} is malformed: ")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", False), ("false", False), ("No", False), ("OFF", False), ("1", True), ("yes", True),
+])
+def test_config_bool_spellings(tmp_path, capsys, text, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"{PARAMS_INI}[fluctuation]\nmin_over_classes = {text}\n")
+    argv = ("bound", "--eta", "1e-3", "--n-mu", "1e10", "--n-mu-prime", "1e8")
+    code, payload = run_json(capsys, *argv, "--config", str(cfg))
+    flag = "--min-over-classes" if value else "--no-min-over-classes"
+    assert (code, payload) == run_json(capsys, *argv, "--mu", "0.3", "--mu-prime", "0.45", flag)
+    assert payload["inputs"]["min_over_classes"] is value
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--seed", "1"),
+         "simulate requires a pulse budget (--n or [budget] section)"),
+        (("sweep", "--mu", "0.3", "--mu-prime", "0.45"),
+         "sweep needs mu, mu_prime, and eta grids"),
+    ],
+    ids=["simulate-without-budget", "sweep-without-eta-grid"],
+)
+def test_missing_required_inputs_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_requires_seed(capsys):
     code, _, err = run(
         capsys,
@@ -522,12 +557,13 @@ def test_unusable_grid_ranges_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_parse_grid_point_limit():
-    from decoyqkd.cli import MAX_GRID_POINTS
-
-    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1", "test")) == MAX_GRID_POINTS
-    with pytest.raises(ConfigError, match="more than"):
-        parse_grid(f"0:{MAX_GRID_POINTS}:1", "test")
+def test_parse_grid_point_limit(monkeypatch):
+    # A small limit stands in for 10**6, as in test_sweep_row_count_limit;
+    # test_unusable_grid_ranges_exit_2 checks the real one.
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 1000)
+    assert len(parse_grid("1:1000:1", "test")) == 1000
+    with pytest.raises(ConfigError, match="has more than 1000 points"):
+        parse_grid("0:1000:1", "test")
 
 
 def test_parse_grid_malformed():
@@ -603,8 +639,8 @@ SWEEP_FLAG_SETS = [
     (("--n", "1e7", "--qber", "0.02"), {"n": 10**7, "qber": 0.02}),
     (("--n", "1e6", "--qber", "0.2"), {"n": 10**6, "qber": 0.2}),
     (
-        ("--n", "1e9", "--min-over-classes", "--r0", "0.2", "--qber", "0.01"),
-        {"n": 10**9, "r0": 0.2, "min_over_classes": True, "qber": 0.01},
+        ("--n", "1e9", "--min-over-classes", "--confidence-exponent", "20", "--qber", "0.01"),
+        {"n": 10**9, "confidence_exponent": 20.0, "min_over_classes": True, "qber": 0.01},
     ),
     (("--n", "1000"), {"n": 1000}),
     # E / (n p1) overflows to inf.
@@ -725,6 +761,18 @@ def test_bound_overflowed_fluctuation_is_vacuous(capsys):
     assert payload["finite"]["delta_upper"] == 1.0
 
 
+def test_bound_floor_exit_is_vacuous(capsys):
+    # The solver's floor exit with s1 = 0.61 k1^2 (see test_finite_stats).
+    code, payload = run_json(
+        capsys,
+        "bound", "--mu", "0.29", "--mu-prime", "0.472", "--eta", "9.7e-5", "--s0", "7.6e-5",
+        "--n", "3.3e7",
+    )
+    assert code == 3
+    assert payload["finite"]["vacuous"] is True
+    assert payload["asymptotic"]["vacuous"] is False
+
+
 def test_sweep_row_count_limit(capsys, monkeypatch):
     # SWEEP_GRID has 3 * 5 * 2 = 30 rows, admissible or not.
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 30)
@@ -785,10 +833,12 @@ COUNT_COMMANDS = {
     [
         ("flag", "inf", "argument --n: expected a finite integer, got 'inf'"),
         ("flag", "1e400", "error: n_mu is too large to convert to a float"),
+        ("flag", "abc", "argument --n: expected an integer, got 'abc'"),
         ("config", "inf", "expected a finite integer, got 'inf'"),
         ("config", "1e400", "error: n_mu is too large to convert to a float"),
+        ("config", "abc", "expected an integer, got 'abc'"),
     ],
-    ids=["flag-inf", "flag-1e400", "config-inf", "config-1e400"],
+    ids=["flag-inf", "flag-1e400", "flag-text", "config-inf", "config-1e400", "config-text"],
 )
 def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value, cause):
     argv = list(COUNT_COMMANDS[command])
@@ -812,11 +862,25 @@ def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value
     assert len(errors) == 1 and cause in errors[0]
 
 
+@pytest.mark.parametrize("command", list(COUNT_COMMANDS))
+def test_r0_is_rejected(tmp_path, capsys, command):
+    # The vacuum rate counts as exact: no flag or config key sets a fluctuation for it.
+    with pytest.raises(SystemExit) as raised:
+        main([*COUNT_COMMANDS[command], "--n", "1e10", "--r0", "0.1"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --r0 0.1" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[fluctuation]\nr0 = 0.1\n")
+    code, out, err = run(capsys, *COUNT_COMMANDS[command], "--n", "1e10", "--config", str(cfg))
+    message = f"error: {cfg}: unknown key 'r0' in section [fluctuation]\n"
+    assert (code, out, err) == (2, "", message)
+
+
 MODEL_FLAGS = (
     "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
     "--n", "--n-mu", "--n-mu-prime", "--n-vacuum",
 )
-FLUCTUATION_FLAGS = ("--qber", "--confidence-exponent", "--r0", "--min-over-classes")
+FLUCTUATION_FLAGS = ("--qber", "--confidence-exponent", "--min-over-classes")
 FLAG_INVENTORY = {
     "bound": ("--config", "--format", "--out", *MODEL_FLAGS, *FLUCTUATION_FLAGS, "--rates"),
     "simulate": ("--config", "--format", "--out", "--seed", *MODEL_FLAGS, *FLUCTUATION_FLAGS),
@@ -844,4 +908,4 @@ def test_flag_inventory():
         for name, command in sub.choices.items()
     }
     assert flags == FLAG_INVENTORY
-    assert sum(map(len, flags.values())) == 61
+    assert sum(map(len, flags.values())) == 58

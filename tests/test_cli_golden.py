@@ -33,7 +33,7 @@ SWEEP = ("sweep", "--mu", "0.2,0.3,0.5", "--mu-prime", "0.4:0.5:0.05", "--eta", 
 SWEEP_FINITE = SWEEP + ("--n", "8e10", "--qber", "0.015")
 
 PARAMS = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
-FLUCTUATION = "[fluctuation]\nconfidence_exponent = 20\nr0 = 0.1\nmin_over_classes = yes\n"
+FLUCTUATION = "[fluctuation]\nconfidence_exponent = 20\nmin_over_classes = yes\n"
 RATES_INI = (
     PARAMS
     + "[rates]\ns0 = 1e-6\ns_mu = 1e-4\ns_mu_prime = 1.5e-4\n"
@@ -52,7 +52,7 @@ FULL_INI = (
 SWEEP_INI = (
     "[sweep]\nmu = 0.2:0.3:0.1\nmu_prime = 0.45\neta = 1e-4,1e-3\nn_pulses = 1e10\n"
     "s0 = 1e-6\nqber = 0.01\n"
-    "[fluctuation]\nr0 = 0.2\n"
+    "[fluctuation]\n"
     "[output]\nformat = csv\n"
 )
 FEASIBILITY_INI = (
@@ -69,7 +69,7 @@ CASES = [
     ("bound-rates-csv", (*RATES, "0,1e-4,1.5e-4", "--format", "csv"), {}),
     ("bound-yields-table", (
         "bound", "--mu", "0.3", "--mu-prime", "0.45", "--yields", "0.001,0.002,0.003",
-        "--s0", "1e-6", "--n", "1e9", "--n-vacuum", "1e9", "--r0", "0.1",
+        "--s0", "1e-6", "--n", "1e9", "--n-vacuum", "1e9",
         "--min-over-classes", "--confidence-exponent", "20"), {}),
     ("bound-pns-json", (
         "bound", "--mu", "0.3", "--mu-prime", "0.45", "--scenario", "pns", "--q", "0.5",
@@ -82,7 +82,7 @@ CASES = [
     *((f"sweep-{fmt}", (*SWEEP_FINITE, "--format", fmt), {}) for fmt in ("table", "json", "csv")),
     ("sweep-asymptotic-table", SWEEP, {}),
     ("sweep-solver-flags-csv", (
-        *SWEEP_FINITE, "--min-over-classes", "--r0", "0.2", "--confidence-exponent", "20",
+        *SWEEP_FINITE, "--min-over-classes", "--confidence-exponent", "20",
         "--s0", "1e-5", "--format", "csv"), {}),
     *((f"feasibility-{fmt}", ("feasibility", "--format", fmt), {})
       for fmt in ("table", "json", "csv")),

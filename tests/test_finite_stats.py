@@ -1,8 +1,9 @@
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from decoyqkd import (
     METHOD_WANG_FINITE,
@@ -11,15 +12,19 @@ from decoyqkd import (
     NoEve,
     ObservedRates,
     ParameterError,
+    PnsAttack,
     ProtocolParams,
     PulseBudget,
+    YieldTable,
+    decompose,
     expected_rates,
     finite_bound,
     relative_fluctuation,
+    sample_observation,
     validate_pair,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import TOL
+from decoyqkd.bounds import TOL, _solve_sc
 from decoyqkd.table1 import loss_only_rates
 
 PARAMS = ProtocolParams(0.3, 0.45)
@@ -45,13 +50,12 @@ def test_pulse_budget_accepts_huge_counts():
 
 def test_fluctuation_settings_validation():
     FluctuationSettings()
-    FluctuationSettings(confidence_exponent=100.0, r0=0.5, min_over_classes=True)
+    FluctuationSettings(confidence_exponent=100.0, min_over_classes=True)
     with pytest.raises(ParameterError):
         FluctuationSettings(confidence_exponent=0.0)
-    with pytest.raises(ParameterError):
-        FluctuationSettings(r0=1.0)
-    with pytest.raises(ParameterError):
-        FluctuationSettings(r0=-0.1)
+    # The vacuum rate counts as exact; there is no hand-set vacuum fluctuation.
+    with pytest.raises(TypeError):
+        FluctuationSettings(r0=0.1)
 
 
 def confidence_bound(delta_abs: float, s: float, n0: float) -> float:
@@ -118,12 +122,12 @@ def test_finite_bound_oracle_cell():
 
 def test_finite_bound_ignores_n_vacuum():
     # Documented in the README: the vacuum class size never reaches the
-    # bound, so s0 counts as exact unless r0 is set.
+    # bound, so s0 counts as exact.
     rates = loss_only_rates(0.3, 0.45, 1e-3)
     n = 10**8
     for settings in (
         FluctuationSettings(),
-        FluctuationSettings(r0=0.1),
+        FluctuationSettings(confidence_exponent=40.0),
         FluctuationSettings(confidence_exponent=5.0, min_over_classes=True),
     ):
         reports = [
@@ -148,6 +152,19 @@ def test_finite_bound_near_diagonal_approaches_asymptotic():
     asym = wang_asymptotic_bound(rates, params)
     fin = finite_bound(rates, params, PulseBudget(10**30, 10**30))
     assert 0.0 <= fin.delta_upper - asym.delta_upper < 1e-3
+
+
+@pytest.mark.parametrize(
+    "mu, mu_prime, eta, exponent", [(0.3, 0.3001, 1e-3, 38), (0.25, 0.41, 1e-4, 40)]
+)
+def test_finite_bound_returns_the_seed_when_fluctuations_round_away(mu, mu_prime, eta, exponent):
+    # F(seed) - seed rounds to <= 0 at these budgets, and the solver returns
+    # the asymptotic sc itself instead of searching a bracket with no root.
+    params = ProtocolParams(mu, mu_prime)
+    rates = expected_rates(NoEve(eta=eta, s0=1e-6), params)
+    report = finite_bound(rates, params, PulseBudget(10**exponent, 10**exponent))
+    assert not report.vacuous
+    assert report.sc_upper == wang_asymptotic_bound(rates, params).sc_upper
 
 
 def _ten_evaluation_cases():
@@ -206,14 +223,6 @@ PINNED_BRANCHES = {
         FluctuationSettings(),
         9.999999999999998e-05,
     ),
-    # r0 > 0 pulls the strong-class map below the asymptotic value.
-    "r0_clamp_binds": (
-        PARAMS,
-        expected_rates(NoEve(eta=1e-3, s0=1e-5), PARAMS),
-        PulseBudget(10**14, 10**14),
-        FluctuationSettings(r0=0.9),
-        0.31444433983366393,
-    ),
     "min_over_classes": (
         ProtocolParams(0.25, 0.41),
         loss_only_rates(0.25, 0.41, 1e-4),
@@ -234,8 +243,6 @@ def test_finite_bound_pinned_branches(name):
     asym = wang_asymptotic_bound(rates, params)
     if name == "asymptotic_clamped":
         assert asym.clamped and asym.delta_upper == 0.0
-    if name == "r0_clamp_binds":
-        assert report.sc_upper == asym.sc_upper
 
 
 def test_finite_bound_monotone_in_budget():
@@ -265,6 +272,22 @@ def test_finite_bound_vacuous_when_darks_swallow_weak_class():
     rates = ObservedRates(s0=2e-6, s_mu=1e-6, s_mu_prime=2e-6)
     report = finite_bound(rates, PARAMS, PulseBudget(10**12, 10**12), FluctuationSettings())
     assert report.vacuous
+
+
+def test_finite_bound_vacuous_at_floor_exit_with_s1_near_k1_squared():
+    # The solver leaves at the floor, and s1 ends between k1^2 / 2 and k1^2:
+    # only the r1 = k1 / sqrt(s1) >= 1 test makes this report vacuous.
+    params = ProtocolParams(0.29, 0.472)
+    rates = expected_rates(NoEve(eta=9.7e-5, s0=7.6e-5), params)
+    budget = PulseBudget(33_000_000, 33_000_000)
+    report = finite_bound(rates, params, budget)
+    assert report.vacuous and report.delta_upper == 1.0 and report.s1_lower == 0.0
+    settings = FluctuationSettings()
+    k1 = relative_fluctuation(1.0, budget.n_mu * 0.29 * math.exp(-0.29), settings)
+    kc = relative_fluctuation(1.0, budget.n_mu * decompose(params).c, settings)
+    seed = wang_asymptotic_bound(rates, params)
+    _, s1 = _solve_sc(rates, params, k1, kc, seed.sc_upper)
+    assert 0.6 * k1 * k1 < s1 < 0.62 * k1 * k1
 
 
 def test_finite_bound_vacuous_when_fluctuation_overflows():
@@ -310,29 +333,63 @@ def test_min_over_classes_never_tightens():
     assert strict.delta_upper >= plain.delta_upper
 
 
-def test_explicit_r0_stays_between_asymptotic_and_default():
-    params = ProtocolParams(0.25, 0.41)
-    rates = loss_only_rates(0.25, 0.41, 1e-4)
-    budget = PulseBudget(8 * 10**10, 8 * 10**10)
-    asym = wang_asymptotic_bound(rates, params).delta_upper
-    base = finite_bound(rates, params, budget, FluctuationSettings()).delta_upper
-    shifted = finite_bound(rates, params, budget, FluctuationSettings(r0=0.5)).delta_upper
-    assert asym <= shifted <= base
-
-
 @st.composite
 def finite_cases(draw):
+    """Loss-only, PNS or yield-table rates, expected or sampled, and a budget."""
     mu = draw(st.floats(min_value=0.1, max_value=0.5))
     mu_prime = draw(st.floats(min_value=mu + 0.05, max_value=1.0))
+    params = ProtocolParams(mu, mu_prime)
+    s0 = draw(st.sampled_from([0.0, 1e-6]) | st.floats(min_value=0.0, max_value=1e-3))
     eta = draw(st.floats(min_value=1e-5, max_value=1e-2))
-    exponent = draw(st.integers(min_value=5, max_value=14))
-    return ProtocolParams(mu, mu_prime), loss_only_rates(mu, mu_prime, eta), 10**exponent
+    kind = draw(st.sampled_from(["no_eve", "pns", "yields"]))
+    if kind == "no_eve":
+        scenario = NoEve(eta=eta, s0=s0)
+    elif kind == "pns":
+        scenario = PnsAttack(q=eta, s0=s0)
+    else:
+        # Loss-only yields, each scaled by a factor in [0, 1.5].
+        scales = draw(st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=12))
+        yields = (min(f * -math.expm1(n * math.log1p(-eta)), 1.0) for n, f in enumerate(scales, 1))
+        scenario = YieldTable(s0=s0, yields=tuple(yields))
+    n_mu = 10 ** draw(st.integers(min_value=5, max_value=16))
+    n_mu_prime = int(n_mu * draw(st.floats(min_value=0.01, max_value=10.0)))
+    if draw(st.booleans()):
+        budget = PulseBudget(n_mu, n_mu_prime, n_mu)
+        rates = sample_observation(scenario, params, budget, draw(st.integers(0, 2**32))).rates
+    else:
+        rates = expected_rates(scenario, params)
+    assume(rates.s_mu > 0.0)
+    settings = FluctuationSettings(
+        confidence_exponent=draw(st.floats(min_value=1.0, max_value=50.0)),
+        min_over_classes=draw(st.booleans()),
+    )
+    return params, rates, PulseBudget(n_mu, n_mu_prime), settings
 
 
+# Darks are a quarter of the weak-class rate here, so a raised strong-class
+# vacuum term would pull the bound below the asymptotic one.
+@example(
+    (
+        PARAMS,
+        expected_rates(NoEve(eta=1e-4, s0=1e-5), PARAMS),
+        PulseBudget(10**10, 10**10),
+        FluctuationSettings(),
+    )
+)
 @given(finite_cases())
 def test_finite_dominates_asymptotic_property(case):
-    params, rates, n = case
-    asym = wang_asymptotic_bound(rates, params)
-    fin = finite_bound(rates, params, PulseBudget(n, n), FluctuationSettings())
-    assert fin.delta_upper >= asym.delta_upper - 1e-12
-    assert 0.0 <= fin.delta_upper <= 1.0
+    # Every fluctuation allowance widens the consistent yields, so it can
+    # only raise the bound: above the asymptotic value, and more so for a
+    # larger E, a smaller budget, or sub-populations sized by both classes.
+    params, rates, budget, settings = case
+
+    def delta(budget=budget, **changes):
+        report = finite_bound(rates, params, budget, dataclasses.replace(settings, **changes))
+        return report.delta_upper
+
+    fin = delta()
+    assert 0.0 <= fin <= 1.0
+    assert fin >= wang_asymptotic_bound(rates, params).delta_upper - 1e-12
+    assert delta(confidence_exponent=2.0 * settings.confidence_exponent) >= fin - 1e-12
+    assert delta(PulseBudget(budget.n_mu // 10, budget.n_mu_prime // 10)) >= fin - 1e-12
+    assert delta(min_over_classes=True) >= fin - 1e-12

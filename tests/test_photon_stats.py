@@ -76,6 +76,12 @@ def test_multi_photon_weight_matches_high_precision(mu):
     assert multi_photon_weight(mu) == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
+def test_multi_photon_weight_domain():
+    for mu in (-0.3, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="intensity must be finite and non-negative"):
+            multi_photon_weight(mu)
+
+
 def test_multi_photon_weight_small_mu_no_cancellation():
     # Naive 1 - e^{-mu} - mu e^{-mu} loses every digit here; the stable
     # form must stay within rounding of mu^2/2.

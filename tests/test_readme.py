@@ -7,7 +7,8 @@ lists.  An untagged block right after a ``sh`` block is the sample output
 of that block's first command: each of its lines must be a line of the real
 output, a line ending in ``...`` the start of one, and a bare ``...`` line
 stands for omitted lines.  Every name the bound-families list and the
-package layout cite in backticks must exist.
+package layout cite in backticks must exist, and the config sections and
+``[fluctuation]`` keys the README lists are the CLI's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import decoyqkd
-from decoyqkd.cli import main
+from decoyqkd.cli import CONFIG_KEYS, main
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
@@ -96,3 +97,13 @@ def test_readme_cited_names_exist():
         module = importlib.import_module(f"decoyqkd.{module_name}")
         for cite in name.findall(text):
             assert hasattr(module, cite) or hasattr(decoyqkd, cite), (module_name, cite)
+
+
+def test_readme_config_sections_match_config_keys():
+    # A section or key the CLI drops cannot stay in the README.
+    text = " ".join(README.split("\nSections: ", 1)[1].split("\n\n", 1)[0].split())
+    # First mentions, in order; [rates] cites [scenario] again.
+    sections = dict.fromkeys(re.findall(r"`\[(\w+)\]`", text))
+    assert list(sections) == list(CONFIG_KEYS), text
+    fluctuation = re.search(r"`\[fluctuation\]` \(([^)]*)\)", text)
+    assert fluctuation.group(1).split(", ") == list(CONFIG_KEYS["fluctuation"])
