@@ -25,7 +25,6 @@ from .channel import (
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DecompositionError,
     DomainError,
     ParameterError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DecompositionCoefficients",
-    "DecompositionError",
     "DomainError",
     "FeasibilityReport",
     "FluctuationSettings",

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError, check_probability
 from .photon_stats import ProtocolParams, decompose
 
 METHOD_HWANG = "hwang_crude"
@@ -38,13 +38,9 @@ class ObservedRates:
     s_mu_prime: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("s0", self.s0),
-            ("s_mu", self.s_mu),
-            ("s_mu_prime", self.s_mu_prime),
-        ):
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+        check_probability("s0", self.s0)
+        check_probability("s_mu", self.s_mu)
+        check_probability("s_mu_prime", self.s_mu_prime)
 
 
 @dataclass(frozen=True)

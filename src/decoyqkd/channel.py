@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .bounds import ObservedRates
-from .errors import ParameterError
+from .errors import ParameterError, check_probability
 from .finite_stats import PulseBudget
 from .photon_stats import ProtocolParams, multi_photon_weight, poisson_mixture
 
@@ -25,11 +25,6 @@ from .photon_stats import ProtocolParams, multi_photon_weight, poisson_mixture
 # this (int64 territory) counts are drawn from the rounded and clamped
 # normal approximation, which is indistinguishable at such sizes.
 EXACT_BINOMIAL_LIMIT = 2**62
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +39,8 @@ class NoEve:
     s0: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_probability("eta", self.eta)
-        _check_probability("s0", self.s0)
+        check_probability("eta", self.eta)
+        check_probability("s0", self.s0)
 
     def photon_yield(self, n: int) -> float:
         return 1.0 - (1.0 - self.s0) * (1.0 - self.eta) ** n
@@ -69,8 +64,8 @@ class PnsAttack:
     s0: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_probability("q", self.q)
-        _check_probability("s0", self.s0)
+        check_probability("q", self.q)
+        check_probability("s0", self.s0)
 
     def photon_yield(self, n: int) -> float:
         if n == 0:
@@ -91,14 +86,14 @@ class YieldTable:
     yields: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_probability("s0", self.s0)
+        check_probability("s0", self.s0)
         if len(self.yields) < 2:
             raise ParameterError(
                 f"yields table needs entries for n=1 and n=2 at least, got {len(self.yields)}"
             )
         object.__setattr__(self, "yields", tuple(float(y) for y in self.yields))
         for n, y in enumerate(self.yields, start=1):
-            _check_probability(f"yields[{n}]", y)
+            check_probability(f"yields[{n}]", y)
 
     def photon_yield(self, n: int) -> float:
         if n == 0:

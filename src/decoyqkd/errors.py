@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its [0, 1] input check."""
 
 from __future__ import annotations
+
+import math
 
 
 class DomainError(ValueError):
@@ -9,10 +11,6 @@ class DomainError(ValueError):
 
 class ParameterError(ValueError):
     """Protocol parameters or observed rates are invalid or inadmissible."""
-
-
-class DecompositionError(ParameterError):
-    """The intensity pair admits no valid convex decomposition."""
 
 
 class ConvergenceError(RuntimeError):
@@ -26,3 +24,9 @@ class ConvergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration file or flag set is malformed."""
+
+
+def check_probability(name: str, value: float) -> None:
+    """Raise ParameterError unless value is a finite number in [0, 1]."""
+    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise ParameterError(f"{name} must lie in [0, 1], got {value}")

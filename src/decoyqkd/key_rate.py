@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_probability
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,7 @@ class KeyRateInput:
     qber: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and 0.0 <= self.delta <= 1.0):
-            raise ParameterError(f"delta must lie in [0, 1], got {self.delta}")
+        check_probability("delta", self.delta)
         if not (math.isfinite(self.qber) and 0.0 <= self.qber <= 0.5):
             raise ParameterError(f"qber must lie in [0, 0.5], got {self.qber}")
 

@@ -2,9 +2,10 @@
 
 A phase-randomized coherent pulse of intensity ``mu`` emits ``n`` photons
 with probability ``P_n(mu) = mu**n * exp(-mu) / n!``.  The decomposition
-machinery splits the stronger class of a two-intensity protocol into a
-vacuum part, a part proportional to the multi-photon tail of the weaker
-class, and a non-negative remainder.
+machinery splits the stronger class of a two-intensity protocol into
+vacuum, single photons, a part proportional to the multi-photon tail of
+the weaker class, and a remainder whose weight is non-negative for every
+admissible pair and read by no bound, so it is not computed.
 """
 
 from __future__ import annotations
@@ -13,14 +14,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DecompositionError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 # Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
 SUM_TOL = 1e-12
-
-# Remainder weights above -D_TOL are treated as exact zeros; anything more
-# negative means the pair is genuinely inadmissible.
-D_TOL = 1e-12
 
 
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
@@ -119,23 +116,15 @@ class ProtocolParams:
             raise ParameterError(check.reason)
 
     @functools.cached_property
-    def coefficients(self) -> DecompositionCoefficients:
+    def _coefficients(self) -> DecompositionCoefficients:
         """decompose(self), computed on first use; not a dataclass field."""
         mu, mu_prime = self.mu, self.mu_prime
-        c = multi_photon_weight(mu)
         multi_ratio = _multi_ratio(mu, mu_prime)
         if multi_ratio == math.inf:
             raise DomainError(
                 f"(mu'/mu)^2 e^{{mu-mu'}} overflows for mu={mu}, mu_prime={mu_prime}"
             )
-        d = multi_photon_weight(mu_prime) - c * multi_ratio
-        if d < 0.0:
-            if d < -D_TOL:
-                raise DecompositionError(
-                    f"remainder weight is negative ({d}) for pair ({mu}, {mu_prime})"
-                )
-            d = 0.0
-        return DecompositionCoefficients(c=c, d=d, multi_ratio=multi_ratio)
+        return DecompositionCoefficients(c=multi_photon_weight(mu), multi_ratio=multi_ratio)
 
 
 def _multi_ratio(mu: float, mu_prime: float) -> float:
@@ -153,19 +142,24 @@ class DecompositionCoefficients:
     c:           multi-photon weight of the weaker class, 1 - P_0(mu) - P_1(mu)
     multi_ratio: scale factor mu'^2 e^{-mu'} / (mu^2 e^{-mu}) applied to the
                  weaker-class multi-photon tail inside the stronger class
-    d:           leftover weight in the stronger class, guaranteed >= 0
+
+    The remainder weight ``multi_photon_weight(mu') - c * multi_ratio`` sums
+    ``P_n(mu') - multi_ratio P_n(mu)`` over n >= 2: zero at n = 2, and
+    ``e^{-mu'} mu'^2 (mu'^{n-2} - mu^{n-2}) / n! >= 0`` beyond, as mu' > mu.
+    No bound reads it, so it is not computed.
     """
 
     c: float
-    d: float
     multi_ratio: float
 
 
 def decompose(params: ProtocolParams) -> DecompositionCoefficients:
-    """Split the stronger class over {vacuum, scaled weak tail, remainder}.
+    """Split the stronger class over {vacuum, single, scaled weak tail, remainder}.
 
+    Returns only the weights the bounds read: the remainder's is
+    non-negative for every admissible pair (see DecompositionCoefficients).
     Computed once per ``params`` and cached on it.  Raises DomainError when
     the ratio (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu
     beside an ordinary mu'.
     """
-    return params.coefficients
+    return params._coefficients

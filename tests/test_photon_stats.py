@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import asdict
 
 import mpmath as mp
@@ -118,7 +119,8 @@ def test_decompose_oracle():
     coeffs = decompose(ProtocolParams(0.3, 0.45))
     assert coeffs.c == pytest.approx(0.036936313113766774, rel=1e-13)
     assert coeffs.multi_ratio == pytest.approx(1.9365929469563801, rel=1e-13)
-    assert coeffs.d == pytest.approx(0.003908576685735541, rel=1e-10)
+    remainder = multi_photon_weight(0.45) - coeffs.c * coeffs.multi_ratio
+    assert remainder == pytest.approx(0.003908576685735541, rel=1e-10)
 
 
 def test_decompose_computed_once_per_params():
@@ -144,13 +146,28 @@ def admissible_pairs(draw):
     return mu, mu_prime
 
 
-@given(admissible_pairs())
-def test_decompose_remainder_nonnegative(pair):
-    mu, mu_prime = pair
+def check_remainder_nonnegative(mu, mu_prime):
     coeffs = decompose(ProtocolParams(mu, mu_prime))
-    assert coeffs.d >= 0.0
+    # The strong class's weight beyond its vacuum, single photons and scaled weak tail.
+    assert multi_photon_weight(mu_prime) - coeffs.c * coeffs.multi_ratio >= -1e-15, (mu, mu_prime)
     assert coeffs.c >= 0.0
     assert coeffs.multi_ratio > 1.0
+
+
+@given(admissible_pairs())
+def test_decompose_remainder_nonnegative(pair):
+    check_remainder_nonnegative(*pair)
+
+
+def test_decompose_remainder_nonnegative_near_diagonal_and_small_mu():
+    # Near-diagonal pairs, where the remainder is a difference of two nearly
+    # equal weights, and mu < 1e-2, where multi_photon_weight uses its series.
+    rng = random.Random(410075)
+    for _ in range(2000):
+        mu = 10.0 ** rng.uniform(-6.0, math.log10(0.9))
+        check_remainder_nonnegative(mu, mu * (1.0 + 1e-12))
+        mu = 10.0 ** rng.uniform(-6.0, -2.0)
+        check_remainder_nonnegative(mu, mu * (1.0 + 10.0 ** rng.uniform(-12.0, 0.5)))
 
 
 @given(admissible_pairs())

@@ -8,7 +8,6 @@ PUBLIC_API = [
     "ConfigError",
     "ConvergenceError",
     "DecompositionCoefficients",
-    "DecompositionError",
     "DomainError",
     "FeasibilityReport",
     "FluctuationSettings",
@@ -50,6 +49,6 @@ PUBLIC_API = [
 
 def test_public_api_inventory():
     assert sorted(decoyqkd.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 43
+    assert len(PUBLIC_API) == 42
     for name in PUBLIC_API:
         assert hasattr(decoyqkd, name), name
