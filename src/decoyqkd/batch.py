@@ -1,12 +1,15 @@
 """Lane-parallel versions of the layers a sweep runs for every row.
 
 A lane is one row of a sweep: one admissible (mu, mu') pair on one NoEve
-channel.  Each function takes numpy arrays with one entry per lane and
-returns, lane by lane, exactly what the scalar function of the same name
-returns: the same bits and flags, and for the finite solver the same steps
-and evaluation count.  The scalar functions stay the reference
-that single bounds, simulation, Table 1 and the tests use; ``decoyqkd
-sweep`` runs on this module.
+channel, with n pulses in each signal class.  Admissibility then makes the
+weak class the smaller sub-population in both fluctuation terms, so sizing
+by the smaller class (``min_over_classes``, which changes a result only
+when the strong class has fewer pulses) has no lane form.  Each function
+takes numpy arrays with one entry per lane and returns, lane by lane,
+exactly what the scalar function of the same name returns: the same bits
+and flags, and for the finite solver the same steps and evaluation count.
+The scalar functions stay the reference that single bounds, simulation,
+Table 1 and the tests use; ``decoyqkd sweep`` runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
@@ -234,24 +237,20 @@ def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray
 def finite_bound(
     rates: Rates,
     pairs: Pairs,
-    budget: PulseBudget,
-    settings: FluctuationSettings,
+    n_pulses: int,
+    confidence_exponent: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> Bounds:
-    """finite_stats.finite_bound; raises _Replay where that raises."""
+    """finite_stats.finite_bound with n_pulses in each class; raises _Replay where that raises.
+
+    n_pulses must be valid for PulseBudget, confidence_exponent for FluctuationSettings.
+    """
     seed = wang_asymptotic_bound(rates, pairs)
     mu_prime, c = pairs.mu_prime, pairs.c
     p1_mu = pairs.mu * pairs.exp_mu
-    n_singles = float(budget.n_mu) * p1_mu
-    n_multi = float(budget.n_mu) * c
-    if settings.min_over_classes:
-        other = float(budget.n_mu_prime) * mu_prime * pairs.exp_mu_prime
-        n_singles = np.where(other < n_singles, other, n_singles)
-        other = float(budget.n_mu_prime) * c * pairs.multi_ratio
-        n_multi = np.where(other < n_multi, other, n_multi)
     # relative_fluctuation(1.0, n, settings); r_x = k_x / sqrt(s_x).
-    k1 = 2.0 * np.sqrt(settings.confidence_exponent / n_singles)
-    kc = 2.0 * np.sqrt(settings.confidence_exponent / n_multi)
+    k1 = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * p1_mu))
+    kc = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * c))
 
     weak = rates.s_mu - pairs.exp_mu * rates.s0
     strong = rates.s_mu_prime - pairs.exp_mu_prime * rates.s0
@@ -307,18 +306,17 @@ def sweep(
 ) -> Rows:
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
-    Rows use the finite bound with n_pulses in each signal class, or the
-    asymptotic bound without them; pairs must be admissible.  Raises the
-    error that a row-by-row run of the scalar functions raises.
+    Rows use the finite bound with n_pulses in each signal class, where
+    settings.min_over_classes changes nothing, or the asymptotic bound
+    without them.  pairs and etas must be non-empty, and pairs admissible.
+    Raises the error that a row-by-row run of the scalar functions raises.
     """
-    if not (pairs and etas):
-        # A row-by-row run of an empty grid builds, checks and raises nothing.
-        empty, flags = np.zeros(0), np.zeros(0, bool)
-        return Rows(empty, empty, empty, None if qber is None else empty, flags, flags)
     try:
         # What each row's constructors and solver check.
         for eta in etas:
             NoEve(eta=eta, s0=s0)
+        if n_pulses is not None:
+            PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
         if qber is not None:
             KeyRateInput(delta=0.0, qber=qber)
         grid = Pairs.of([mu for mu, _ in pairs], [mu_prime for _, mu_prime in pairs])
@@ -327,8 +325,7 @@ def sweep(
         if n_pulses is None:
             report = wang_asymptotic_bound(rates, grid)
         else:
-            budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
-            report = finite_bound(rates, grid, budget, settings)
+            report = finite_bound(rates, grid, n_pulses, settings.confidence_exponent)
         return Rows(
             delta_upper=report.delta_upper,
             delta_prime_upper=delta_prime_bound(report.delta_upper, rates, grid),

@@ -734,12 +734,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qber", type=float)
     parser.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-    parser.add_argument(
-        "--min-over-classes",
-        dest="min_over_classes",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -755,6 +749,12 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-mu-prime", dest="n_mu_prime", type=_count_flag)
     parser.add_argument("--n-vacuum", dest="n_vacuum", type=_count_flag)
     _add_solver_flags(parser)
+    parser.add_argument(
+        "--min-over-classes",
+        dest="min_over_classes",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+    )
 
 
 @functools.cache

@@ -62,6 +62,8 @@ class FluctuationSettings:
         the observed s0 counts as exact.
     min_over_classes: size each photon-number sub-population by the
         smaller of the two signal classes instead of the weak class alone.
+        By admissibility that changes a result only when the strong class
+        has fewer pulses, so ``decoyqkd sweep`` (n in each class) omits it.
     """
 
     confidence_exponent: float = 25.0

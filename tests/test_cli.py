@@ -638,8 +638,9 @@ SWEEP_FLAG_SETS = [
     ((), {}),
     (("--n", "1e7", "--qber", "0.02"), {"n": 10**7, "qber": 0.02}),
     (("--n", "1e6", "--qber", "0.2"), {"n": 10**6, "qber": 0.2}),
+    # sweep has no --min-over-classes: with n pulses in each class it changes no row.
     (
-        ("--n", "1e9", "--min-over-classes", "--confidence-exponent", "20", "--qber", "0.01"),
+        ("--n", "1e9", "--confidence-exponent", "20", "--qber", "0.01"),
         {"n": 10**9, "confidence_exponent": 20.0, "min_over_classes": True, "qber": 0.01},
     ),
     (("--n", "1000"), {"n": 1000}),
@@ -877,18 +878,36 @@ def test_r0_is_rejected(tmp_path, capsys, command):
     assert (code, out, err) == (2, "", message)
 
 
+def test_sweep_takes_no_min_over_classes(tmp_path, capsys):
+    # n pulses in each class make the weak class the smaller one, so the
+    # option has nothing to change; the config key stays valid, as one file
+    # serves bound, simulate and sweep.
+    with pytest.raises(SystemExit) as raised:
+        main([*COUNT_COMMANDS["sweep"], "--n", "1e10", "--min-over-classes"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --min-over-classes" in capsys.readouterr().err
+    grid = "[sweep]\nmu = 0.1,0.3\nmu_prime = 0.2:0.6:0.1\neta = 1e-4,1e-2\nn_pulses = 1e9\n"
+    outcomes = []
+    for extra in ("", "[fluctuation]\nmin_over_classes = yes\n"):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(grid + extra)
+        outcomes.append(run(capsys, "sweep", "--config", str(cfg), "--format", "csv"))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and "skipping inadmissible pair" in outcomes[0][2]
+
+
 MODEL_FLAGS = (
     "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
-    "--n", "--n-mu", "--n-mu-prime", "--n-vacuum",
+    "--n", "--n-mu", "--n-mu-prime", "--n-vacuum", "--qber", "--confidence-exponent",
+    "--min-over-classes",
 )
-FLUCTUATION_FLAGS = ("--qber", "--confidence-exponent", "--min-over-classes")
 FLAG_INVENTORY = {
-    "bound": ("--config", "--format", "--out", *MODEL_FLAGS, *FLUCTUATION_FLAGS, "--rates"),
-    "simulate": ("--config", "--format", "--out", "--seed", *MODEL_FLAGS, *FLUCTUATION_FLAGS),
+    "bound": ("--config", "--format", "--out", *MODEL_FLAGS, "--rates"),
+    "simulate": ("--config", "--format", "--out", "--seed", *MODEL_FLAGS),
     "table1": ("--format", "--out"),
     "sweep": (
         "--config", "--format", "--out", "--mu", "--mu-prime", "--eta", "--s0", "--n",
-        *FLUCTUATION_FLAGS,
+        "--qber", "--confidence-exponent",
     ),
     "feasibility": (
         "--config", "--format", "--out", "--eta", "--s0", "--mu-v", "--rep-rate",
@@ -909,4 +928,4 @@ def test_flag_inventory():
         for name, command in sub.choices.items()
     }
     assert flags == FLAG_INVENTORY
-    assert sum(map(len, flags.values())) == 58
+    assert sum(map(len, flags.values())) == 57

@@ -82,8 +82,7 @@ CASES = [
     *((f"sweep-{fmt}", (*SWEEP_FINITE, "--format", fmt), {}) for fmt in ("table", "json", "csv")),
     ("sweep-asymptotic-table", SWEEP, {}),
     ("sweep-solver-flags-csv", (
-        *SWEEP_FINITE, "--min-over-classes", "--confidence-exponent", "20",
-        "--s0", "1e-5", "--format", "csv"), {}),
+        *SWEEP_FINITE, "--confidence-exponent", "20", "--s0", "1e-5", "--format", "csv"), {}),
     *((f"feasibility-{fmt}", ("feasibility", "--format", fmt), {})
       for fmt in ("table", "json", "csv")),
     ("feasibility-practical-csv", ("feasibility", "--s0", "1e-2", "--format", "csv"), {}),

@@ -334,8 +334,12 @@ def test_min_over_classes_never_tightens():
 
 
 @st.composite
-def finite_cases(draw):
-    """Loss-only, PNS or yield-table rates, expected or sampled, and a budget."""
+def finite_cases(draw, min_strong_share=0.01):
+    """Loss-only, PNS or yield-table rates, expected or sampled, and a budget.
+
+    The strong class gets between min_strong_share and 10 times the weak
+    class's pulses.
+    """
     mu = draw(st.floats(min_value=0.1, max_value=0.5))
     mu_prime = draw(st.floats(min_value=mu + 0.05, max_value=1.0))
     params = ProtocolParams(mu, mu_prime)
@@ -352,7 +356,7 @@ def finite_cases(draw):
         yields = (min(f * -math.expm1(n * math.log1p(-eta)), 1.0) for n, f in enumerate(scales, 1))
         scenario = YieldTable(s0=s0, yields=tuple(yields))
     n_mu = 10 ** draw(st.integers(min_value=5, max_value=16))
-    n_mu_prime = int(n_mu * draw(st.floats(min_value=0.01, max_value=10.0)))
+    n_mu_prime = int(n_mu * draw(st.floats(min_value=min_strong_share, max_value=10.0)))
     if draw(st.booleans()):
         budget = PulseBudget(n_mu, n_mu_prime, n_mu)
         rates = sample_observation(scenario, params, budget, draw(st.integers(0, 2**32))).rates
@@ -393,3 +397,18 @@ def test_finite_dominates_asymptotic_property(case):
     assert delta(confidence_exponent=2.0 * settings.confidence_exponent) >= fin - 1e-12
     assert delta(PulseBudget(budget.n_mu // 10, budget.n_mu_prime // 10)) >= fin - 1e-12
     assert delta(min_over_classes=True) >= fin - 1e-12
+
+
+@given(finite_cases(min_strong_share=1.0))
+def test_min_over_classes_inert_without_a_smaller_strong_class(case):
+    # Admissibility, mu' e^{-mu'} > mu e^{-mu} and so (mu'/mu)^2 e^{mu-mu'} > 1,
+    # makes the weak class the smaller sub-population in both fluctuation
+    # terms unless the strong class has fewer pulses.  decoyqkd sweep, with
+    # n pulses in each class, rests on this.
+    params, rates, budget, settings = case
+    assert budget.n_mu_prime >= budget.n_mu
+    reports = [
+        finite_bound(rates, params, budget, dataclasses.replace(settings, min_over_classes=flag))
+        for flag in (False, True)
+    ]
+    assert reports[0] == reports[1]
