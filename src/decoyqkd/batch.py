@@ -17,7 +17,10 @@ the same bits.  numpy's vectorized exp, expm1, log2 and power are not: they
 differ from the C library's in the last place on a few percent of inputs.
 Every such call therefore goes through ``math`` on Python floats, once per
 pair or once per lane, and so does every ``x ** 2``, which Python computes
-with the C library's pow rather than as x * x.  Clamps use np.where, since
+with the C library's pow rather than as x * x.  The binary entropy of the
+key rate is -x log2 x - (1-x) log2(1-x) in numpy on the lanes with
+0 < x < 1, each log2 through ``math``, and 0 on the others, which is the
+scalar function's arithmetic in its order.  Clamps use np.where, since
 Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.
 
 Errors come from the scalar functions alone.  A layer raises the private
@@ -284,15 +287,22 @@ def delta_prime_bound(delta: np.ndarray, rates: Rates, pairs: Pairs) -> np.ndarr
     return _clamp01(1.0 - untagged_weak * pairs.exp_gap - dark_credit)
 
 
+def _binary_entropy(x: np.ndarray) -> np.ndarray:
+    """key_rate.binary_entropy on the lanes with 0 < x < 1; 0 on the others."""
+    inner = np.flatnonzero((0.0 < x) & (x < 1.0))
+    y = x[inner]
+    entropy = np.zeros_like(x)
+    entropy[inner] = -y * _libm(math.log2, y) - (1.0 - y) * _libm(math.log2, 1.0 - y)
+    return entropy
+
+
 @_quiet
 def gllp_rate(delta: np.ndarray, qber: float) -> np.ndarray:
     """key_rate.gllp_rate; delta and qber must be valid for KeyRateInput."""
     untagged = 1.0 - delta
     scaled_error = qber / untagged
     distillable = ~(delta >= 1.0) & ~(scaled_error > 0.5)
-    entropy = np.zeros_like(delta)
-    entropy[distillable] = _libm(binary_entropy, scaled_error[distillable])
-    raw = untagged - binary_entropy(qber) - untagged * entropy
+    raw = untagged - binary_entropy(qber) - untagged * _binary_entropy(scaled_error)
     return np.where(distillable & ~(raw < 0.0), raw, 0.0)
 
 

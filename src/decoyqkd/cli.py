@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .bounds import (
     BoundReport,
@@ -339,11 +339,13 @@ def _fmt_text(value: Any) -> str:
     return text
 
 
-# Machine formats by exact cell type; a column of one type picks its
-# formatter once instead of testing every cell.
+# How a csv float looks; sweep's row template uses it too.
+_CSV_FLOAT = "%.17g"
+
+# Machine formats by exact cell type.
 _FMT_MACHINE: dict[type, Callable[[Any], str]] = {
     bool: {True: "true", False: "false"}.__getitem__,
-    float: lambda value: format(value, ".17g"),
+    float: _CSV_FLOAT.__mod__,
     type(None): lambda value: "",
     int: str,
 }
@@ -369,23 +371,14 @@ def _fmt_pct(value: float) -> str:
     return format(100.0 * value, ".4g") + "%"
 
 
-def _fmt_column(column: Sequence[Any]) -> list[str]:
-    """The csv cells of one column, each formatted by its exact type.
+def _fmt_cell(value: Any) -> str:
+    """One csv cell, formatted by the value's exact type."""
+    return _FMT_MACHINE.get(type(value), _fmt_text)(value)
 
-    A single-type column with repeated values formats each distinct value
-    once, unless it holds a zero: 0.0 and -0.0 are one key but print "0" and
-    "-0".
-    """
-    kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return [_FMT_MACHINE.get(type(cell), _fmt_text)(cell) for cell in column]
-    fmt = _FMT_MACHINE.get(kinds.pop(), _fmt_text)
-    # A NaN cell finds its own key by identity, so NaNs need no guard.
-    distinct = set(column)
-    if len(distinct) < len(column) and 0.0 not in distinct:
-        text = {value: fmt(value) for value in distinct}
-        return list(map(text.__getitem__, column))
-    return list(map(fmt, column))
+
+def _fmt_column(column: Sequence[Any]) -> list[str]:
+    """The csv cells of one column."""
+    return list(map(_fmt_cell, column))
 
 
 _PERCENT_FIELDS = {"delta_upper", "delta_prime_upper"}
@@ -417,27 +410,26 @@ def _columns(records: Sequence[dict[str, Any]]) -> Iterable[Sequence[Any]]:
     return zip(*(record.values() for record in records))
 
 
+def _csv_lines(header: Sequence[str], columns: Iterable[Sequence[Any]]) -> list[str]:
+    """The header line, then one line per row of the equal-length columns."""
+    lines = [",".join(map(_fmt_text, header))]
+    lines += map(",".join, zip(*map(_fmt_column, columns)))
+    return lines
+
+
 def _render(
     fmt: str,
     out: str | None,
-    header: Sequence[str],
-    columns: Iterable[Sequence[Any]],
+    csv: Callable[[], list[str]],
     doc: Callable[[], Any],
     table: Callable[[], list[str]],
 ) -> None:
     """Write a command's output as fmt to the file out, or to stdout.
 
-    csv is header plus equal-length columns, each cell formatted by its exact
-    Python type; json is doc(); the table is the lines table().  Only the
-    requested format is built.
+    csv and table give the output's lines, doc the value that json dumps.
+    Only the requested format is built.
     """
-    if fmt == "csv":
-        lines = [",".join(map(_fmt_text, header))]
-        lines += map(",".join, zip(*map(_fmt_column, columns)))
-    elif fmt == "json":
-        lines = [json.dumps(doc(), indent=2)]
-    else:
-        lines = table()
+    lines = {"csv": csv, "json": lambda: [json.dumps(doc(), indent=2)], "table": table}[fmt]()
     text = "\n".join(lines) + "\n"
     if out:
         try:
@@ -525,8 +517,7 @@ def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     _render(
         fmt,
         out,
-        tuple(records[0]),
-        _columns(records),
+        lambda: _csv_lines(tuple(records[0]), _columns(records)),
         lambda: {"inputs": inputs, "degenerate_strong_class": degenerate, **sections},
         table,
     )
@@ -579,7 +570,11 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
         for record in _method_records(doc[source])
     ]
     _render(
-        fmt, out, tuple(records[0]), _columns(records), lambda: doc, lambda: _table_lines(doc)
+        fmt,
+        out,
+        lambda: _csv_lines(tuple(records[0]), _columns(records)),
+        lambda: doc,
+        lambda: _table_lines(doc),
     )
     return EXIT_VACUOUS if sampled_final.vacuous else EXIT_OK
 
@@ -603,7 +598,9 @@ def cmd_table1(args: argparse.Namespace, config: Config) -> int:
             )
         return lines
 
-    _render(fmt, out, tuple(records[0]), _columns(records), lambda: records, table)
+    _render(
+        fmt, out, lambda: _csv_lines(tuple(records[0]), _columns(records)), lambda: records, table
+    )
     return EXIT_OK
 
 
@@ -647,29 +644,51 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
         raise ConfigError("sweep grid contains no admissible (mu, mu_prime) pairs")
 
     rows = batch.sweep(pairs, eta_grid, s0, n_pulses, settings, qber)
-    count = len(pairs) * len(eta_grid)
-    columns = [
-        [mu for mu, _ in pairs for _ in eta_grid],
-        [mu_prime for _, mu_prime in pairs for _ in eta_grid],
-        eta_grid * len(pairs),
-        [n_pulses] * count,
-        [s0] * count,
-        rows.delta_upper.tolist(),
-        rows.delta_prime_upper.tolist(),
-        rows.s1_lower.tolist(),
-        [None] * count if rows.key_rate is None else rows.key_rate.tolist(),
-        rows.clamped.tolist(),
-        rows.vacuous.tolist(),
-    ]
+
+    def csv() -> list[str]:
+        # Each pair and each eta is formatted once, into the prefix of its
+        # rows; the computed cells of a row fill one template.
+        heads = list(map(f"{_CSV_FLOAT},{_CSV_FLOAT},".__mod__, pairs))
+        tails = [f"{_fmt_cell(eta)},{_fmt_cell(n_pulses)},{_fmt_cell(s0)}," for eta in eta_grid]
+        computed = [rows.delta_upper, rows.delta_prime_upper, rows.s1_lower]
+        key_rate = ""
+        if rows.key_rate is not None:
+            computed.append(rows.key_rate)
+            key_rate = _CSV_FLOAT
+        template = f"%s{_CSV_FLOAT},{_CSV_FLOAT},{_CSV_FLOAT},{key_rate},%s,%s"
+        flag = _FMT_MACHINE[bool]
+        cells = zip(
+            [head + tail for head in heads for tail in tails],
+            *(column.tolist() for column in computed),
+            map(flag, rows.clamped.tolist()),
+            map(flag, rows.vacuous.tolist()),
+        )
+        return [",".join(SWEEP_COLUMNS), *map(template.__mod__, cells)]
+
+    def records() -> Iterator[tuple[Any, ...]]:
+        count = len(pairs) * len(eta_grid)
+        return zip(
+            [mu for mu, _ in pairs for _ in eta_grid],
+            [mu_prime for _, mu_prime in pairs for _ in eta_grid],
+            eta_grid * len(pairs),
+            [n_pulses] * count,
+            [s0] * count,
+            rows.delta_upper.tolist(),
+            rows.delta_prime_upper.tolist(),
+            rows.s1_lower.tolist(),
+            [None] * count if rows.key_rate is None else rows.key_rate.tolist(),
+            rows.clamped.tolist(),
+            rows.vacuous.tolist(),
+        )
+
     _render(
         fmt,
         out,
-        SWEEP_COLUMNS,
-        columns,
-        lambda: [dict(zip(SWEEP_COLUMNS, record)) for record in zip(*columns)],
+        csv,
+        lambda: [dict(zip(SWEEP_COLUMNS, record)) for record in records()],
         lambda: [
             "  ".join(SWEEP_COLUMNS),
-            *("  ".join(map(_fmt_human, record)) for record in zip(*columns)),
+            *("  ".join(map(_fmt_human, record)) for record in records()),
         ],
     )
     return EXIT_VACUOUS if rows.vacuous.all() else EXIT_OK
@@ -700,8 +719,7 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
     _render(
         fmt,
         out,
-        tuple(record),
-        _columns([record]),
+        lambda: _csv_lines(tuple(record), _columns([record])),
         lambda: {"setup": setup_echo, **verdict},
         lambda: _table_lines({"setup": setup_echo, "verdict": verdict}),
     )

@@ -269,6 +269,26 @@ def test_seed_exit_lanes():
         assert isinstance(assert_lanes_match([lane], 10**exponent), list)
 
 
+def test_key_rate_at_the_entropy_edges():
+    # Lanes whose renormalized error x = qber / (1 - delta) is 0, exactly
+    # 1/2 or subnormal, beside random deltas and deltas that leave no key.
+    # numpy's own log2 differs from the C library's on a few inputs in 10^4,
+    # so one qber runs on many lanes.
+    rng = random.Random(20040507)
+    deltas = [rng.random() for _ in range(30)] + [0.0, 0.5, 1.0 - 2.0**-52, 1.0]
+    cases = [(0.0, deltas), (-0.0, deltas), (0.5, deltas), (5e-324, deltas)]
+    cases.append((rng.uniform(1e-320, 2.0**-1022), deltas))
+    cases.append((0.015, [rng.random() for _ in range(5000)]))
+    for _ in range(10):
+        # A dyadic qber makes 1 - 2 qber, and x = 1/2 on its lane, exact.
+        qber = rng.randrange(1, 257) / 1024
+        assert qber / (1.0 - (1.0 - 2.0 * qber)) == 0.5
+        cases.append((qber, [1.0 - 2.0 * qber, *deltas]))
+    for qber, lanes in cases:
+        expected = [gllp_rate(KeyRateInput(delta, qber)).hex() for delta in lanes]
+        assert [key.hex() for key in batch.gllp_rate(np.array(lanes), qber).tolist()] == expected
+
+
 def both_orders(pairs, etas, **flags):
     """assert_sweep_matches on the grid, then on its pairs and etas reversed."""
     return [

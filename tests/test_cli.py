@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -662,8 +663,7 @@ def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
     assert code == (3 if all_vacuous else 0)
 
 
-# Floats whose text a value-keyed table could get wrong: both zeros, NaN,
-# infinities and subnormals.
+# Floats with text of their own: both zeros, NaN, infinities and subnormals.
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310]
 
 
@@ -715,25 +715,68 @@ def test_sweep_csv_keeps_signed_zeros(capsys):
     assert [line.split(",")[s0] for line in out.splitlines()[1:]] == ["-0"] * 3
 
 
-def test_sweep_csv_equals_per_cell_reference(capsys, monkeypatch):
-    rendered = {}
-    render = cli._render
-
-    def spy(fmt, out, header, columns, doc, table):
-        rendered["columns"] = columns
-        render(fmt, out, header, columns, doc, table)
-
-    monkeypatch.setattr(cli, "_render", spy)
-    code, out, _ = run(
-        capsys,
+def test_sweep_csv_equals_per_cell_reference(capsys):
+    # JSON round-trips every float exactly, so its records are the cells.
+    argv = (
         "sweep", "--mu", "0.05:0.5:0.05", "--mu-prime", "0.1:1.0:0.01",
-        "--eta", "1e-4,1e-3,1e-2", "--n", "1e8", "--qber", "0.015", "--format", "csv",
+        "--eta", "1e-4,1e-3,1e-2", "--n", "1e8", "--qber", "0.015",
     )
+    code, records = run_json(capsys, *argv)
     assert code == 0
-    rows = list(zip(*rendered["columns"]))
-    assert (len(rows), sum(row[-1] for row in rows)) == (2163, 166)
-    lines = [",".join(SWEEP_COLUMNS), *(",".join(map(fmt_cell, row)) for row in rows)]
-    assert out == "\n".join(lines) + "\n"
+    assert (len(records), sum(record["vacuous"] for record in records)) == (2163, 166)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [",".join(map(fmt_cell, record.values())) for record in records]
+    assert out == "\n".join([",".join(SWEEP_COLUMNS), *rows]) + "\n"
+
+
+def sweep_csv_grids(seed=20040615, count=6):
+    """Sweep flags: the edge grids, then seeded random ones."""
+    grid = ("--mu", "0.1,0.3,0.5", "--mu-prime", "0.2:0.6:0.1", "--eta", "1e-4,1e-2")
+    grids = [
+        grid,
+        (*grid, "--qber", "0.015"),
+        (*grid, "--n", "1e8", "--qber", "0"),
+        (*grid, "--n", "1e8", "--qber", "-0"),
+        (*grid, "--n", "8e10", "--qber", "0.3"),
+        ("--mu", "0.3", "--mu-prime", "0.45", "--eta", "0,-0,1e-3", "--n", "1e9"),
+        ("--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-4,1e-2", "--s0", "-0"),
+        ("--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--qber", "0.015"),
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        mu = [rng.uniform(0.02, 0.5) for _ in range(rng.randint(1, 3))]
+        mu_prime = [rng.uniform(0.5, 0.95)] + [rng.uniform(0.02, 0.95) for _ in range(2)]
+        eta = [10.0 ** rng.uniform(-5.0, 0.0) for _ in range(rng.randint(1, 3))]
+        flags = ["--s0", repr(rng.uniform(0.0, 1e-4))]
+        n = rng.choice((None, 10**6, 8 * 10**10))
+        if n is not None:
+            flags += ["--n", str(n)]
+        qber = rng.choice((None, 0.0, -0.0, 0.3, rng.uniform(0.0, 0.5)))
+        if qber is not None:
+            flags += ["--qber", repr(qber)]
+        grids.append((
+            "--mu", ",".join(map(repr, mu)),
+            "--mu-prime", ",".join(map(repr, mu_prime)),
+            "--eta", ",".join(map(repr, eta)),
+            *flags,
+        ))
+    return grids
+
+
+@pytest.mark.parametrize("flags", sweep_csv_grids())
+def test_sweep_csv_equals_generic_csv(capsys, tmp_path, flags):
+    # The generic csv path over the expanded columns is the reference for
+    # the rows that sweep builds from its grid.
+    code, records = run_json(capsys, "sweep", *flags)
+    assert code in (0, 3) and records
+    columns = zip(*(record.values() for record in records))
+    expected = "\n".join(cli._csv_lines(SWEEP_COLUMNS, columns)) + "\n"
+    csv_code, out, err = run(capsys, "sweep", *flags, "--format", "csv")
+    assert (csv_code, out) == (code, expected)
+    path = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", *flags, "--format", "csv", "--out", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(
