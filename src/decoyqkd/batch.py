@@ -2,14 +2,14 @@
 
 A lane is one row of a sweep: one admissible (mu, mu') pair on one NoEve
 channel, with n pulses in each signal class.  Admissibility then makes the
-weak class the smaller sub-population in both fluctuation terms, so sizing
-by the smaller class (``min_over_classes``, which changes a result only
-when the strong class has fewer pulses) has no lane form.  Each function
-takes numpy arrays with one entry per lane and returns, lane by lane,
-exactly what the scalar function of the same name returns: the same bits
-and flags, and for the finite solver the same steps and evaluation count.
-The scalar functions stay the reference that single bounds, simulation,
-Table 1 and the tests use; ``decoyqkd sweep`` runs on this module.
+weak class the smaller sub-population in both fluctuation terms, so the
+finite bound's smaller-class sizing is the weak class's n p1 and n c on
+every lane.  Each function takes numpy arrays with one entry per lane and
+returns, lane by lane, exactly what the scalar function of the same name
+returns: the same bits and flags, and for the finite solver the same
+steps and evaluation count.  The scalar functions stay the reference that
+single bounds, simulation, Table 1 and the tests use; ``decoyqkd sweep``
+runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
@@ -316,10 +316,10 @@ def sweep(
 ) -> Rows:
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
-    Rows use the finite bound with n_pulses in each signal class, where
-    settings.min_over_classes changes nothing, or the asymptotic bound
-    without them.  pairs and etas must be non-empty, and pairs admissible.
-    Raises the error that a row-by-row run of the scalar functions raises.
+    Rows use the finite bound with n_pulses in each signal class, or the
+    asymptotic bound without them.  pairs and etas must be non-empty, and
+    pairs admissible.  Raises the error that a row-by-row run of the scalar
+    functions raises.
     """
     try:
         # What each row's constructors and solver check.

@@ -21,10 +21,8 @@ from .errors import ParameterError, check_probability
 from .finite_stats import PulseBudget
 from .photon_stats import ProtocolParams, multi_photon_weight, poisson_mixture
 
-# Largest class size sampled with numpy's exact binomial sampler; beyond
-# this (int64 territory) counts are drawn from the rounded and clamped
-# normal approximation, which is indistinguishable at such sizes.
-EXACT_BINOMIAL_LIMIT = 2**62
+# Largest class size numpy's exact binomial sampler accepts (int64).
+MAX_SAMPLED_PULSES = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -157,27 +155,17 @@ class SimulatedObservation:
     clicks_vacuum: int
 
 
-def _sample_count(rng: np.random.Generator, n_pulses: int, rate: float) -> int:
-    if n_pulses == 0:
-        return 0
-    if n_pulses <= EXACT_BINOMIAL_LIMIT:
-        return int(rng.binomial(n_pulses, rate))
-    mean = n_pulses * rate
-    sd = math.sqrt(n_pulses * rate * (1.0 - rate))
-    draw = round(rng.normal(mean, sd))
-    return int(min(max(draw, 0), n_pulses))
-
-
 def sample_observation(
     scenario: ChannelScenario,
     params: ProtocolParams,
     budget: PulseBudget,
     seed: int,
 ) -> SimulatedObservation:
-    """Draw per-class click counts binomially; deterministic for a fixed seed.
+    """Draw per-class click counts exactly binomially; deterministic for a fixed seed.
 
     Draw order is fixed (weak, strong, vacuum) so a given seed always maps
-    to the same observation.  The seed must be a non-negative integer.
+    to the same observation.  The seed must be a non-negative integer, and
+    no class may hold more than MAX_SAMPLED_PULSES pulses.
     """
     try:
         seed = operator.index(seed)
@@ -185,10 +173,13 @@ def sample_observation(
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    for name in ("n_mu", "n_mu_prime", "n_vacuum"):
+        if getattr(budget, name) > MAX_SAMPLED_PULSES:
+            raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
     rng = np.random.default_rng(seed)
-    clicks_mu = _sample_count(rng, budget.n_mu, scenario.class_rate(params.mu))
-    clicks_mu_prime = _sample_count(rng, budget.n_mu_prime, scenario.class_rate(params.mu_prime))
-    clicks_vacuum = _sample_count(rng, budget.n_vacuum, scenario.class_rate(0.0))
+    clicks_mu = int(rng.binomial(budget.n_mu, scenario.class_rate(params.mu)))
+    clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, scenario.class_rate(params.mu_prime)))
+    clicks_vacuum = int(rng.binomial(budget.n_vacuum, scenario.class_rate(0.0)))
     rates = ObservedRates(
         s0=clicks_vacuum / budget.n_vacuum if budget.n_vacuum else 0.0,
         s_mu=clicks_mu / budget.n_mu,

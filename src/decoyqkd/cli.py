@@ -93,15 +93,6 @@ def _as_count(raw: str, where: str) -> int:
     return int(value)
 
 
-def _as_bool(raw: str, where: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
-
-
 def _as_text(raw: str, where: str) -> str:
     return raw
 
@@ -144,10 +135,7 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
     },
     "rates": {"s0": _as_float, "s_mu": _as_float, "s_mu_prime": _as_float},
     "budget": {"n_mu": _as_count, "n_mu_prime": _as_count, "n_vacuum": _as_count},
-    "fluctuation": {
-        "confidence_exponent": _as_float,
-        "min_over_classes": _as_bool,
-    },
+    "fluctuation": {"confidence_exponent": _as_float},
     "key": {"qber": _as_float},
     "sweep": {
         "mu": parse_grid,
@@ -767,12 +755,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-mu-prime", dest="n_mu_prime", type=_count_flag)
     parser.add_argument("--n-vacuum", dest="n_vacuum", type=_count_flag)
     _add_solver_flags(parser)
-    parser.add_argument(
-        "--min-over-classes",
-        dest="min_over_classes",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
 
 
 @functools.cache

@@ -60,14 +60,9 @@ class FluctuationSettings:
     confidence_exponent: exponent E; every worst-case shift is violated
         with probability at most e^{-E}.  The vacuum rate has no shift:
         the observed s0 counts as exact.
-    min_over_classes: size each photon-number sub-population by the
-        smaller of the two signal classes instead of the weak class alone.
-        By admissibility that changes a result only when the strong class
-        has fewer pulses, so ``decoyqkd sweep`` (n in each class) omits it.
     """
 
     confidence_exponent: float = 25.0
-    min_over_classes: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.confidence_exponent) and self.confidence_exponent > 0):
@@ -111,6 +106,11 @@ def finite_bound(
     yields, so the shared solver searches above the asymptotic solution
     and the bound is never below it; max_iter caps its constraint
     evaluations.  Any fluctuation reaching 1 makes the bound vacuous.
+
+    Each sub-population (single photons, multi-photons) is compared across
+    both signal classes, so its fluctuation is sized by the class holding
+    fewer of its pulses.  By admissibility that is the weak class unless the
+    strong class has fewer pulses.
     """
     _require_weak_rate(rates)
     if max_iter < 1:
@@ -121,11 +121,11 @@ def finite_bound(
     _require_multi_weight(c, mu)
     p1_mu = mu * math.exp(-mu)
 
-    n_singles = budget.n_mu * p1_mu
-    n_multi = budget.n_mu * c
-    if settings.min_over_classes:
-        n_singles = min(n_singles, budget.n_mu_prime * mu_prime * math.exp(-mu_prime))
-        n_multi = min(n_multi, budget.n_mu_prime * c * coeffs.multi_ratio)
+    # validate_pair holds mu' e^{-mu'} > mu e^{-mu} in floats, and its
+    # separation floor keeps multi_ratio well above 1: with n_mu' >= n_mu
+    # both mins return the weak-class size bit for bit.
+    n_singles = min(budget.n_mu * p1_mu, budget.n_mu_prime * (mu_prime * math.exp(-mu_prime)))
+    n_multi = min(budget.n_mu * c, budget.n_mu_prime * c * coeffs.multi_ratio)
     # r_x = k_x / sqrt(s_x) for a sub-population rate s_x.
     k1 = relative_fluctuation(1.0, n_singles, settings)
     kc = relative_fluctuation(1.0, n_multi, settings)

@@ -19,6 +19,12 @@ from .errors import DomainError, ParameterError
 # Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
 SUM_TOL = 1e-12
 
+# Smallest admissible relative separation mu'/mu - 1.  Below it the closed
+# form's (S_mu' / S_mu) / (mu' e^{-mu'} / mu e^{-mu}) - 1 is mostly rounding
+# noise, which mu / (mu' - mu) scales up, and the bound can fall below the
+# true tagged fraction.
+MIN_SEPARATION = 1e-6
+
 
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     """Return ``sum_n P_n(mu) y_n``, with ``y_0 = y0`` and ``y_n = yields[n - 1]``.
@@ -80,8 +86,9 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     """Check whether ``(mu, mu_prime)`` supports the decomposition.
 
     Requirements: both intensities positive and finite, ``mu_prime > mu``,
-    and ``mu_prime * exp(-mu_prime) > mu * exp(-mu)`` so the single-photon
-    weight of the stronger class dominates.
+    ``mu_prime >= mu * (1 + MIN_SEPARATION)``, and
+    ``mu_prime * exp(-mu_prime) > mu * exp(-mu)`` so the single-photon weight
+    of the stronger class dominates.
     """
     for name, value in (("mu", mu), ("mu_prime", mu_prime)):
         if not math.isfinite(value):
@@ -90,6 +97,13 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
             return PairValidity(False, f"{name} must be positive, got {value}")
     if mu_prime <= mu:
         return PairValidity(False, f"mu_prime must exceed mu, got {mu} >= {mu_prime}")
+    floor = mu * (1.0 + MIN_SEPARATION)
+    if mu_prime < floor:
+        return PairValidity(
+            False,
+            f"mu_prime is below the admissibility floor mu*(1 + {MIN_SEPARATION:g}) = {floor}, "
+            f"got {mu_prime}",
+        )
     if mu_prime * math.exp(-mu_prime) <= mu * math.exp(-mu):
         return PairValidity(
             False,

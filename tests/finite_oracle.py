@@ -39,7 +39,6 @@ def finite_oracle(
     n_mu: int,
     n_mu_prime: int,
     exponent: float,
-    min_over_classes: bool = False,
 ) -> tuple[float, str]:
     """Return (delta_upper, label) with label VACUOUS, SEED or INTERIOR.
 
@@ -53,11 +52,9 @@ def finite_oracle(
         c = 1 - mp.exp(-mu) - p1
         ratio = (mu_prime**2 * mp.exp(-mu_prime)) / (mu**2 * mp.exp(-mu))
 
-        n_singles = n_mu * p1
-        n_multi = n_mu * c
-        if min_over_classes:
-            n_singles = min(n_singles, n_mu_prime * p1_prime)
-            n_multi = min(n_multi, n_mu_prime * c * ratio)
+        # Each sub-population is sized by the class holding fewer of its pulses.
+        n_singles = min(n_mu * p1, n_mu_prime * p1_prime)
+        n_multi = min(n_mu * c, n_mu_prime * c * ratio)
         k1 = 2 * mp.sqrt(exponent / n_singles)
         kc = 2 * mp.sqrt(exponent / n_multi)
 

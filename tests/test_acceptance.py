@@ -189,9 +189,10 @@ def test_criterion_08_soundness():
 def _oracle_cases(rng: random.Random, count: int):
     """Finite-bound inputs at practical budgets, N = 1e6 .. 1e14 weak-class pulses.
 
-    NoEve channels and 12-entry yield tables, with min_over_classes on or
-    off, then one pinned NoEve case whose solver leaves at the floor with
-    s1 = 0.61 k1^2, vacuous only by the r1 >= 1 test.
+    NoEve channels and 12-entry yield tables, with a strong class of 0.2 to 5
+    times the weak class's pulses, so either class can size each
+    fluctuation, then one pinned NoEve case whose solver leaves at the floor
+    with s1 = 0.61 k1^2, vacuous only by the r1 >= 1 test.
     """
     while count:
         mu = rng.uniform(0.05, 0.5)
@@ -214,10 +215,7 @@ def _oracle_cases(rng: random.Random, count: int):
         params = ProtocolParams(mu, mu_prime)
         n_mu = int(10.0 ** rng.uniform(6.0, 14.0))
         budget = PulseBudget(n_mu, int(n_mu * rng.uniform(0.2, 5.0)))
-        settings = FluctuationSettings(
-            confidence_exponent=rng.uniform(1.0, 40.0),
-            min_over_classes=rng.random() < 0.5,
-        )
+        settings = FluctuationSettings(confidence_exponent=rng.uniform(1.0, 40.0))
         yield expected_rates(scenario, params), params, budget, settings
     params = ProtocolParams(0.29, 0.472)
     rates = expected_rates(NoEve(eta=9.7e-5, s0=7.6e-5), params)
@@ -265,7 +263,6 @@ def test_criterion_09_cross_validation():
         delta, label = finite_oracle(
             rates.s0, rates.s_mu, rates.s_mu_prime, params.mu, params.mu_prime,
             budget.n_mu, budget.n_mu_prime, settings.confidence_exponent,
-            settings.min_over_classes,
         )
         labels[label] += 1
         flags_agree += report.vacuous == (label == VACUOUS)

@@ -77,8 +77,8 @@ def batch_lanes(lanes, n, fluct, qber, max_iter):
     if n is None:
         bounds = batch.wang_asymptotic_bound(rates, pairs)
     else:
-        # fluct.min_over_classes stays with the scalar rows: with n pulses in
-        # each class it must change nothing.
+        # The scalar rows size each fluctuation by the smaller class; with n
+        # pulses in each class the lanes' weak-class sizes must equal it.
         bounds = batch.finite_bound(rates, pairs, n, fluct.confidence_exponent, max_iter)
     if qber is None:
         key = [None] * len(lanes)
@@ -178,11 +178,7 @@ def lanes(draw):
 
 
 budgets = st.one_of(st.none(), st.floats(5.0, 20.0).map(lambda e: int(10.0**e)))
-fluctuations = st.builds(
-    FluctuationSettings,
-    confidence_exponent=st.floats(1.0, 50.0),
-    min_over_classes=st.booleans(),
-)
+fluctuations = st.builds(FluctuationSettings, confidence_exponent=st.floats(1.0, 50.0))
 qbers = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.5))
 
 
@@ -217,7 +213,7 @@ def test_layers_equal_scalar_on_random_lanes():
     for n in (None, 10**5, 10**8, 8 * 10**10, 10**14, 10**20, int(10.0 ** rng.uniform(5, 20))):
         for fluct in (
             DEFAULTS,
-            FluctuationSettings(5.0, min_over_classes=True),
+            FluctuationSettings(5.0),
             FluctuationSettings(rng.uniform(1.0, 50.0)),
         ):
             drawn = [random_lane(rng) for _ in range(300)]
@@ -232,7 +228,7 @@ def test_baseline_grid_slice_with_vacuous_rows():
         {},
         {"n": 8 * 10**10, "qber": 0.015},
         {"n": 10**6, "qber": 0.2},
-        {"n": 8 * 10**10, "fluct": FluctuationSettings(20.0, min_over_classes=True)},
+        {"n": 8 * 10**10, "fluct": FluctuationSettings(20.0)},
         {"n": 1000},
     ]
     seen = set()

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +13,16 @@ from decoyqkd import (
     NoEve,
     ObservedRates,
     ParameterError,
+    PnsAttack,
     ProtocolParams,
     PulseBudget,
+    YieldTable,
     delta_prime_bound,
     expected_rates,
     finite_bound,
     hwang_bound,
     hwang_optimized,
+    true_delta,
     wang_asymptotic_bound,
 )
 from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _solve_sc
@@ -259,3 +264,39 @@ def test_underflowed_divisors_raise_domain_error():
     for bound in (hwang_bound, wang_asymptotic_bound):
         with pytest.raises(DomainError, match="multi-photon weight c of mu=1e-170 underflows"):
             bound(rates, tiny)
+
+
+def test_near_diagonal_family_is_sound_or_rejected():
+    # mu'/mu - 1 over the decades 1e-16 .. 1e-5.  Below the admissibility
+    # floor the closed form fell short of the truth by up to 1 (near 1e-15);
+    # now such a pair is rejected, and every admissible one stays sound.
+    rng = random.Random(11)
+    outcomes = Counter()
+    for decade in range(-16, -4):
+        for _ in range(150):
+            mu = rng.uniform(0.05, 0.6)
+            mu_prime = mu * (1.0 + 10.0 ** (decade + rng.random()))
+            s0 = 10.0 ** rng.uniform(-7.0, -4.0)
+            kind = rng.choice(("no_eve", "pns", "two_photon"))
+            if kind == "no_eve":
+                scenario = NoEve(eta=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
+            elif kind == "pns":
+                scenario = PnsAttack(q=10.0 ** rng.uniform(-3.0, 0.0), s0=s0)
+            else:
+                yields = (10.0 ** rng.uniform(-4.0, -1.0), rng.random())
+                scenario = YieldTable(s0=s0, yields=yields)
+            try:
+                params = ProtocolParams(mu, mu_prime)
+            except ParameterError:
+                outcomes[decade, "rejected"] += 1
+                continue
+            truth = true_delta(scenario, params)[0]
+            rates = expected_rates(scenario, params)
+            bounds = [hwang_bound(rates, params), wang_asymptotic_bound(rates, params)]
+            bounds += [finite_bound(rates, params, PulseBudget(n, n)) for n in (10**10, 10**20)]
+            for report in bounds:
+                assert report.delta_upper >= truth - 1e-9, (kind, mu, mu_prime, report)
+            outcomes[decade, "bounded"] += 1
+    for decade in range(-16, -6):
+        assert outcomes[decade, "rejected"] == 150
+    assert outcomes[-6, "bounded"] == outcomes[-5, "bounded"] == 150

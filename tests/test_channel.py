@@ -6,7 +6,6 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import decoyqkd.channel as channel_mod
 from decoyqkd import (
     DomainError,
     NoEve,
@@ -252,18 +251,17 @@ def test_sample_counts_within_budget():
     assert 0 <= obs.clicks_vacuum <= 70
 
 
-def test_large_budget_switches_to_normal_approximation(monkeypatch):
-    # Force the switch at a tiny budget to exercise the approximate path.
-    monkeypatch.setattr(channel_mod, "EXACT_BINOMIAL_LIMIT", 10)
-    budget = PulseBudget(10**6, 10**6, 0)
-    scenario = NoEve(eta=1e-2, s0=0.0)
-    a = sample_observation(scenario, PARAMS, budget, seed=7)
-    b = sample_observation(scenario, PARAMS, budget, seed=7)
-    assert a == b
-    assert 0 <= a.clicks_mu <= 10**6
-    expected = expected_rates(scenario, PARAMS)
-    sd = math.sqrt(expected.s_mu * (1.0 - expected.s_mu) / 10**6)
-    assert abs(a.rates.s_mu - expected.s_mu) < 6 * sd
+def test_sampling_takes_up_to_int64_pulses_per_class():
+    # numpy's exact binomial sampler takes any count up to 2**63 - 1; one
+    # pulse more is a parameter error naming the class, not an OverflowError.
+    scenario = NoEve(eta=1e-3, s0=1e-6)
+    for name, clicks in (("n_mu", "clicks_mu"), ("n_mu_prime", "clicks_mu_prime"),
+                         ("n_vacuum", "clicks_vacuum")):
+        counts = {"n_mu": 10**6, "n_mu_prime": 10**6, "n_vacuum": 10**6}
+        largest = PulseBudget(**{**counts, name: 2**63 - 1})
+        assert 0 < getattr(sample_observation(scenario, PARAMS, largest, seed=7), clicks)
+        with pytest.raises(ParameterError, match=rf"^{name} exceeds 2\*\*63 - 1"):
+            sample_observation(scenario, PARAMS, PulseBudget(**{**counts, name: 2**63}), seed=7)
 
 
 def test_expected_rates_feed_bound_types():

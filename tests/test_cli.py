@@ -276,19 +276,6 @@ def test_malformed_config_exit_2(tmp_path, capsys):
     assert err.startswith(f"error: config file {cfg} is malformed: ")
 
 
-@pytest.mark.parametrize("text, value", [
-    ("0", False), ("false", False), ("No", False), ("OFF", False), ("1", True), ("yes", True),
-])
-def test_config_bool_spellings(tmp_path, capsys, text, value):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(f"{PARAMS_INI}[fluctuation]\nmin_over_classes = {text}\n")
-    argv = ("bound", "--eta", "1e-3", "--n-mu", "1e10", "--n-mu-prime", "1e8")
-    code, payload = run_json(capsys, *argv, "--config", str(cfg))
-    flag = "--min-over-classes" if value else "--no-min-over-classes"
-    assert (code, payload) == run_json(capsys, *argv, "--mu", "0.3", "--mu-prime", "0.45", flag)
-    assert payload["inputs"]["min_over_classes"] is value
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -639,10 +626,9 @@ SWEEP_FLAG_SETS = [
     ((), {}),
     (("--n", "1e7", "--qber", "0.02"), {"n": 10**7, "qber": 0.02}),
     (("--n", "1e6", "--qber", "0.2"), {"n": 10**6, "qber": 0.2}),
-    # sweep has no --min-over-classes: with n pulses in each class it changes no row.
     (
         ("--n", "1e9", "--confidence-exponent", "20", "--qber", "0.01"),
-        {"n": 10**9, "confidence_exponent": 20.0, "min_over_classes": True, "qber": 0.01},
+        {"n": 10**9, "confidence_exponent": 20.0, "qber": 0.01},
     ),
     (("--n", "1000"), {"n": 1000}),
     # E / (n p1) overflows to inf.
@@ -907,42 +893,83 @@ def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value
     assert len(errors) == 1 and cause in errors[0]
 
 
-@pytest.mark.parametrize("command", list(COUNT_COMMANDS))
-def test_r0_is_rejected(tmp_path, capsys, command):
-    # The vacuum rate counts as exact: no flag or config key sets a fluctuation for it.
+def assert_option_removed(tmp_path, capsys, command, flag, key):
+    """The flag is an unrecognized argument, and [fluctuation] key an unknown key."""
     with pytest.raises(SystemExit) as raised:
-        main([*COUNT_COMMANDS[command], "--n", "1e10", "--r0", "0.1"])
+        main([*COUNT_COMMANDS[command], "--n", "1e10", *flag])
     assert raised.value.code == 2
-    assert "unrecognized arguments: --r0 0.1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[fluctuation]\nr0 = 0.1\n")
+    cfg.write_text(f"[fluctuation]\n{key} = 1\n")
     code, out, err = run(capsys, *COUNT_COMMANDS[command], "--n", "1e10", "--config", str(cfg))
-    message = f"error: {cfg}: unknown key 'r0' in section [fluctuation]\n"
+    message = f"error: {cfg}: unknown key '{key}' in section [fluctuation]\n"
     assert (code, out, err) == (2, "", message)
 
 
-def test_sweep_takes_no_min_over_classes(tmp_path, capsys):
-    # n pulses in each class make the weak class the smaller one, so the
-    # option has nothing to change; the config key stays valid, as one file
-    # serves bound, simulate and sweep.
-    with pytest.raises(SystemExit) as raised:
-        main([*COUNT_COMMANDS["sweep"], "--n", "1e10", "--min-over-classes"])
-    assert raised.value.code == 2
-    assert "unrecognized arguments: --min-over-classes" in capsys.readouterr().err
-    grid = "[sweep]\nmu = 0.1,0.3\nmu_prime = 0.2:0.6:0.1\neta = 1e-4,1e-2\nn_pulses = 1e9\n"
-    outcomes = []
-    for extra in ("", "[fluctuation]\nmin_over_classes = yes\n"):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(grid + extra)
-        outcomes.append(run(capsys, "sweep", "--config", str(cfg), "--format", "csv"))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 0 and "skipping inadmissible pair" in outcomes[0][2]
+@pytest.mark.parametrize("command", list(COUNT_COMMANDS))
+def test_r0_is_rejected(tmp_path, capsys, command):
+    # The vacuum rate counts as exact: no flag or config key sets a fluctuation for it.
+    assert_option_removed(tmp_path, capsys, command, ("--r0", "0.1"), "r0")
+
+
+@pytest.mark.parametrize("command", list(COUNT_COMMANDS))
+def test_min_over_classes_is_rejected(tmp_path, capsys, command):
+    # Every fluctuation is sized by the smaller signal class: no flag or
+    # config key switches that off.
+    assert_option_removed(tmp_path, capsys, command, ("--min-over-classes",), "min_over_classes")
+
+
+def test_simulate_sizes_fluctuations_by_the_smaller_class(capsys):
+    # A strong class of 3e5 pulses beside 1e10 weak ones: sized by the weak
+    # class alone, this draw's sampled finite bound was 0.2274, below the
+    # true tagged fraction 0.2579962.
+    code, payload = run_json(
+        capsys, "simulate", "--mu", "0.3", "--mu-prime", "0.45", "--scenario", "no_eve",
+        "--eta", "1e-2", "--s0", "1e-6", "--n-mu", "1e10", "--n-mu-prime", "3e5",
+        "--n-vacuum", "1e10", "--confidence-exponent", "12", "--seed", "1",
+    )
+    assert code == 0
+    assert payload["sampled"]["finite"]["delta_upper"] >= 0.2579962
+
+
+def test_simulate_rejects_a_class_beyond_int64(capsys):
+    code, out, err = run(capsys, *COUNT_COMMANDS["simulate"], "--n", "1e10", "--n-vacuum", "1e19")
+    assert (code, out) == (2, "")
+    assert err == "error: n_vacuum exceeds 2**63 - 1, the most pulses a class can sample\n"
+
+
+NEAR_DIAGONAL_FLOOR = (
+    "mu_prime is below the admissibility floor mu*(1 + 1e-06) = 0.30000029999999994, "
+    "got 0.30000000000000004"
+)
+
+
+def test_bound_rejects_a_pair_below_the_admissibility_floor(capsys):
+    # One ulp apart, the closed form reported delta_upper 0.0 where the true
+    # weak-class tagged fraction is 0.998.
+    code, out, err = run(
+        capsys, "bound", "--mu", "0.3", "--mu-prime", "0.30000000000000004", "--scenario", "pns",
+        "--q", "0.01", "--s0", "1e-6", "--format", "json",
+    )
+    assert (code, out, err) == (2, "", f"error: {NEAR_DIAGONAL_FLOOR}\n")
+
+
+def test_sweep_skips_a_pair_below_the_admissibility_floor(capsys):
+    # Where the sweep printed delta_upper 0.0025 for a true fraction of 0.258.
+    code, out, err = run(
+        capsys, "sweep", "--mu", "0.3", "--mu-prime", "0.30000000000000004", "--eta", "1e-3",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"note: skipping inadmissible pair mu=0.3, mu_prime=0.30000000000000004: "
+        f"{NEAR_DIAGONAL_FLOOR}\n"
+        "error: sweep grid contains no admissible (mu, mu_prime) pairs\n"
+    )
 
 
 MODEL_FLAGS = (
     "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
     "--n", "--n-mu", "--n-mu-prime", "--n-vacuum", "--qber", "--confidence-exponent",
-    "--min-over-classes",
 )
 FLAG_INVENTORY = {
     "bound": ("--config", "--format", "--out", *MODEL_FLAGS, "--rates"),
@@ -960,7 +987,7 @@ FLAG_INVENTORY = {
 
 
 def test_flag_inventory():
-    # One entry per option (--min-over-classes also takes a --no- form); --help aside.
+    # One entry per option; --help aside.
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {
@@ -971,4 +998,4 @@ def test_flag_inventory():
         for name, command in sub.choices.items()
     }
     assert flags == FLAG_INVENTORY
-    assert sum(map(len, flags.values())) == 57
+    assert sum(map(len, flags.values())) == 55

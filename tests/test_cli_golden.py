@@ -33,7 +33,7 @@ SWEEP = ("sweep", "--mu", "0.2,0.3,0.5", "--mu-prime", "0.4:0.5:0.05", "--eta", 
 SWEEP_FINITE = SWEEP + ("--n", "8e10", "--qber", "0.015")
 
 PARAMS = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
-FLUCTUATION = "[fluctuation]\nconfidence_exponent = 20\nmin_over_classes = yes\n"
+FLUCTUATION = "[fluctuation]\nconfidence_exponent = 20\n"
 RATES_INI = (
     PARAMS
     + "[rates]\ns0 = 1e-6\ns_mu = 1e-4\ns_mu_prime = 1.5e-4\n"
@@ -69,8 +69,7 @@ CASES = [
     ("bound-rates-csv", (*RATES, "0,1e-4,1.5e-4", "--format", "csv"), {}),
     ("bound-yields-table", (
         "bound", "--mu", "0.3", "--mu-prime", "0.45", "--yields", "0.001,0.002,0.003",
-        "--s0", "1e-6", "--n", "1e9", "--n-vacuum", "1e9",
-        "--min-over-classes", "--confidence-exponent", "20"), {}),
+        "--s0", "1e-6", "--n", "1e9", "--n-vacuum", "1e9", "--confidence-exponent", "20"), {}),
     ("bound-pns-json", (
         "bound", "--mu", "0.3", "--mu-prime", "0.45", "--scenario", "pns", "--q", "0.5",
         "--s0", "1e-6", "--format", "json"), {}),
@@ -89,8 +88,8 @@ CASES = [
     ("config-rates", ("bound", "--config", "rates.ini"), {"rates.ini": RATES_INI}),
     ("config-full-bound", ("bound", "--config", "full.ini"), {"full.ini": FULL_INI}),
     ("config-full-bound-override", (
-        "bound", "--config", "full.ini", "--eta", "1e-2", "--no-min-over-classes",
-        "--format", "csv"), {"full.ini": FULL_INI}),
+        "bound", "--config", "full.ini", "--eta", "1e-2", "--format", "csv"),
+     {"full.ini": FULL_INI}),
     ("config-full-simulate", ("simulate", "--config", "full.ini", "--seed", "5"),
      {"full.ini": FULL_INI}),
     ("config-sweep", ("sweep", "--config", "sweep.ini"), {"sweep.ini": SWEEP_INI}),
@@ -115,7 +114,7 @@ CASES = [
      {"bad.ini": "[params]\nmu = abc\nmu_prime = 0.45\n"}),
     ("error-bad-count", ("bound", "--config", "bad.ini", "--eta", "1e-3"),
      {"bad.ini": PARAMS + "[budget]\nn_mu = 1.5\nn_mu_prime = 10\n"}),
-    ("error-bad-bool", ("bound", "--config", "bad.ini", "--eta", "1e-3"),
+    ("error-removed-key", ("bound", "--config", "bad.ini", "--eta", "1e-3"),
      {"bad.ini": PARAMS + "[fluctuation]\nmin_over_classes = maybe\n"}),
     ("error-bad-format", ("bound", "--config", "bad.ini", "--eta", "1e-3"),
      {"bad.ini": PARAMS + "[output]\nformat = xml\n"}),

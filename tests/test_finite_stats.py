@@ -50,12 +50,15 @@ def test_pulse_budget_accepts_huge_counts():
 
 def test_fluctuation_settings_validation():
     FluctuationSettings()
-    FluctuationSettings(confidence_exponent=100.0, min_over_classes=True)
+    FluctuationSettings(confidence_exponent=100.0)
     with pytest.raises(ParameterError):
         FluctuationSettings(confidence_exponent=0.0)
     # The vacuum rate counts as exact; there is no hand-set vacuum fluctuation.
     with pytest.raises(TypeError):
         FluctuationSettings(r0=0.1)
+    # Every sub-population is sized by the smaller class; there is no switch.
+    with pytest.raises(TypeError):
+        FluctuationSettings(min_over_classes=True)
 
 
 def confidence_bound(delta_abs: float, s: float, n0: float) -> float:
@@ -128,14 +131,15 @@ def test_finite_bound_ignores_n_vacuum():
     for settings in (
         FluctuationSettings(),
         FluctuationSettings(confidence_exponent=40.0),
-        FluctuationSettings(confidence_exponent=5.0, min_over_classes=True),
+        FluctuationSettings(confidence_exponent=5.0),
     ):
-        reports = [
-            finite_bound(rates, PARAMS, PulseBudget(n, 3 * n, n_vacuum), settings)
-            for n_vacuum in (0, 1, n, 10**20)
-        ]
-        assert not reports[0].vacuous
-        assert all(report == reports[0] for report in reports[1:])
+        for n_mu_prime in (3 * n, n // 3):
+            reports = [
+                finite_bound(rates, PARAMS, PulseBudget(n, n_mu_prime, n_vacuum), settings)
+                for n_vacuum in (0, 1, n, 10**20)
+            ]
+            assert not reports[0].vacuous
+            assert all(report == reports[0] for report in reports[1:])
 
 
 def test_finite_bound_approaches_asymptotic():
@@ -223,11 +227,12 @@ PINNED_BRANCHES = {
         FluctuationSettings(),
         9.999999999999998e-05,
     ),
+    # The strong class holds fewer pulses, so both minima pick its size.
     "min_over_classes": (
         ProtocolParams(0.25, 0.41),
         loss_only_rates(0.25, 0.41, 1e-4),
         PulseBudget(8 * 10**10, 10**9),
-        FluctuationSettings(min_over_classes=True),
+        FluctuationSettings(),
         0.42143664240408746,
     ),
 }
@@ -323,14 +328,18 @@ def test_finite_bound_self_consistent_fixed_point():
     assert abs(delta_resolved - report.delta_upper) < TOL
 
 
-def test_min_over_classes_never_tightens():
+def test_shrinking_the_strong_class_never_lowers_the_bound():
     params = ProtocolParams(0.25, 0.41)
     rates = loss_only_rates(0.25, 0.41, 1e-4)
-    # strong class much smaller: its sub-populations limit the estimate
-    budget = PulseBudget(8 * 10**10, 10**9)
-    plain = finite_bound(rates, params, budget, FluctuationSettings())
-    strict = finite_bound(rates, params, budget, FluctuationSettings(min_over_classes=True))
-    assert strict.delta_upper >= plain.delta_upper
+    # Once the strong class is the smaller one, its sub-populations set the
+    # fluctuations, and fewer strong pulses can only widen them.
+    deltas = [
+        finite_bound(rates, params, PulseBudget(8 * 10**10, n_mu_prime)).delta_upper
+        for n_mu_prime in (8 * 10**11, 8 * 10**10, 10**10, 10**9, 10**8)
+    ]
+    assert deltas[0] == deltas[1]
+    assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+    assert deltas[-2] > deltas[1]
 
 
 @st.composite
@@ -363,10 +372,7 @@ def finite_cases(draw, min_strong_share=0.01):
     else:
         rates = expected_rates(scenario, params)
     assume(rates.s_mu > 0.0)
-    settings = FluctuationSettings(
-        confidence_exponent=draw(st.floats(min_value=1.0, max_value=50.0)),
-        min_over_classes=draw(st.booleans()),
-    )
+    settings = FluctuationSettings(draw(st.floats(min_value=1.0, max_value=50.0)))
     return params, rates, PulseBudget(n_mu, n_mu_prime), settings
 
 
@@ -384,7 +390,7 @@ def finite_cases(draw, min_strong_share=0.01):
 def test_finite_dominates_asymptotic_property(case):
     # Every fluctuation allowance widens the consistent yields, so it can
     # only raise the bound: above the asymptotic value, and more so for a
-    # larger E, a smaller budget, or sub-populations sized by both classes.
+    # larger E, a smaller budget, or a smaller strong class alone.
     params, rates, budget, settings = case
 
     def delta(budget=budget, **changes):
@@ -396,19 +402,19 @@ def test_finite_dominates_asymptotic_property(case):
     assert fin >= wang_asymptotic_bound(rates, params).delta_upper - 1e-12
     assert delta(confidence_exponent=2.0 * settings.confidence_exponent) >= fin - 1e-12
     assert delta(PulseBudget(budget.n_mu // 10, budget.n_mu_prime // 10)) >= fin - 1e-12
-    assert delta(min_over_classes=True) >= fin - 1e-12
+    assert delta(PulseBudget(budget.n_mu, max(budget.n_mu_prime // 10, 1))) >= fin - 1e-12
 
 
 @given(finite_cases(min_strong_share=1.0))
 def test_min_over_classes_inert_without_a_smaller_strong_class(case):
     # Admissibility, mu' e^{-mu'} > mu e^{-mu} and so (mu'/mu)^2 e^{mu-mu'} > 1,
     # makes the weak class the smaller sub-population in both fluctuation
-    # terms unless the strong class has fewer pulses.  decoyqkd sweep, with
-    # n pulses in each class, rests on this.
+    # terms unless the strong class has fewer pulses: any n_mu' >= n_mu gives
+    # the report of n_mu' = n_mu, bit for bit.  decoyqkd sweep, whose lanes
+    # size by the weak class, rests on this.
     params, rates, budget, settings = case
     assert budget.n_mu_prime >= budget.n_mu
-    reports = [
-        finite_bound(rates, params, budget, dataclasses.replace(settings, min_over_classes=flag))
-        for flag in (False, True)
-    ]
-    assert reports[0] == reports[1]
+    equal = PulseBudget(budget.n_mu, budget.n_mu)
+    assert finite_bound(rates, params, budget, settings) == finite_bound(
+        rates, params, equal, settings
+    )

@@ -14,7 +14,7 @@ from decoyqkd import (
     multi_photon_weight,
     validate_pair,
 )
-from decoyqkd.photon_stats import poisson_mixture
+from decoyqkd.photon_stats import MIN_SEPARATION, poisson_mixture
 
 from reference import poisson_pmf
 
@@ -104,6 +104,15 @@ def test_validate_pair_rejections():
     check = validate_pair(0.3, 3.0)
     assert not check
     assert "dominate" in check.reason
+    # Below mu' = mu (1 + 1e-6) the closed form divides rounding noise by mu' - mu.
+    floor = 0.3 * (1.0 + MIN_SEPARATION)
+    assert validate_pair(0.3, floor)
+    for mu_prime in (0.30000000000000004, math.nextafter(floor, 0.0)):
+        check = validate_pair(0.3, mu_prime)
+        assert not check
+        assert check.reason == (
+            f"mu_prime is below the admissibility floor mu*(1 + 1e-06) = {floor}, got {mu_prime}"
+        )
 
 
 def test_protocol_params_guard():
@@ -165,9 +174,9 @@ def test_decompose_remainder_nonnegative_near_diagonal_and_small_mu():
     rng = random.Random(410075)
     for _ in range(2000):
         mu = 10.0 ** rng.uniform(-6.0, math.log10(0.9))
-        check_remainder_nonnegative(mu, mu * (1.0 + 1e-12))
+        check_remainder_nonnegative(mu, mu * (1.0 + MIN_SEPARATION))
         mu = 10.0 ** rng.uniform(-6.0, -2.0)
-        check_remainder_nonnegative(mu, mu * (1.0 + 10.0 ** rng.uniform(-12.0, 0.5)))
+        check_remainder_nonnegative(mu, mu * (1.0 + 10.0 ** rng.uniform(-6.0, 0.5)))
 
 
 @given(admissible_pairs())
