@@ -76,9 +76,8 @@ class _Replay(Exception):
 class Pairs(NamedTuple):
     """Intensity pairs, one per lane, with the Poisson terms every layer shares.
 
-    Pairs must be admissible (``validate_pair``); decompose's remainder
-    check then holds, so it is not repeated here.  Raises _Replay where
-    decompose's ratio overflows.
+    Pairs must be admissible (``validate_pair``).  Raises _Replay where
+    ``decompose`` raises: the ratio overflows or c is subnormal or 0.
     """
 
     mu: np.ndarray
@@ -93,7 +92,8 @@ class Pairs(NamedTuple):
     def of(cls, mu: Sequence[float], mu_prime: Sequence[float]) -> Pairs:
         mu, mu_prime = np.asarray(mu, float), np.asarray(mu_prime, float)
         multi_ratio = _libm(_multi_ratio, mu, mu_prime)
-        if (multi_ratio == np.inf).any():
+        c = _libm(multi_photon_weight, mu)
+        if ((multi_ratio == np.inf) | (c < sys.float_info.min)).any():
             raise _Replay
         return cls(
             mu=mu,
@@ -101,7 +101,7 @@ class Pairs(NamedTuple):
             exp_mu=_libm(math.exp, -mu),
             exp_mu_prime=_libm(math.exp, -mu_prime),
             exp_gap=_libm(math.exp, mu - mu_prime),
-            c=_libm(multi_photon_weight, mu),
+            c=c,
             multi_ratio=multi_ratio,
         )
 
@@ -159,14 +159,10 @@ def expected_rates(eta: np.ndarray, s0: np.ndarray | float, pairs: Pairs) -> Rat
 def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
     """bounds.wang_asymptotic_bound.
 
-    Raises _Replay where s_mu = 0, where mu' e^{-mu'} S_mu has underflowed
-    to 0, or where c is subnormal or 0: there the scalar bound (and
-    finite_bound) raises.
+    Raises _Replay where s_mu = 0 or where mu' e^{-mu'} S_mu has underflowed
+    to 0: there the scalar bound (and finite_bound) raises.
     """
-    if (
-        (pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0)
-        | (pairs.c < sys.float_info.min)
-    ).any():
+    if (pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0).any():
         raise _Replay
     mu, mu_prime = pairs.mu, pairs.mu_prime
     p1_mu = mu * pairs.exp_mu

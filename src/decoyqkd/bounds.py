@@ -9,7 +9,6 @@ given photon number identically regardless of which class emitted it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError, check_probability
@@ -66,22 +65,14 @@ def _require_weak_rate(rates: ObservedRates) -> None:
         raise ParameterError("weak-class rate s_mu must be positive to bound a fraction of it")
 
 
-def _require_multi_weight(c: float, mu: float) -> None:
-    # Below mu ~ 2.1e-154, c ~ mu^2 / 2 is subnormal or 0, and sc = delta S_mu / c
-    # can overflow.
-    if c < sys.float_info.min:
-        raise DomainError(f"multi-photon weight c of mu={mu} underflows to {c:g}")
-
-
 def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Crude bound: every strong-class count is charged to multi-photon pulses.
 
     delta <= mu^2 e^{-mu} S_mu' / (mu'^2 e^{-mu'} S_mu), clamped to 1.
-    Raises DomainError when the multi-photon weight c of mu is subnormal or 0.
+    Raises DomainError where ``decompose`` does.
     """
     _require_weak_rate(rates)
     coeffs = decompose(params)
-    _require_multi_weight(coeffs.c, params.mu)
     raw = rates.s_mu_prime / (coeffs.multi_ratio * rates.s_mu)
     delta = min(raw, 1.0)
     return BoundReport(
@@ -178,9 +169,8 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     delta <= mu/(mu'-mu) * (mu e^{-mu} S_mu' / (mu' e^{-mu'} S_mu) - 1)
              + mu e^{-mu} s0 / (mu' S_mu)
 
-    Raises DomainError when mu' e^{-mu'} S_mu underflows to 0 or the
-    multi-photon weight c of mu is subnormal or 0, since the bound divides
-    by both.
+    Raises DomainError where ``decompose`` does, and when mu' e^{-mu'} S_mu
+    underflows to 0, since the bound divides by it.
     """
     _require_weak_rate(rates)
     mu, mu_prime = params.mu, params.mu_prime
@@ -190,7 +180,6 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
         raise DomainError(
             f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={mu_prime}, s_mu={rates.s_mu})"
         )
-    _require_multi_weight(coeffs.c, mu)
     ratio = (mu * math.exp(-mu) * rates.s_mu_prime) / p1_s_mu
     raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (
         mu * math.exp(-mu) * rates.s0

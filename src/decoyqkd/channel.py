@@ -145,8 +145,9 @@ def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float
 class SimulatedObservation:
     """Sampled click counts and the rates they imply.
 
-    A class with zero budgeted pulses reports zero clicks and rate 0.0;
-    there is no estimate to be had from an empty class.
+    An empty vacuum class reports zero clicks and the scenario's exact
+    vacuum rate, which the bounds take s0 to be: a rate of 0.0 would claim
+    an observed s0 of 0 and drop the vacuum credit from every bound.
     """
 
     rates: ObservedRates
@@ -164,8 +165,9 @@ def sample_observation(
     """Draw per-class click counts exactly binomially; deterministic for a fixed seed.
 
     Draw order is fixed (weak, strong, vacuum) so a given seed always maps
-    to the same observation.  The seed must be a non-negative integer, and
-    no class may hold more than MAX_SAMPLED_PULSES pulses.
+    to the same observation; an empty vacuum class reports the exact s0.
+    The seed must be a non-negative integer, and no class may hold more
+    than MAX_SAMPLED_PULSES pulses.
     """
     try:
         seed = operator.index(seed)
@@ -179,9 +181,10 @@ def sample_observation(
     rng = np.random.default_rng(seed)
     clicks_mu = int(rng.binomial(budget.n_mu, scenario.class_rate(params.mu)))
     clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, scenario.class_rate(params.mu_prime)))
-    clicks_vacuum = int(rng.binomial(budget.n_vacuum, scenario.class_rate(0.0)))
+    s0 = scenario.class_rate(0.0)
+    clicks_vacuum = int(rng.binomial(budget.n_vacuum, s0))
     rates = ObservedRates(
-        s0=clicks_vacuum / budget.n_vacuum if budget.n_vacuum else 0.0,
+        s0=clicks_vacuum / budget.n_vacuum if budget.n_vacuum else s0,
         s_mu=clicks_mu / budget.n_mu,
         s_mu_prime=clicks_mu_prime / budget.n_mu_prime,
     )

@@ -364,11 +364,6 @@ def _fmt_cell(value: Any) -> str:
     return _FMT_MACHINE.get(type(value), _fmt_text)(value)
 
 
-def _fmt_column(column: Sequence[Any]) -> list[str]:
-    """The csv cells of one column."""
-    return list(map(_fmt_cell, column))
-
-
 _PERCENT_FIELDS = {"delta_upper", "delta_prime_upper"}
 
 
@@ -393,15 +388,10 @@ def _table_lines(sections: dict[str, dict[str, Any]], prefix: str = "") -> list[
     return lines
 
 
-def _columns(records: Sequence[dict[str, Any]]) -> Iterable[Sequence[Any]]:
-    """The columns of records that share one key order."""
-    return zip(*(record.values() for record in records))
-
-
-def _csv_lines(header: Sequence[str], columns: Iterable[Sequence[Any]]) -> list[str]:
-    """The header line, then one line per row of the equal-length columns."""
-    lines = [",".join(map(_fmt_text, header))]
-    lines += map(",".join, zip(*map(_fmt_column, columns)))
+def _csv_lines(records: Sequence[dict[str, Any]]) -> list[str]:
+    """The header of the first record's keys, then one line per record in that key order."""
+    lines = [",".join(map(_fmt_text, records[0]))]
+    lines += (",".join(map(_fmt_cell, record.values())) for record in records)
     return lines
 
 
@@ -505,7 +495,7 @@ def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     _render(
         fmt,
         out,
-        lambda: _csv_lines(tuple(records[0]), _columns(records)),
+        lambda: _csv_lines(records),
         lambda: {"inputs": inputs, "degenerate_strong_class": degenerate, **sections},
         table,
     )
@@ -560,7 +550,7 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     _render(
         fmt,
         out,
-        lambda: _csv_lines(tuple(records[0]), _columns(records)),
+        lambda: _csv_lines(records),
         lambda: doc,
         lambda: _table_lines(doc),
     )
@@ -586,9 +576,7 @@ def cmd_table1(args: argparse.Namespace, config: Config) -> int:
             )
         return lines
 
-    _render(
-        fmt, out, lambda: _csv_lines(tuple(records[0]), _columns(records)), lambda: records, table
-    )
+    _render(fmt, out, lambda: _csv_lines(records), lambda: records, table)
     return EXIT_OK
 
 
@@ -707,7 +695,7 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
     _render(
         fmt,
         out,
-        lambda: _csv_lines(tuple(record), _columns([record])),
+        lambda: _csv_lines([record]),
         lambda: {"setup": setup_echo, **verdict},
         lambda: _table_lines({"setup": setup_echo, "verdict": verdict}),
     )

@@ -18,7 +18,6 @@ from .bounds import (
     METHOD_WANG_FINITE,
     BoundReport,
     ObservedRates,
-    _require_multi_weight,
     _require_weak_rate,
     _solve_sc,
     wang_asymptotic_bound,
@@ -118,7 +117,6 @@ def finite_bound(
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
     c = coeffs.c
-    _require_multi_weight(c, mu)
     p1_mu = mu * math.exp(-mu)
 
     # validate_pair holds mu' e^{-mu'} > mu e^{-mu} in floats, and its

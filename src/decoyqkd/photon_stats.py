@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
@@ -138,7 +139,12 @@ class ProtocolParams:
             raise DomainError(
                 f"(mu'/mu)^2 e^{{mu-mu'}} overflows for mu={mu}, mu_prime={mu_prime}"
             )
-        return DecompositionCoefficients(c=multi_photon_weight(mu), multi_ratio=multi_ratio)
+        c = multi_photon_weight(mu)
+        # Below mu ~ 2.1e-154, c ~ mu^2 / 2 is subnormal or 0, and every bound
+        # divides by it.
+        if c < sys.float_info.min:
+            raise DomainError(f"multi-photon weight c of mu={mu} underflows to {c:g}")
+        return DecompositionCoefficients(c=c, multi_ratio=multi_ratio)
 
 
 def _multi_ratio(mu: float, mu_prime: float) -> float:
@@ -174,6 +180,7 @@ def decompose(params: ProtocolParams) -> DecompositionCoefficients:
     non-negative for every admissible pair (see DecompositionCoefficients).
     Computed once per ``params`` and cached on it.  Raises DomainError when
     the ratio (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu
-    beside an ordinary mu'.
+    beside an ordinary mu', or when c is subnormal or 0 (mu below about
+    2.1e-154), since every bound divides by c.
     """
     return params._coefficients

@@ -349,6 +349,8 @@ def test_underflow_errors_match_scalar():
     grids = [
         ([(0.3, 0.45), (0.5, 0.6)], [1e-3, 0.0], 5e-324),
         ([(0.3, 0.45), (1e-170, 2e-170)], [1e-3], 1e-6),
+        # mu' e^{-mu'} S_mu underflows to 0 as well.
+        ([(0.3, 0.45), (1e-170, 2e-170)], [1e-3], 0.0),
         # c is subnormal here, not 0.
         ([(0.3, 0.45), (1e-160, 2e-160)], [1e-3], 1e-6),
     ]

@@ -16,6 +16,7 @@ from decoyqkd import (
     PulseBudget,
     YieldTable,
     expected_rates,
+    finite_bound,
     multi_photon_fraction,
     sample_observation,
     true_delta,
@@ -224,9 +225,31 @@ def test_sample_observation_rejects_non_integer_seed():
 
 def test_sample_observation_empty_vacuum_class():
     budget = PulseBudget(10**5, 10**5, 0)
-    obs = sample_observation(NoEve(eta=1e-2, s0=1e-3), PARAMS, budget, seed=5)
+    scenario = NoEve(eta=1e-2, s0=1e-3)
+    obs = sample_observation(scenario, PARAMS, budget, seed=5)
     assert obs.clicks_vacuum == 0
-    assert obs.rates.s0 == 0.0
+    assert obs.rates.s0 == scenario.class_rate(0.0)
+
+
+def test_sampled_finite_bound_without_vacuum_class_is_sound():
+    # With no vacuum pulses, a reported s0 of 0 dropped the vacuum credit, and
+    # 223 of these sampled finite bounds fell below the truth.
+    rng = random.Random(20040615)
+    budget = PulseBudget(10**10, 10**10)
+    below = []
+    for seed in range(1000):
+        mu = rng.uniform(0.1, 0.5)
+        params = ProtocolParams(mu, rng.uniform(mu + 0.05, 1.0))
+        s0 = 10.0 ** rng.uniform(-7.0, -3.0)
+        if rng.random() < 0.5:
+            scenario = NoEve(eta=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
+        else:
+            scenario = PnsAttack(q=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
+        obs = sample_observation(scenario, params, budget, seed)
+        truth, _ = true_delta(scenario, params)
+        if finite_bound(obs.rates, params, budget).delta_upper < truth:
+            below.append((seed, scenario, params))
+    assert below == []
 
 
 def test_sample_observation_concentrates():

@@ -667,7 +667,7 @@ def float_columns(draw):
 @example([-0.0, 0.0, 1.5, 1.5])
 @example([math.nan, math.nan, float("nan"), 2.0])
 def test_float_columns_format_each_cell_as_17g(column):
-    assert cli._fmt_column(column) == [format(value, ".17g") for value in column]
+    assert list(map(cli._fmt_cell, column)) == [format(value, ".17g") for value in column]
 
 
 def fmt_cell(cell):
@@ -686,7 +686,7 @@ def fmt_cell(cell):
 @example([80000000000] * 5)
 @example([None] * 3)
 def test_other_columns_format_cell_by_cell(column):
-    assert cli._fmt_column(column) == list(map(fmt_cell, column))
+    assert list(map(cli._fmt_cell, column)) == list(map(fmt_cell, column))
 
 
 def test_sweep_csv_keeps_signed_zeros(capsys):
@@ -752,12 +752,11 @@ def sweep_csv_grids(seed=20040615, count=6):
 
 @pytest.mark.parametrize("flags", sweep_csv_grids())
 def test_sweep_csv_equals_generic_csv(capsys, tmp_path, flags):
-    # The generic csv path over the expanded columns is the reference for
-    # the rows that sweep builds from its grid.
+    # The generic csv path over the json records is the reference for the
+    # rows that sweep builds from its grid.
     code, records = run_json(capsys, "sweep", *flags)
     assert code in (0, 3) and records
-    columns = zip(*(record.values() for record in records))
-    expected = "\n".join(cli._csv_lines(SWEEP_COLUMNS, columns)) + "\n"
+    expected = "\n".join(cli._csv_lines(records)) + "\n"
     csv_code, out, err = run(capsys, "sweep", *flags, "--format", "csv")
     assert (csv_code, out) == (code, expected)
     path = tmp_path / "sweep.csv"
@@ -825,6 +824,11 @@ def test_sweep_row_count_limit(capsys, monkeypatch):
          "mu' e^{-mu'} S_mu underflows to 0"),
         (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--n", "1e10"),
          "multi-photon weight c of mu=1e-170 underflows to 0"),
+        # mu' e^{-mu'} S_mu underflows too; c is the cause every command names.
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--s0", "0"),
+         "multi-photon weight c of mu=1e-170 underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--s0", "0", "--n", "1e10"),
+         "multi-photon weight c of mu=1e-170 underflows to 0"),
         (("--mu", "1e-170", "--mu-prime", "0.45", "--eta", "1e-3"),
          "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-170, mu_prime=0.45"),
         # c is subnormal here, not 0.
@@ -839,6 +843,8 @@ def test_sweep_row_count_limit(capsys, monkeypatch):
         "tiny-mu",
         "subnormal-rate-finite",
         "tiny-mu-finite",
+        "tiny-mu-no-dark-counts",
+        "tiny-mu-no-dark-counts-finite",
         "tiny-mu-ordinary-mu-prime",
         "tiny-mu-ordinary-mu-prime-subnormal-c",
         "subnormal-c",
@@ -930,6 +936,30 @@ def test_simulate_sizes_fluctuations_by_the_smaller_class(capsys):
     )
     assert code == 0
     assert payload["sampled"]["finite"]["delta_upper"] >= 0.2579962
+
+
+def test_simulate_without_vacuum_class_keeps_the_vacuum_credit(capsys):
+    # No --n-vacuum: the vacuum class is empty, and reporting s0 = 0 for it
+    # dropped the vacuum credit.  The sampled finite bound was then 0.1183,
+    # below the true tagged fraction 0.4279 of this PNS attack.
+    code, payload = run_json(
+        capsys, "simulate", "--mu", "0.3", "--mu-prime", "0.45", "--scenario", "pns",
+        "--q", "3e-3", "--s0", "2e-4", "--n", "1e12", "--seed", "1",
+    )
+    assert code == 3
+    assert payload["observation"]["s0"] == 2e-4
+    assert payload["sampled"]["finite"]["vacuous"] is True
+    assert payload["sampled"]["finite"]["delta_upper"] == 1.0
+
+
+def test_simulate_without_vacuum_class_covers_no_eve(capsys):
+    # The same defect on a NoEve channel gave 0.1303, below the truth 0.2035.
+    code, payload = run_json(
+        capsys, "simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3",
+        "--s0", "1e-4", "--n", "1e13", "--seed", "1",
+    )
+    assert code == 0
+    assert payload["sampled"]["finite"]["delta_upper"] >= 0.2035
 
 
 def test_simulate_rejects_a_class_beyond_int64(capsys):

@@ -148,6 +148,14 @@ def test_decompose_ratio_overflow_is_a_domain_error():
             decompose(params)
 
 
+def test_decompose_subnormal_multi_weight_is_a_domain_error():
+    # c = mu^2/2 = 5e-321 is subnormal, and every bound divides by it.
+    params = ProtocolParams(1e-160, 2e-160)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="multi-photon weight c of mu=1e-160 underflows"):
+            decompose(params)
+
+
 @st.composite
 def admissible_pairs(draw):
     mu = draw(st.floats(min_value=0.01, max_value=0.9))
