@@ -74,7 +74,7 @@ class _Replay(Exception):
 
 
 class Pairs(NamedTuple):
-    """Intensity pairs, one per lane, with the Poisson terms every layer shares.
+    """Per lane, an intensity pair and the bits of its DecompositionCoefficients fields.
 
     Pairs must be admissible (``validate_pair``).  Raises _Replay where
     ``decompose`` raises: the ratio overflows or c is subnormal or 0.
@@ -82,28 +82,25 @@ class Pairs(NamedTuple):
 
     mu: np.ndarray
     mu_prime: np.ndarray
-    exp_mu: np.ndarray  # e^{-mu}
-    exp_mu_prime: np.ndarray  # e^{-mu'}
-    exp_gap: np.ndarray  # e^{mu - mu'}
-    c: np.ndarray  # decompose(...).c
-    multi_ratio: np.ndarray  # decompose(...).multi_ratio
+    p0_mu: np.ndarray
+    p1_mu: np.ndarray
+    p0_mu_prime: np.ndarray
+    p1_mu_prime: np.ndarray
+    exp_gap: np.ndarray
+    c: np.ndarray
+    multi_ratio: np.ndarray
 
     @classmethod
     def of(cls, mu: Sequence[float], mu_prime: Sequence[float]) -> Pairs:
         mu, mu_prime = np.asarray(mu, float), np.asarray(mu_prime, float)
-        multi_ratio = _libm(_multi_ratio, mu, mu_prime)
+        exp_gap = _libm(math.exp, mu - mu_prime)
+        multi_ratio = _libm(_multi_ratio, mu, mu_prime, exp_gap)
         c = _libm(multi_photon_weight, mu)
         if ((multi_ratio == np.inf) | (c < sys.float_info.min)).any():
             raise _Replay
-        return cls(
-            mu=mu,
-            mu_prime=mu_prime,
-            exp_mu=_libm(math.exp, -mu),
-            exp_mu_prime=_libm(math.exp, -mu_prime),
-            exp_gap=_libm(math.exp, mu - mu_prime),
-            c=c,
-            multi_ratio=multi_ratio,
-        )
+        p0_mu, p0_mu_prime = _libm(math.exp, -mu), _libm(math.exp, -mu_prime)
+        p1_mu, p1_mu_prime = mu * p0_mu, mu_prime * p0_mu_prime
+        return cls(mu, mu_prime, p0_mu, p1_mu, p0_mu_prime, p1_mu_prime, exp_gap, c, multi_ratio)
 
     def repeat(self, count: int) -> Pairs:
         """Each pair ``count`` times in a row, as a sweep lays out its channels."""
@@ -162,15 +159,15 @@ def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
     Raises _Replay where s_mu = 0 or where mu' e^{-mu'} S_mu has underflowed
     to 0: there the scalar bound (and finite_bound) raises.
     """
-    if (pairs.mu_prime * pairs.exp_mu_prime * rates.s_mu == 0.0).any():
+    p1_s_mu = pairs.p1_mu_prime * rates.s_mu
+    if (p1_s_mu == 0.0).any():
         raise _Replay
-    mu, mu_prime = pairs.mu, pairs.mu_prime
-    p1_mu = mu * pairs.exp_mu
-    ratio = (p1_mu * rates.s_mu_prime) / (mu_prime * pairs.exp_mu_prime * rates.s_mu)
+    mu, mu_prime, p1_mu = pairs.mu, pairs.mu_prime, pairs.p1_mu
+    ratio = (p1_mu * rates.s_mu_prime) / p1_s_mu
     raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (p1_mu * rates.s0) / (mu_prime * rates.s_mu)
     delta = _clamp01(raw)
     sc_upper = delta * rates.s_mu / pairs.c
-    s1_lower = _floor0((rates.s_mu - pairs.exp_mu * rates.s0 - pairs.c * sc_upper) / p1_mu)
+    s1_lower = _floor0((rates.s_mu - pairs.p0_mu * rates.s0 - pairs.c * sc_upper) / p1_mu)
     return Bounds(delta, s1_lower, sc_upper, raw != delta, delta >= 1.0)
 
 
@@ -245,23 +242,22 @@ def finite_bound(
     n_pulses must be valid for PulseBudget, confidence_exponent for FluctuationSettings.
     """
     seed = wang_asymptotic_bound(rates, pairs)
-    mu_prime, c = pairs.mu_prime, pairs.c
-    p1_mu = pairs.mu * pairs.exp_mu
+    c, p1_mu = pairs.c, pairs.p1_mu
     # relative_fluctuation(1.0, n, settings); r_x = k_x / sqrt(s_x).
     k1 = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * p1_mu))
     kc = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * c))
 
-    weak = rates.s_mu - pairs.exp_mu * rates.s0
-    strong = rates.s_mu_prime - pairs.exp_mu_prime * rates.s0
+    weak = rates.s_mu - pairs.p0_mu * rates.s0
+    strong = rates.s_mu_prime - pairs.p0_mu_prime * rates.s0
     # A k that overflows to inf is a fluctuation far beyond 1.
     blown = np.isinf(k1) | np.isinf(kc)
     live = np.flatnonzero(~(seed.vacuous | blown))
     sc = seed.sc_upper.copy()
     constants = np.stack(
-        (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, mu_prime * pairs.exp_mu_prime, k1, kc)
+        (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, pairs.p1_mu_prime, k1, kc)
     )
     sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], max_iter)
-    s1 = (rates.s_mu - pairs.exp_mu * rates.s0 - c * sc) / p1_mu
+    s1 = (rates.s_mu - pairs.p0_mu * rates.s0 - c * sc) / p1_mu
     delta_raw = c * sc / rates.s_mu
     vacuous = seed.vacuous | blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
     return Bounds(
@@ -276,9 +272,9 @@ def finite_bound(
 @_quiet
 def delta_prime_bound(delta: np.ndarray, rates: Rates, pairs: Pairs) -> np.ndarray:
     """bounds.delta_prime_bound of a bound's delta (in [0, 1], with s_mu > 0)."""
-    untagged_weak = 1.0 - delta - pairs.exp_mu * rates.s0 / rates.s_mu
+    untagged_weak = 1.0 - delta - pairs.p0_mu * rates.s0 / rates.s_mu
     dark_credit = np.where(
-        rates.s_mu_prime > 0.0, pairs.exp_mu_prime * rates.s0 / rates.s_mu_prime, 0.0
+        rates.s_mu_prime > 0.0, pairs.p0_mu_prime * rates.s0 / rates.s_mu_prime, 0.0
     )
     return _clamp01(1.0 - untagged_weak * pairs.exp_gap - dark_credit)
 

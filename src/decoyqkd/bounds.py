@@ -114,14 +114,11 @@ def _solve_sc(
     root is left.  Raises ConvergenceError when a root needs more than
     max_iter evaluations of F.
     """
-    mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
-    c = coeffs.c
+    c, p1_mu, p1_mu_prime = coeffs.c, coeffs.p1_mu, coeffs.p1_mu_prime
     a = 1.0 / coeffs.multi_ratio
-    p1_mu = mu * math.exp(-mu)
-    p1_mu_prime = mu_prime * math.exp(-mu_prime)
-    weak = rates.s_mu - math.exp(-mu) * rates.s0
-    strong = rates.s_mu_prime - math.exp(-mu_prime) * rates.s0
+    weak = rates.s_mu - coeffs.p0_mu * rates.s0
+    strong = rates.s_mu_prime - coeffs.p0_mu_prime * rates.s0
     evals = 0
 
     def excess(y: float, sc: float) -> tuple[float, float, float]:
@@ -175,21 +172,19 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     _require_weak_rate(rates)
     mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
-    p1_s_mu = mu_prime * math.exp(-mu_prime) * rates.s_mu
+    p1_s_mu = coeffs.p1_mu_prime * rates.s_mu
     if p1_s_mu == 0.0:
         raise DomainError(
             f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={mu_prime}, s_mu={rates.s_mu})"
         )
-    ratio = (mu * math.exp(-mu) * rates.s_mu_prime) / p1_s_mu
-    raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (
-        mu * math.exp(-mu) * rates.s0
-    ) / (mu_prime * rates.s_mu)
+    ratio = (coeffs.p1_mu * rates.s_mu_prime) / p1_s_mu
+    raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (coeffs.p1_mu * rates.s0) / (
+        mu_prime * rates.s_mu
+    )
     delta = min(max(raw, 0.0), 1.0)
     sc_upper = delta * rates.s_mu / coeffs.c
     s1_lower = max(
-        (rates.s_mu - math.exp(-mu) * rates.s0 - coeffs.c * sc_upper)
-        / (mu * math.exp(-mu)),
-        0.0,
+        (rates.s_mu - coeffs.p0_mu * rates.s0 - coeffs.c * sc_upper) / coeffs.p1_mu, 0.0
     )
     return BoundReport(
         delta_upper=delta,
@@ -208,17 +203,16 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
                 - e^{-mu'} s0 / S_mu'
     clamped to [0, 1].  A zero strong-class rate forfeits its dark-count
     credit term rather than dividing by zero; dropping a non-negative
-    credit can only loosen the bound.
+    credit can only loosen the bound.  Raises DomainError where
+    ``decompose`` does.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     _require_weak_rate(rates)
-    mu, mu_prime = params.mu, params.mu_prime
-    untagged_weak = 1.0 - delta - math.exp(-mu) * rates.s0 / rates.s_mu
+    coeffs = decompose(params)
+    untagged_weak = 1.0 - delta - coeffs.p0_mu * rates.s0 / rates.s_mu
     dark_credit = (
-        math.exp(-mu_prime) * rates.s0 / rates.s_mu_prime
-        if rates.s_mu_prime > 0.0
-        else 0.0
+        coeffs.p0_mu_prime * rates.s0 / rates.s_mu_prime if rates.s_mu_prime > 0.0 else 0.0
     )
-    raw = 1.0 - untagged_weak * math.exp(mu - mu_prime) - dark_credit
+    raw = 1.0 - untagged_weak * coeffs.exp_gap - dark_credit
     return min(max(raw, 0.0), 1.0)

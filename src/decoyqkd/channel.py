@@ -125,11 +125,8 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     total = scenario.class_rate(intensity)
     if total <= 0.0:
         return 0.0
-    multi = (
-        total
-        - math.exp(-intensity) * scenario.photon_yield(0)
-        - intensity * math.exp(-intensity) * scenario.photon_yield(1)
-    )
+    p0 = math.exp(-intensity)
+    multi = total - p0 * scenario.photon_yield(0) - intensity * p0 * scenario.photon_yield(1)
     return min(max(multi / total, 0.0), 1.0)
 
 

@@ -114,8 +114,10 @@ def parse_grid(text: str, where: str) -> list[float]:
         steps = (stop - start) / step
         if math.isinf(steps) or round(steps) + 1 > MAX_GRID_POINTS:
             raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
-        values = [round(start + k * step, 12) for k in range(round(steps) + 1)]
-        return [v for v in values if v <= stop + 1e-12]
+        # Round, and widen stop, to 12 decimals or 3 past a smaller step's first digit.
+        digits = max(12, 3 - math.floor(math.log10(step)))
+        values = [round(start + k * step, digits) for k in range(round(steps) + 1)]
+        return [v for v in values if v <= stop + 10.0**-digits]
     values = list(_as_floats(text, where))
     if not values:
         raise ConfigError(f"{where}: empty grid")
@@ -299,9 +301,10 @@ def _resolve_rate_source(
 
 
 def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | None:
-    counts = _given(args, config, "budget")
-    if args.n is not None:
-        counts = {"n_mu": args.n, "n_mu_prime": args.n, **counts}
+    """Each signal count from its own flag, else --n, else [budget]."""
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS["budget"]}
+    flags |= {key: args.n for key in ("n_mu", "n_mu_prime") if flags[key] is None}
+    counts = _given(argparse.Namespace(**flags), config, "budget")
     signal = {"n_mu", "n_mu_prime"} & counts.keys()
     if len(signal) == 1:
         raise ConfigError("a pulse budget needs both n_mu and n_mu_prime (or --n)")

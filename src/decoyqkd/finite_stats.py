@@ -114,15 +114,13 @@ def finite_bound(
     _require_weak_rate(rates)
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
     c = coeffs.c
-    p1_mu = mu * math.exp(-mu)
 
-    # validate_pair holds mu' e^{-mu'} > mu e^{-mu} in floats, and its
-    # separation floor keeps multi_ratio well above 1: with n_mu' >= n_mu
-    # both mins return the weak-class size bit for bit.
-    n_singles = min(budget.n_mu * p1_mu, budget.n_mu_prime * (mu_prime * math.exp(-mu_prime)))
+    # validate_pair holds p1_mu' > p1_mu on the very floats decompose
+    # returns, and its separation floor keeps multi_ratio well above 1: with
+    # n_mu' >= n_mu both mins return the weak-class size bit for bit.
+    n_singles = min(budget.n_mu * coeffs.p1_mu, budget.n_mu_prime * coeffs.p1_mu_prime)
     n_multi = min(budget.n_mu * c, budget.n_mu_prime * c * coeffs.multi_ratio)
     # r_x = k_x / sqrt(s_x) for a sub-population rate s_x.
     k1 = relative_fluctuation(1.0, n_singles, settings)
@@ -133,7 +131,7 @@ def finite_bound(
     if seed.vacuous or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
     sc, _ = _solve_sc(rates, params, k1, kc, seed.sc_upper, max_iter)
-    s1 = (rates.s_mu - math.exp(-mu) * rates.s0 - c * sc) / p1_mu
+    s1 = (rates.s_mu - coeffs.p0_mu * rates.s0 - c * sc) / coeffs.p1_mu
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.
     if s1 <= k1 * k1 or delta_raw >= 1.0:

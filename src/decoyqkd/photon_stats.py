@@ -134,7 +134,8 @@ class ProtocolParams:
     def _coefficients(self) -> DecompositionCoefficients:
         """decompose(self), computed on first use; not a dataclass field."""
         mu, mu_prime = self.mu, self.mu_prime
-        multi_ratio = _multi_ratio(mu, mu_prime)
+        exp_gap = math.exp(mu - mu_prime)
+        multi_ratio = _multi_ratio(mu, mu_prime, exp_gap)
         if multi_ratio == math.inf:
             raise DomainError(
                 f"(mu'/mu)^2 e^{{mu-mu'}} overflows for mu={mu}, mu_prime={mu_prime}"
@@ -144,24 +145,30 @@ class ProtocolParams:
         # divides by it.
         if c < sys.float_info.min:
             raise DomainError(f"multi-photon weight c of mu={mu} underflows to {c:g}")
-        return DecompositionCoefficients(c=c, multi_ratio=multi_ratio)
+        p0_mu, p0_mu_prime = math.exp(-mu), math.exp(-mu_prime)
+        return DecompositionCoefficients(
+            p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap, c, multi_ratio
+        )
 
 
-def _multi_ratio(mu: float, mu_prime: float) -> float:
-    """(mu'/mu)^2 e^{mu-mu'}, or inf where it overflows."""
+def _multi_ratio(mu: float, mu_prime: float, exp_gap: float) -> float:
+    """(mu'/mu)^2 e^{mu-mu'} from exp_gap = e^{mu-mu'}, or inf where it overflows."""
     try:
-        return (mu_prime / mu) ** 2 * math.exp(mu - mu_prime)
+        return (mu_prime / mu) ** 2 * exp_gap
     except OverflowError:
         return math.inf
 
 
 @dataclass(frozen=True)
 class DecompositionCoefficients:
-    """Weights of the stronger-class photon-number decomposition.
+    """Every Poisson weight of the two-class photon-number decomposition.
 
-    c:           multi-photon weight of the weaker class, 1 - P_0(mu) - P_1(mu)
-    multi_ratio: scale factor mu'^2 e^{-mu'} / (mu^2 e^{-mu}) applied to the
-                 weaker-class multi-photon tail inside the stronger class
+    p0_mu, p1_mu: vacuum and single-photon weights e^{-mu} and mu e^{-mu};
+                  p0_mu_prime and p1_mu_prime are the same at mu'
+    exp_gap:      e^{mu-mu'}
+    c:            multi-photon weight of the weaker class, 1 - P_0(mu) - P_1(mu)
+    multi_ratio:  scale factor mu'^2 e^{-mu'} / (mu^2 e^{-mu}) applied to the
+                  weaker-class multi-photon tail inside the stronger class
 
     The remainder weight ``multi_photon_weight(mu') - c * multi_ratio`` sums
     ``P_n(mu') - multi_ratio P_n(mu)`` over n >= 2: zero at n = 2, and
@@ -169,18 +176,21 @@ class DecompositionCoefficients:
     No bound reads it, so it is not computed.
     """
 
+    p0_mu: float
+    p1_mu: float
+    p0_mu_prime: float
+    p1_mu_prime: float
+    exp_gap: float
     c: float
     multi_ratio: float
 
 
 def decompose(params: ProtocolParams) -> DecompositionCoefficients:
-    """Split the stronger class over {vacuum, single, scaled weak tail, remainder}.
+    """Every weight the bounds read, computed once per ``params`` and cached on it.
 
-    Returns only the weights the bounds read: the remainder's is
-    non-negative for every admissible pair (see DecompositionCoefficients).
-    Computed once per ``params`` and cached on it.  Raises DomainError when
-    the ratio (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu
-    beside an ordinary mu', or when c is subnormal or 0 (mu below about
-    2.1e-154), since every bound divides by c.
+    No bound forms a Poisson weight of mu or mu' itself.  Raises DomainError
+    when (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu beside an
+    ordinary mu', or when c is subnormal or 0 (mu below about 2.1e-154),
+    since every bound divides by c.
     """
     return params._coefficients

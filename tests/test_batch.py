@@ -6,7 +6,9 @@ Where the scalar solver runs out of evaluations, the layers raise _Replay.
 """
 
 import itertools
+import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from decoyqkd import (
     ConvergenceError,
+    DecompositionCoefficients,
     DomainError,
     FluctuationSettings,
     KeyRateInput,
@@ -22,6 +25,7 @@ from decoyqkd import (
     ProtocolParams,
     PulseBudget,
     batch,
+    decompose,
     delta_prime_bound,
     expected_rates,
     finite_bound,
@@ -30,6 +34,8 @@ from decoyqkd import (
     wang_asymptotic_bound,
 )
 from decoyqkd.bounds import DEFAULT_MAX_ITER
+from decoyqkd.cli import parse_grid
+from decoyqkd.photon_stats import MIN_SEPARATION
 
 DEFAULTS = FluctuationSettings()
 
@@ -218,6 +224,31 @@ def test_layers_equal_scalar_on_random_lanes():
         ):
             drawn = [random_lane(rng) for _ in range(300)]
             assert isinstance(assert_lanes_match(drawn, n, fluct, next(qbers)), list)
+
+
+def test_pairs_carry_the_decomposition_bit_for_bit():
+    # Every admissible Baseline pair, and pairs at the separation floor.
+    pairs = [
+        (mu, mu_prime)
+        for mu in parse_grid("0.05:0.5:0.005", "mu")
+        for mu_prime in parse_grid("0.1:1.0:0.005", "mu_prime")
+        if validate_pair(mu, mu_prime)
+    ]
+    rng = random.Random(18)
+    for _ in range(500):
+        mu = 10.0 ** rng.uniform(-6.0, math.log10(0.9))
+        pairs.append((mu, mu * (1.0 + MIN_SEPARATION)))
+    names = [field.name for field in fields(DecompositionCoefficients)]
+    assert batch.Pairs._fields == ("mu", "mu_prime", *names)
+    lanes = batch.Pairs.of(*zip(*pairs))
+    columns = [getattr(lanes, name).tolist() for name in names]
+    for (mu, mu_prime), *row in zip(pairs, *columns):
+        coeffs = decompose(ProtocolParams(mu, mu_prime))
+        assert list(map(exact, row)) == [exact(getattr(coeffs, n)) for n in names], (mu, mu_prime)
+    # One lane where decompose raises makes the whole grid replay.
+    for mu, mu_prime in ((1e-160, 0.45), (1e-160, 2e-160)):
+        with pytest.raises(batch._Replay):
+            batch.Pairs.of([0.3, mu], [0.45, mu_prime])
 
 
 def test_baseline_grid_slice_with_vacuous_rows():

@@ -266,6 +266,17 @@ def test_underflowed_divisors_raise_domain_error():
             bound(rates, tiny)
 
 
+def test_delta_prime_raises_where_decompose_does():
+    # It used to return a value for these pairs, where every other bound raises.
+    rates = ObservedRates(s0=1e-6, s_mu=1e-3, s_mu_prime=2e-3)
+    for params, cause in (
+        (ProtocolParams(1e-160, 0.45), r"\(mu'/mu\)\^2 e\^\{mu-mu'\} overflows"),
+        (ProtocolParams(1e-160, 2e-160), "multi-photon weight c of mu=1e-160 underflows"),
+    ):
+        with pytest.raises(DomainError, match=cause):
+            delta_prime_bound(0.1, rates, params)
+
+
 def test_near_diagonal_family_is_sound_or_rejected():
     # mu'/mu - 1 over the decades 1e-16 .. 1e-5.  Below the admissibility
     # floor the closed form fell short of the truth by up to 1 (near 1e-15);

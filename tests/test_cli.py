@@ -545,6 +545,19 @@ def test_unusable_grid_ranges_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_parse_grid_rounds_to_the_step(capsys):
+    # Points were rounded to 12 decimals and stop widened by 1e-12: every
+    # point below 1e-12 became 0, and 3.1e-12 passed a stop of 3e-12.
+    assert parse_grid("1e-13:3e-12:1e-12", "test") == [1e-13, 1.1e-12, 2.1e-12]
+    code, out, err = run(
+        capsys, "sweep", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-14:5e-14:1e-14",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    etas = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert etas == [1e-14, 2e-14, 3e-14, 4e-14, 5e-14]
+
+
 def test_parse_grid_point_limit(monkeypatch):
     # A small limit stands in for 10**6, as in test_sweep_row_count_limit;
     # test_unusable_grid_ranges_exit_2 checks the real one.
@@ -960,6 +973,26 @@ def test_simulate_without_vacuum_class_covers_no_eve(capsys):
     )
     assert code == 0
     assert payload["sampled"]["finite"]["delta_upper"] >= 0.2035
+
+
+BUDGET_INI = "[budget]\nn_mu = 5e8\nn_mu_prime = 5e8\n"
+MODEL = ("--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--s0", "1e-6")
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_pulse_count_flags_win_over_the_budget_section(tmp_path, capsys, command):
+    # The [budget] counts used to override --n.
+    cfg = tmp_path / "b.ini"
+    cfg.write_text(BUDGET_INI)
+    seed = ("--seed", "1") if command == "simulate" else ()
+    argv = (command, "--config", str(cfg), *MODEL, *seed)
+    _, payload = run_json(capsys, *argv, "--n", "1e10")
+    assert (payload["inputs"]["n_mu"], payload["inputs"]["n_mu_prime"]) == (10**10, 10**10)
+    # --n-mu wins over --n, which still wins over [budget] for n_mu_prime.
+    _, payload = run_json(capsys, *argv, "--n", "1e10", "--n-mu", "2e9")
+    assert (payload["inputs"]["n_mu"], payload["inputs"]["n_mu_prime"]) == (2 * 10**9, 10**10)
+    _, payload = run_json(capsys, *argv)
+    assert (payload["inputs"]["n_mu"], payload["inputs"]["n_mu_prime"]) == (5 * 10**8, 5 * 10**8)
 
 
 def test_simulate_rejects_a_class_beyond_int64(capsys):

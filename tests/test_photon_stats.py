@@ -126,6 +126,11 @@ def test_protocol_params_guard():
 
 def test_decompose_oracle():
     coeffs = decompose(ProtocolParams(0.3, 0.45))
+    assert coeffs.p0_mu == pytest.approx(0.7408182206817179, rel=1e-15)
+    assert coeffs.p1_mu == pytest.approx(0.22224546620451535, rel=1e-15)
+    assert coeffs.p0_mu_prime == pytest.approx(0.6376281516217733, rel=1e-15)
+    assert coeffs.p1_mu_prime == pytest.approx(0.28693266822979796, rel=1e-15)
+    assert coeffs.exp_gap == pytest.approx(0.8607079764250578, rel=1e-15)
     assert coeffs.c == pytest.approx(0.036936313113766774, rel=1e-13)
     assert coeffs.multi_ratio == pytest.approx(1.9365929469563801, rel=1e-13)
     remainder = multi_photon_weight(0.45) - coeffs.c * coeffs.multi_ratio
