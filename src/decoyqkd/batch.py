@@ -35,7 +35,6 @@ before it runs the lanes.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import repeat
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
@@ -76,8 +75,8 @@ class _Replay(Exception):
 class Pairs(NamedTuple):
     """Per lane, an intensity pair and the bits of its DecompositionCoefficients fields.
 
-    Pairs must be admissible (``validate_pair``).  Raises _Replay where
-    ``decompose`` raises: the ratio overflows or c is subnormal or 0.
+    Pairs must be admissible (``validate_pair``); ``of`` then never raises,
+    as ``decompose`` never does.
     """
 
     mu: np.ndarray
@@ -96,8 +95,6 @@ class Pairs(NamedTuple):
         exp_gap = _libm(math.exp, mu - mu_prime)
         multi_ratio = _libm(_multi_ratio, mu, mu_prime, exp_gap)
         c = _libm(multi_photon_weight, mu)
-        if ((multi_ratio == np.inf) | (c < sys.float_info.min)).any():
-            raise _Replay
         p0_mu, p0_mu_prime = _libm(math.exp, -mu), _libm(math.exp, -mu_prime)
         p1_mu, p1_mu_prime = mu * p0_mu, mu_prime * p0_mu_prime
         return cls(mu, mu_prime, p0_mu, p1_mu, p0_mu_prime, p1_mu_prime, exp_gap, c, multi_ratio)

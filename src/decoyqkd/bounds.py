@@ -69,7 +69,6 @@ def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Crude bound: every strong-class count is charged to multi-photon pulses.
 
     delta <= mu^2 e^{-mu} S_mu' / (mu'^2 e^{-mu'} S_mu), clamped to 1.
-    Raises DomainError where ``decompose`` does.
     """
     _require_weak_rate(rates)
     coeffs = decompose(params)
@@ -166,8 +165,8 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     delta <= mu/(mu'-mu) * (mu e^{-mu} S_mu' / (mu' e^{-mu'} S_mu) - 1)
              + mu e^{-mu} s0 / (mu' S_mu)
 
-    Raises DomainError where ``decompose`` does, and when mu' e^{-mu'} S_mu
-    underflows to 0, since the bound divides by it.
+    Raises DomainError when mu' e^{-mu'} S_mu underflows to 0, since the
+    bound divides by it.
     """
     _require_weak_rate(rates)
     mu, mu_prime = params.mu, params.mu_prime
@@ -203,8 +202,7 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
                 - e^{-mu'} s0 / S_mu'
     clamped to [0, 1].  A zero strong-class rate forfeits its dark-count
     credit term rather than dividing by zero; dropping a non-negative
-    credit can only loosen the bound.  Raises DomainError where
-    ``decompose`` does.
+    credit can only loosen the bound.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")

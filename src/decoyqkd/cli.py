@@ -114,8 +114,13 @@ def parse_grid(text: str, where: str) -> list[float]:
         steps = (stop - start) / step
         if math.isinf(steps) or round(steps) + 1 > MAX_GRID_POINTS:
             raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
-        # Round, and widen stop, to 12 decimals or 3 past a smaller step's first digit.
-        digits = max(12, 3 - math.floor(math.log10(step)))
+        # Round, and widen stop, to 12 decimals, 3 past a smaller step's first
+        # digit, or as many as start or step is written with.
+        try:
+            written = [-Decimal(part).as_tuple().exponent for part in (parts[0], parts[2])]
+        except InvalidOperation:  # an exponent past Decimal's range: a start of 0
+            written = []
+        digits = max(12, 3 - math.floor(math.log10(step)), *written)
         values = [round(start + k * step, digits) for k in range(round(steps) + 1)]
         return [v for v in values if v <= stop + 10.0**-digits]
     values = list(_as_floats(text, where))
@@ -188,15 +193,18 @@ def _setting(
     """The flag ``flag`` (default: ``key``), else ``[section] key``, else default.
 
     Flags that argparse has already typed are taken as they are; text is
-    parsed by the key's CONFIG_KEYS parser.  ``args=None`` reads the config only.
+    parsed by the key's CONFIG_KEYS parser, and its errors name the flag or
+    the config key it came from.  ``args=None`` reads the config only.
     """
     value = getattr(args, flag or key, None)
+    where = "--" + (flag or key).replace("_", "-")
     if value is None:
         value = config.get(section, {}).get(key)
+        where = f"[{section}] {key}"
     if value is None:
         return default
     if isinstance(value, str):
-        return CONFIG_KEYS[section][key](value, f"[{section}] {key}")
+        return CONFIG_KEYS[section][key](value, where)
     return value
 
 
@@ -683,16 +691,13 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
     report = build_report(setup, **target)
     fmt, out = _resolve_output(args, config)
 
-    verdict = {
-        "s1_bound": report.s1_bound,
-        "rel_dark_fluct_target": report.rel_dark_fluct_target,
-        "n_pulses_required": report.n_pulses_required,
-        "acquisition_seconds": report.time.seconds,
-        "acquisition_days": report.time.days,
-        "expected_signal_rate": report.expected_signal_rate,
-        "dark_rate": report.dark_rate,
-        "practical": report.practical,
-    }
+    # The report's fields in order, with its time as acquisition_seconds and _days.
+    verdict: dict[str, Any] = {}
+    for key, value in asdict(report).items():
+        if key == "time":
+            verdict |= {f"acquisition_{unit}": part for unit, part in value.items()}
+        else:
+            verdict[key] = value
     setup_echo = asdict(setup)
     record = {**setup_echo, **verdict}
     _render(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
@@ -25,6 +24,11 @@ SUM_TOL = 1e-12
 # noise, which mu / (mu' - mu) scales up, and the bound can fall below the
 # true tagged fraction.
 MIN_SEPARATION = 1e-6
+
+# Smallest admissible weak intensity.  Above it c >= 5e-301 is normal, and
+# as single-photon dominance caps mu' at 351.25, (mu'/mu)^2 <= 1.3e305 and
+# e^{mu-mu'} >= 2.8e-153 are finite and normal too.
+MIN_INTENSITY = 1e-150
 
 
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
@@ -86,7 +90,8 @@ _VALID = PairValidity(True)
 def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     """Check whether ``(mu, mu_prime)`` supports the decomposition.
 
-    Requirements: both intensities positive and finite, ``mu_prime > mu``,
+    Requirements: both intensities positive and finite,
+    ``mu >= MIN_INTENSITY``, ``mu_prime > mu``,
     ``mu_prime >= mu * (1 + MIN_SEPARATION)``, and
     ``mu_prime * exp(-mu_prime) > mu * exp(-mu)`` so the single-photon weight
     of the stronger class dominates.
@@ -96,6 +101,8 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
             return PairValidity(False, f"{name} must be finite, got {value}")
         if value <= 0:
             return PairValidity(False, f"{name} must be positive, got {value}")
+    if mu < MIN_INTENSITY:
+        return PairValidity(False, f"mu must be at least {MIN_INTENSITY:g}, got {mu}")
     if mu_prime <= mu:
         return PairValidity(False, f"mu_prime must exceed mu, got {mu} >= {mu_prime}")
     floor = mu * (1.0 + MIN_SEPARATION)
@@ -136,15 +143,7 @@ class ProtocolParams:
         mu, mu_prime = self.mu, self.mu_prime
         exp_gap = math.exp(mu - mu_prime)
         multi_ratio = _multi_ratio(mu, mu_prime, exp_gap)
-        if multi_ratio == math.inf:
-            raise DomainError(
-                f"(mu'/mu)^2 e^{{mu-mu'}} overflows for mu={mu}, mu_prime={mu_prime}"
-            )
         c = multi_photon_weight(mu)
-        # Below mu ~ 2.1e-154, c ~ mu^2 / 2 is subnormal or 0, and every bound
-        # divides by it.
-        if c < sys.float_info.min:
-            raise DomainError(f"multi-photon weight c of mu={mu} underflows to {c:g}")
         p0_mu, p0_mu_prime = math.exp(-mu), math.exp(-mu_prime)
         return DecompositionCoefficients(
             p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap, c, multi_ratio
@@ -152,11 +151,8 @@ class ProtocolParams:
 
 
 def _multi_ratio(mu: float, mu_prime: float, exp_gap: float) -> float:
-    """(mu'/mu)^2 e^{mu-mu'} from exp_gap = e^{mu-mu'}, or inf where it overflows."""
-    try:
-        return (mu_prime / mu) ** 2 * exp_gap
-    except OverflowError:
-        return math.inf
+    """(mu'/mu)^2 e^{mu-mu'} from exp_gap = e^{mu-mu'}."""
+    return (mu_prime / mu) ** 2 * exp_gap
 
 
 @dataclass(frozen=True)
@@ -188,9 +184,7 @@ class DecompositionCoefficients:
 def decompose(params: ProtocolParams) -> DecompositionCoefficients:
     """Every weight the bounds read, computed once per ``params`` and cached on it.
 
-    No bound forms a Poisson weight of mu or mu' itself.  Raises DomainError
-    when (mu'/mu)^2 e^{mu-mu'} overflows, as it does for a tiny mu beside an
-    ordinary mu', or when c is subnormal or 0 (mu below about 2.1e-154),
-    since every bound divides by c.
+    No bound forms a Poisson weight of mu or mu' itself.  Never raises: the
+    admissibility floor MIN_INTENSITY keeps every weight finite and normal.
     """
     return params._coefficients

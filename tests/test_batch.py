@@ -8,6 +8,7 @@ Where the scalar solver runs out of evaluations, the layers raise _Replay.
 import itertools
 import math
 import random
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -30,12 +31,13 @@ from decoyqkd import (
     expected_rates,
     finite_bound,
     gllp_rate,
+    hwang_bound,
     validate_pair,
     wang_asymptotic_bound,
 )
 from decoyqkd.bounds import DEFAULT_MAX_ITER
 from decoyqkd.cli import parse_grid
-from decoyqkd.photon_stats import MIN_SEPARATION
+from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION
 
 DEFAULTS = FluctuationSettings()
 
@@ -245,10 +247,45 @@ def test_pairs_carry_the_decomposition_bit_for_bit():
     for (mu, mu_prime), *row in zip(pairs, *columns):
         coeffs = decompose(ProtocolParams(mu, mu_prime))
         assert list(map(exact, row)) == [exact(getattr(coeffs, n)) for n in names], (mu, mu_prime)
-    # One lane where decompose raises makes the whole grid replay.
-    for mu, mu_prime in ((1e-160, 0.45), (1e-160, 2e-160)):
-        with pytest.raises(batch._Replay):
-            batch.Pairs.of([0.3, mu], [0.45, mu_prime])
+
+
+def largest_admissible_mu_prime(mu):
+    """The largest float mu' with validate_pair(mu, mu'), for mu below 1 / (1 + 1e-6)."""
+    lo, hi = 1.0, 800.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if validate_pair(mu, mid) else (lo, mid)
+    return lo
+
+
+def test_every_pair_above_the_intensity_floor_decomposes():
+    # mu log-uniform down to MIN_INTENSITY, each with its separation floor, a
+    # log-uniform mu' and its largest admissible mu', which reaches 351.25.
+    rng = random.Random(19)
+    mus = [MIN_INTENSITY] + [10.0 ** rng.uniform(-150.0, -1e-6) for _ in range(1999)]
+    pairs = []
+    for mu in mus:
+        top = largest_admissible_mu_prime(mu)
+        floor = mu * (1.0 + MIN_SEPARATION)
+        middle = math.exp(rng.uniform(math.log(floor), math.log(top)))
+        pairs += [(mu, floor), (mu, middle), (mu, top)]
+    assert pairs[2] == (1e-150, 351.2492600631708)
+    names = [field.name for field in fields(DecompositionCoefficients)]
+    lanes = batch.Pairs.of(*zip(*pairs))
+    columns = [getattr(lanes, name).tolist() for name in names]
+    channel = NoEve(eta=1e-3, s0=1e-6)
+    budget = PulseBudget(10**10, 10**10)
+    for (mu, mu_prime), *row in zip(pairs, *columns):
+        params = ProtocolParams(mu, mu_prime)
+        coeffs = [getattr(decompose(params), name) for name in names]
+        assert all(math.isfinite(v) and v >= sys.float_info.min for v in coeffs), (mu, mu_prime)
+        assert list(map(exact, row)) == list(map(exact, coeffs)), (mu, mu_prime)
+        rates = expected_rates(channel, params)
+        hwang_bound(rates, params)
+        report = wang_asymptotic_bound(rates, params)
+        finite_bound(rates, params, budget)
+        delta_prime_bound(report.delta_upper, rates, params)
+    check = validate_pair(1e-151, 0.45)
+    assert (check.valid, check.reason) == (False, "mu must be at least 1e-150, got 1e-151")
 
 
 def test_baseline_grid_slice_with_vacuous_rows():
@@ -375,15 +412,12 @@ def test_sweep_errors_follow_row_order():
 
 
 def test_underflow_errors_match_scalar():
-    # Subnormal rates and a multi-photon weight that underflows to 0 make
-    # the scalar bounds divide by zero, so they raise DomainError instead.
+    # Subnormal or tiny rates make the scalar bounds divide by zero, so they
+    # raise DomainError instead.
     grids = [
         ([(0.3, 0.45), (0.5, 0.6)], [1e-3, 0.0], 5e-324),
-        ([(0.3, 0.45), (1e-170, 2e-170)], [1e-3], 1e-6),
-        # mu' e^{-mu'} S_mu underflows to 0 as well.
-        ([(0.3, 0.45), (1e-170, 2e-170)], [1e-3], 0.0),
-        # c is subnormal here, not 0.
-        ([(0.3, 0.45), (1e-160, 2e-160)], [1e-3], 1e-6),
+        # At the intensity floor, mu' e^{-mu'} S_mu = 2e-150 * 1e-180 underflows to 0.
+        ([(0.3, 0.45), (1e-150, 2e-150)], [1e-30], 0.0),
     ]
     for pairs, etas, s0 in grids:
         for n in (None, 10**10):
@@ -392,7 +426,7 @@ def test_underflow_errors_match_scalar():
 
 
 def test_sweep_errors_carry_no_replay_context():
-    for pairs, etas in (([(1e-170, 2e-170)], [1e-3]), ([(0.3, 0.45)], [1e-3, 2.0])):
+    for pairs, etas, s0 in (([(1e-150, 2e-150)], [1e-30], 0.0), ([(0.3, 0.45)], [1e-3, 2.0], 1e-6)):
         with pytest.raises((DomainError, ParameterError)) as raised:
-            batch.sweep(pairs, etas, 1e-6, 10**10, DEFAULTS, None)
+            batch.sweep(pairs, etas, s0, 10**10, DEFAULTS, None)
         assert raised.value.__context__ is None

@@ -127,14 +127,14 @@ def _solve_exact(rates, params, max_iter=DEFAULT_MAX_ITER):
     return _solve_sc(rates, params, 0.0, 0.0, 0.0, max_iter)
 
 
-def test_iterate_matches_closed_form():
+def test_solver_matches_closed_form():
     sc, s1 = _solve_exact(RATIO_RATES, PARAMS)
     delta = 0.036936313113766774 * sc / RATIO_RATES.s_mu
     assert delta == pytest.approx(0.32366848545656625, rel=1e-9)
     assert s1 > 0.0
 
 
-def test_iterate_converges_within_100_iterations():
+def test_solver_converges_within_100_iterations():
     rates = ObservedRates(
         s0=1e-6, s_mu=-math.expm1(-1e-4 * 0.25), s_mu_prime=-math.expm1(-1e-4 * 0.41)
     )
@@ -144,7 +144,7 @@ def test_iterate_converges_within_100_iterations():
     assert _solve_exact(rates, params) == (sc, s1)
 
 
-def test_iterate_near_diagonal_matches_closed_form():
+def test_solver_near_diagonal_matches_closed_form():
     # mu'/mu - 1 = 3.3e-4: a loop contracting by mu/mu' per step would
     # need tens of thousands of steps here.
     params = ProtocolParams(0.3, 0.3001)
@@ -155,7 +155,7 @@ def test_iterate_near_diagonal_matches_closed_form():
     assert s1 == pytest.approx(closed.s1_lower, rel=1e-6)
 
 
-def test_iterate_clamps_s1_at_zero():
+def test_solver_clamps_s1_at_zero():
     # Strong class so bright the weak class cannot contain any singles:
     # fixed point is the crude value, with no singles left (s1 <= 0).
     rates = ObservedRates(0.0, 1e-6, 0.5)
@@ -166,7 +166,7 @@ def test_iterate_clamps_s1_at_zero():
     assert sc == pytest.approx(crude, rel=1e-12)
 
 
-def test_iterate_non_convergence_carries_last_iterate():
+def test_solver_non_convergence_carries_last_iterate():
     with pytest.raises(ConvergenceError) as excinfo:
         finite_bound(RATIO_RATES, PARAMS, PulseBudget(10**10, 10**10), max_iter=2)
     assert excinfo.value.sc is not None and excinfo.value.sc > 0.0
@@ -227,7 +227,7 @@ def test_dominance_small_dark_regime(pair):
 
 
 @given(physical_inputs())
-def test_iterate_agrees_with_closed_form_property(pair):
+def test_solver_agrees_with_closed_form_property(pair):
     params, rates = pair
     closed = wang_asymptotic_bound(rates, params)
     # s1_lower == 0 marks the clamped regime where the solver deliberately
@@ -253,28 +253,25 @@ def test_monotone_in_strong_rate(pair, factor):
 
 
 def test_underflowed_divisors_raise_domain_error():
-    # A subnormal weak rate makes mu' e^{-mu'} S_mu round to 0; at mu = 1e-170
-    # the multi-photon weight c ~ mu^2 / 2 does.  Both used to divide by zero.
+    # A subnormal weak rate makes mu' e^{-mu'} S_mu round to 0, which the
+    # closed form used to divide by.  At mu = 1e-170 the multi-photon weight
+    # c ~ mu^2 / 2 would be 0, so that pair is refused before any bound.
     subnormal = expected_rates(NoEve(eta=0.0, s0=5e-324), ProtocolParams(0.5, 0.6))
     assert hwang_bound(subnormal, ProtocolParams(0.5, 0.6)).vacuous
     with pytest.raises(DomainError, match=r"mu' e\^\{-mu'\} S_mu underflows to 0"):
         wang_asymptotic_bound(subnormal, ProtocolParams(0.5, 0.6))
-    tiny = ProtocolParams(1e-170, 2e-170)
-    rates = expected_rates(NoEve(eta=1e-3, s0=1e-6), tiny)
-    for bound in (hwang_bound, wang_asymptotic_bound):
-        with pytest.raises(DomainError, match="multi-photon weight c of mu=1e-170 underflows"):
-            bound(rates, tiny)
+    with pytest.raises(ParameterError, match="mu must be at least 1e-150, got 1e-170"):
+        ProtocolParams(1e-170, 2e-170)
 
 
-def test_delta_prime_raises_where_decompose_does():
-    # It used to return a value for these pairs, where every other bound raises.
+def test_delta_prime_is_defined_on_pairs_at_the_intensity_floor():
+    # It once returned a value where every other bound raised, and then
+    # raised with them.  No admissible pair raises any more.
     rates = ObservedRates(s0=1e-6, s_mu=1e-3, s_mu_prime=2e-3)
-    for params, cause in (
-        (ProtocolParams(1e-160, 0.45), r"\(mu'/mu\)\^2 e\^\{mu-mu'\} overflows"),
-        (ProtocolParams(1e-160, 2e-160), "multi-photon weight c of mu=1e-160 underflows"),
-    ):
-        with pytest.raises(DomainError, match=cause):
-            delta_prime_bound(0.1, rates, params)
+    for mu_prime in (0.45, 2e-150):
+        assert 0.0 <= delta_prime_bound(0.1, rates, ProtocolParams(1e-150, mu_prime)) <= 1.0
+        with pytest.raises(ParameterError, match="mu must be at least 1e-150, got 1e-160"):
+            ProtocolParams(1e-160, mu_prime)
 
 
 def test_near_diagonal_family_is_sound_or_rejected():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import lzma
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import example, given, strategies as st
 from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
 from decoyqkd.errors import ConfigError, ConvergenceError
+from decoyqkd.photon_stats import validate_pair
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -524,15 +526,15 @@ def test_parse_grid_list_and_scalar():
     "argv, message",
     [
         (("--mu", "0.1:inf:0.1", "--mu-prime", "0.45"),
-         "[sweep] mu: grid start, stop and step must be finite, got '0.1:inf:0.1'"),
+         "--mu: grid start, stop and step must be finite, got '0.1:inf:0.1'"),
         (("--mu", "0.1:nan:0.1", "--mu-prime", "0.45"),
-         "[sweep] mu: grid start, stop and step must be finite, got '0.1:nan:0.1'"),
+         "--mu: grid start, stop and step must be finite, got '0.1:nan:0.1'"),
         (("--mu", "0.3", "--mu-prime", "0.45:0.5:inf"),
-         "[sweep] mu_prime: grid start, stop and step must be finite, got '0.45:0.5:inf'"),
+         "--mu-prime: grid start, stop and step must be finite, got '0.45:0.5:inf'"),
         (("--mu", "0.1:0.2:1e-12", "--mu-prime", "0.45"),
-         "[sweep] mu: grid '0.1:0.2:1e-12' has more than 1000000 points"),
+         "--mu: grid '0.1:0.2:1e-12' has more than 1000000 points"),
         (("--mu", "0.3", "--mu-prime=-1e308:1e308:1"),
-         "[sweep] mu_prime: grid '-1e308:1e308:1' has more than 1000000 points"),
+         "--mu-prime: grid '-1e308:1e308:1' has more than 1000000 points"),
         # 5001 * 7001 rows, rejected before any pair is checked.
         (("--mu", "0.1:0.6:0.0001", "--mu-prime", "0.2:0.9:0.0001"),
          "sweep grid has 35012001 rows, more than 1000000"),
@@ -543,6 +545,60 @@ def test_parse_grid_list_and_scalar():
 def test_unusable_grid_ranges_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "sweep", *argv, "--eta", "1e-3")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, ini, message",
+    [
+        (("sweep", "--mu", "0.1:0.5:0", "--mu-prime", "0.45", "--eta", "1e-3"), "",
+         "--mu: grid step must be positive, got 0.0"),
+        (("sweep", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3:1e-4:1e-4"), "",
+         "--eta: grid stop 0.0001 is below start 0.001"),
+        (("sweep", "--mu-prime", "0.45", "--eta", "1e-3"), "[sweep]\nmu = 0.1:0.5:0\n",
+         "[sweep] mu: grid step must be positive, got 0.0"),
+        (("bound", "--mu", "0.3", "--mu-prime", "0.45", "--yields", "0.1,x"), "",
+         "--yields: expected a number, got 'x'"),
+        (("bound", "--mu", "0.3", "--mu-prime", "0.45"), "[scenario]\nyields = 0.1,x\n",
+         "[scenario] yields: expected a number, got 'x'"),
+    ],
+    ids=["mu-flag", "eta-flag", "mu-config", "yields-flag", "yields-config"],
+)
+def test_parse_errors_name_the_flag_or_config_key(tmp_path, capsys, argv, ini, message):
+    if ini:
+        (tmp_path / "run.ini").write_text(ini)
+        argv += ("--config", str(tmp_path / "run.ini"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_parse_grid_keeps_the_written_start():
+    # Points were rounded to 12 decimals, or 3 past a small step's first
+    # digit, which moved a start written with more.
+    assert parse_grid("0.1234567890123456:0.4:0.1", "test") == [
+        0.1234567890123456, 0.2234567890123456, 0.3234567890123456
+    ]
+    assert parse_grid("1.23456e-13:3e-12:1e-12", "test") == [
+        1.23456e-13, 1.123456e-12, 2.123456e-12
+    ]
+    # An exponent too large for Decimal writes a start of 0.
+    assert parse_grid("1e-99999999999999999999:1:0.5", "test") == [0.0, 0.5, 1.0]
+
+
+def test_benchmark_grid_matches_its_reference_rows():
+    # The sweep benchmark looks each row up by its (mu, mu', eta) floats, so
+    # a grid or admissibility change that moves one float fails it.
+    reference = SRC.parent / "bench" / "data" / "sweep_reference.csv.xz"
+    with lzma.open(reference, "rt", encoding="utf-8") as fh:
+        next(fh)
+        keys = [tuple(map(float, line.split(",")[:3])) for line in fh]
+    pairs = [
+        (mu, mu_prime)
+        for mu in parse_grid("0.05:0.5:0.005", "mu")
+        for mu_prime in parse_grid("0.1:1.0:0.005", "mu_prime")
+        if validate_pair(mu, mu_prime)
+    ]
+    assert len(keys) == 39_450
+    assert keys == [(mu, mu_prime, eta) for mu, mu_prime in pairs for eta in (1e-4, 1e-3, 1e-2)]
 
 
 def test_parse_grid_rounds_to_the_step(capsys):
@@ -825,31 +881,26 @@ def test_sweep_row_count_limit(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: sweep grid has 30 rows, more than 29\n")
 
 
+TINY_160 = "mu must be at least 1e-150, got 1e-160"
+TINY_170 = "mu must be at least 1e-150, got 1e-170"
+
+
 @pytest.mark.parametrize("command", ["bound", "sweep"])
 @pytest.mark.parametrize(
     "argv, cause",
     [
         (("--mu", "0.5", "--mu-prime", "0.6", "--eta", "0", "--s0", "5e-324"),
          "mu' e^{-mu'} S_mu underflows to 0"),
-        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3"),
-         "multi-photon weight c of mu=1e-170 underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3"), TINY_170),
         (("--mu", "0.5", "--mu-prime", "0.6", "--eta", "0", "--s0", "5e-324", "--n", "1e10"),
          "mu' e^{-mu'} S_mu underflows to 0"),
-        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--n", "1e10"),
-         "multi-photon weight c of mu=1e-170 underflows to 0"),
-        # mu' e^{-mu'} S_mu underflows too; c is the cause every command names.
-        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--s0", "0"),
-         "multi-photon weight c of mu=1e-170 underflows to 0"),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--n", "1e10"), TINY_170),
+        (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--s0", "0"), TINY_170),
         (("--mu", "1e-170", "--mu-prime", "2e-170", "--eta", "1e-3", "--s0", "0", "--n", "1e10"),
-         "multi-photon weight c of mu=1e-170 underflows to 0"),
-        (("--mu", "1e-170", "--mu-prime", "0.45", "--eta", "1e-3"),
-         "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-170, mu_prime=0.45"),
-        # c is subnormal here, not 0.
-        (("--mu", "1e-160", "--mu-prime", "0.45", "--eta", "1e-3"),
-         "(mu'/mu)^2 e^{mu-mu'} overflows for mu=1e-160, mu_prime=0.45"),
-        # c = 5e-321 is subnormal: sc_upper = S_mu / c would overflow to inf.
-        (("--mu", "1e-160", "--mu-prime", "2e-160", "--eta", "1e-3", "--s0", "1e-6"),
-         "multi-photon weight c of mu=1e-160 underflows to 4.99994e-321"),
+         TINY_170),
+        (("--mu", "1e-170", "--mu-prime", "0.45", "--eta", "1e-3"), TINY_170),
+        (("--mu", "1e-160", "--mu-prime", "0.45", "--eta", "1e-3"), TINY_160),
+        (("--mu", "1e-160", "--mu-prime", "2e-160", "--eta", "1e-3", "--s0", "1e-6"), TINY_160),
     ],
     ids=[
         "subnormal-rate",
@@ -864,10 +915,35 @@ def test_sweep_row_count_limit(capsys, monkeypatch):
     ],
 )
 def test_underflowed_inputs_exit_2(capsys, command, argv, cause):
+    # A weak intensity whose decomposition would leave the normal floats is
+    # refused by the intensity floor; a sweep skips its one pair and is left
+    # with none.
     code, out, err = run(capsys, command, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and cause in err
+    if cause not in (TINY_160, TINY_170):
+        assert err.startswith("error: ") and cause in err
+    elif command == "bound":
+        assert err == f"error: {cause}\n"
+    else:
+        assert err == (
+            f"note: skipping inadmissible pair mu={argv[1]}, mu_prime={argv[3]}: {cause}\n"
+            "error: sweep grid contains no admissible (mu, mu_prime) pairs\n"
+        )
+
+
+def test_sweep_skips_a_weak_intensity_below_the_floor(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--mu", "1e-170,0.3", "--mu-prime", "0.45", "--eta", "1e-3",
+        "--format", "csv",
+    )
+    assert code == 0
+    rows = [tuple(map(float, line.split(",")[:3])) for line in out.splitlines()[1:]]
+    assert rows == [(0.3, 0.45, 1e-3)]
+    assert err == (
+        "note: skipping inadmissible pair mu=1e-170, mu_prime=0.45: "
+        f"{TINY_170}\n"
+    )
 
 
 COUNT_COMMANDS = {

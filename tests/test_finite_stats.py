@@ -406,7 +406,7 @@ def test_finite_dominates_asymptotic_property(case):
 
 
 @given(finite_cases(min_strong_share=1.0))
-def test_min_over_classes_inert_without_a_smaller_strong_class(case):
+def test_a_larger_strong_class_leaves_the_bound_unchanged(case):
     # Admissibility, mu' e^{-mu'} > mu e^{-mu} and so (mu'/mu)^2 e^{mu-mu'} > 1,
     # makes the weak class the smaller sub-population in both fluctuation
     # terms unless the strong class has fewer pulses: any n_mu' >= n_mu gives

@@ -14,7 +14,7 @@ from decoyqkd import (
     multi_photon_weight,
     validate_pair,
 )
-from decoyqkd.photon_stats import MIN_SEPARATION, poisson_mixture
+from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION, poisson_mixture
 
 from reference import poisson_pmf
 
@@ -100,6 +100,11 @@ def test_validate_pair_rejections():
     assert not validate_pair(0.0, 0.45)
     assert not validate_pair(-0.1, 0.45)
     assert not validate_pair(0.3, math.inf)
+    # Below MIN_INTENSITY the decomposition's weights leave the normal floats.
+    assert validate_pair(MIN_INTENSITY, 0.45)
+    check = validate_pair(math.nextafter(MIN_INTENSITY, 0.0), 0.45)
+    assert not check
+    assert check.reason.startswith("mu must be at least 1e-150, got 9.99999999999999")
     # mu_prime past the mode of x e^{-x}: single-photon weight no longer dominates
     check = validate_pair(0.3, 3.0)
     assert not check
@@ -145,20 +150,15 @@ def test_decompose_computed_once_per_params():
     assert params == ProtocolParams(0.3, 0.45)
 
 
-def test_decompose_ratio_overflow_is_a_domain_error():
-    # c = mu^2/2 is subnormal at mu = 1e-160, and (mu'/mu)^2 overflows.
-    params = ProtocolParams(1e-160, 0.45)
-    for _ in range(2):
-        with pytest.raises(DomainError, match=r"\(mu'/mu\)\^2 e\^\{mu-mu'\} overflows"):
-            decompose(params)
-
-
-def test_decompose_subnormal_multi_weight_is_a_domain_error():
-    # c = mu^2/2 = 5e-321 is subnormal, and every bound divides by it.
-    params = ProtocolParams(1e-160, 2e-160)
-    for _ in range(2):
-        with pytest.raises(DomainError, match="multi-photon weight c of mu=1e-160 underflows"):
-            decompose(params)
+@pytest.mark.parametrize(
+    "mu_prime", [0.45, 2e-160], ids=["ratio-would-overflow", "c-would-be-subnormal"]
+)
+def test_protocol_params_refuse_a_weak_intensity_below_the_floor(mu_prime):
+    # At mu = 1e-160, c = mu^2/2 is subnormal, and beside mu' = 0.45 so is
+    # 1/(mu'/mu)^2; every bound divides by both.  The floor refuses the pair
+    # before it reaches decompose.
+    with pytest.raises(ParameterError, match=r"^mu must be at least 1e-150, got 1e-160$"):
+        ProtocolParams(1e-160, mu_prime)
 
 
 @st.composite
