@@ -142,9 +142,9 @@ def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float
 class SimulatedObservation:
     """Sampled click counts and the rates they imply.
 
-    An empty vacuum class reports zero clicks and the scenario's exact
-    vacuum rate, which the bounds take s0 to be: a rate of 0.0 would claim
-    an observed s0 of 0 and drop the vacuum credit from every bound.
+    The rates carry the scenario's exact vacuum rate, which the bounds take
+    s0 to be: a rate sampled from a small vacuum class (0.0 from an empty
+    one) would drop vacuum credit that the true s0 gives.
     """
 
     rates: ObservedRates
@@ -162,7 +162,7 @@ def sample_observation(
     """Draw per-class click counts exactly binomially; deterministic for a fixed seed.
 
     Draw order is fixed (weak, strong, vacuum) so a given seed always maps
-    to the same observation; an empty vacuum class reports the exact s0.
+    to the same observation; the rates report the exact s0.
     The seed must be a non-negative integer, and no class may hold more
     than MAX_SAMPLED_PULSES pulses.
     """
@@ -181,7 +181,7 @@ def sample_observation(
     s0 = scenario.class_rate(0.0)
     clicks_vacuum = int(rng.binomial(budget.n_vacuum, s0))
     rates = ObservedRates(
-        s0=clicks_vacuum / budget.n_vacuum if budget.n_vacuum else s0,
+        s0=s0,
         s_mu=clicks_mu / budget.n_mu,
         s_mu_prime=clicks_mu_prime / budget.n_mu_prime,
     )

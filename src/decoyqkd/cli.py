@@ -90,6 +90,10 @@ def _as_count(raw: str, where: str) -> int:
         raise ConfigError(f"{where}: expected a finite integer, got {raw!r}")
     if value != value.to_integral_value():
         raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+    # Python prints an int of at most 4300 digits by default, and building
+    # 10**1000000 alone takes about 40 s.
+    if value.adjusted() >= 4300:
+        raise ConfigError(f"{where}: expected an integer of at most 4300 digits, got {raw!r}")
     return int(value)
 
 
@@ -192,20 +196,16 @@ def _setting(
 ) -> Any:
     """The flag ``flag`` (default: ``key``), else ``[section] key``, else default.
 
-    Flags that argparse has already typed are taken as they are; text is
-    parsed by the key's CONFIG_KEYS parser, and its errors name the flag or
-    the config key it came from.  ``args=None`` reads the config only.
+    Either text is parsed by the key's CONFIG_KEYS parser, and its errors
+    name the flag or the config key it came from.  ``args=None`` reads the
+    config only.
     """
-    value = getattr(args, flag or key, None)
+    text = getattr(args, flag or key, None)
     where = "--" + (flag or key).replace("_", "-")
-    if value is None:
-        value = config.get(section, {}).get(key)
+    if text is None:
+        text = config.get(section, {}).get(key)
         where = f"[{section}] {key}"
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return CONFIG_KEYS[section][key](value, where)
-    return value
+    return default if text is None else CONFIG_KEYS[section][key](text, where)
 
 
 def _given(
@@ -289,7 +289,7 @@ def _resolve_rate_source(
     for rates, scenario, conflict in (
         (
             args.rates,
-            args.scenario is not None or _scenario_inputs_given(args, {}),
+            args.scenario is not None or args.s0 is not None or _scenario_inputs_given(args, {}),
             "supply either --rates or scenario flags, not both",
         ),
         (
@@ -310,9 +310,12 @@ def _resolve_rate_source(
 
 def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | None:
     """Each signal count from its own flag, else --n, else [budget]."""
-    flags = {key: getattr(args, key) for key in CONFIG_KEYS["budget"]}
-    flags |= {key: args.n for key in ("n_mu", "n_mu_prime") if flags[key] is None}
-    counts = _given(argparse.Namespace(**flags), config, "budget")
+    stand_in = {}
+    if args.n is not None:
+        n = _as_count(args.n, "--n")
+        stand_in = {key: n for key in ("n_mu", "n_mu_prime") if getattr(args, key) is None}
+    keys = [key for key in CONFIG_KEYS["budget"] if key not in stand_in]
+    counts = stand_in | _given(args, config, "budget", keys)
     signal = {"n_mu", "n_mu_prime"} & counts.keys()
     if len(signal) == 1:
         raise ConfigError("a pulse budget needs both n_mu and n_mu_prime (or --n)")
@@ -320,7 +323,7 @@ def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | N
 
 
 def _resolve_output(args: argparse.Namespace, config: Config) -> tuple[str, str | None]:
-    fmt = _setting(args, config, "output", "format", "table", flag="fmt")
+    fmt = _setting(args, config, "output", "format", "table")
     if fmt not in ("table", "json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r} (expected table, json, or csv)")
     return fmt, args.out or _setting(None, config, "output", "path")
@@ -523,11 +526,12 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
         raise ConfigError("simulate requires a pulse budget (--n or [budget] section)")
     if args.seed is None:
         raise ConfigError("simulate requires --seed for reproducible sampling")
+    seed = _as_count(args.seed, "--seed")
     settings = FluctuationSettings(**_given(args, config, "fluctuation"))
     qber = _setting(args, config, "key", "qber")
     fmt, out = _resolve_output(args, config)
 
-    observation = sample_observation(scenario, params, budget, args.seed)
+    observation = sample_observation(scenario, params, budget, seed)
     exact = expected_rates(scenario, params)
     expected_sections, _ = _bound_pipeline(exact, params, budget, settings, qber)
     sampled_sections, sampled_final = _bound_pipeline(
@@ -539,7 +543,7 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
             **asdict(params),
             "scenario": scenario_echo,
             **asdict(budget),
-            "seed": args.seed,
+            "seed": seed,
             **asdict(settings),
             "qber": qber,
         },
@@ -714,43 +718,43 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
 # parser assembly
 
 
-def _count_flag(raw: str) -> int:
-    # Same grammar and messages as config-file counts, so "--n 8e10" works
-    # on the command line too; argparse names the flag.
-    try:
-        return _as_count(raw, "")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc).removeprefix(": ")) from None
+_COMMON_FLAGS = ("--config", "--format", "--out")
+_MODEL_FLAGS = (
+    "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
+    "--n", "--n-mu", "--n-mu-prime", "--n-vacuum", "--qber", "--confidence-exponent",
+)
 
+# Each command's help line, handler, and flags in help order.  A flag's text
+# is read by the handler, with its config key's parser.
+COMMANDS: dict[str, tuple[str, Callable[..., int], tuple[str, ...]]] = {
+    "bound": ("bound the tagged fraction from counting rates", cmd_bound,
+              (*_COMMON_FLAGS, *_MODEL_FLAGS, "--rates")),
+    "simulate": ("sample an observation and bound it", cmd_simulate,
+                 (*_COMMON_FLAGS, "--seed", *_MODEL_FLAGS)),
+    "table1": ("benchmark grid with frozen references", cmd_table1, ("--format", "--out")),
+    "sweep": ("grid sweep over (mu, mu_prime, eta)", cmd_sweep,
+              (*_COMMON_FLAGS, "--mu", "--mu-prime", "--eta", "--s0", "--n", "--qber",
+               "--confidence-exponent")),
+    "feasibility": ("very-weak-decoy pulse-count verdict", cmd_feasibility,
+                    (*_COMMON_FLAGS, "--eta", "--s0", "--mu-v", "--rep-rate",
+                     "--confidence-exponent", "--target")),
+}
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", dest="fmt", choices=("table", "json", "csv"))
-    parser.add_argument("--out", metavar="PATH")
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH")
-    _add_output_flags(parser)
-
-
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--qber", type=float)
-    parser.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--mu-prime", dest="mu_prime", type=float)
-    parser.add_argument("--scenario", choices=tuple(SCENARIOS))
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--s0", type=float)
-    parser.add_argument("--q", type=float)
-    parser.add_argument("--yields", metavar="S1,S2,...")
-    parser.add_argument("--n", type=_count_flag, help="pulses per signal class (sets both)")
-    parser.add_argument("--n-mu", dest="n_mu", type=_count_flag)
-    parser.add_argument("--n-mu-prime", dest="n_mu_prime", type=_count_flag)
-    parser.add_argument("--n-vacuum", dest="n_vacuum", type=_count_flag)
-    _add_solver_flags(parser)
+# Help text and metavar of the flags that have them; "command --flag" wins over "--flag".
+_GRID = {"metavar": "GRID"}
+FLAG_HELP: dict[str, dict[str, str]] = {
+    "--config": {"metavar": "PATH"},
+    "--format": {"metavar": "{table,json,csv}"},
+    "--out": {"metavar": "PATH"},
+    "--scenario": {"metavar": "{" + ",".join(SCENARIOS) + "}"},
+    "--yields": {"metavar": "S1,S2,..."},
+    "--n": {"help": "pulses per signal class (sets both)"},
+    "--rates": {"metavar": "S0,SMU,SMUP", "help": "direct observed rates"},
+    "sweep --mu": _GRID,
+    "sweep --mu-prime": _GRID,
+    "sweep --eta": _GRID,
+    "sweep --n": {},
+}
 
 
 @functools.cache
@@ -761,43 +765,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verified multi-photon bounds for two-intensity decoy protocols",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bound = sub.add_parser("bound", help="bound the tagged fraction from counting rates")
-    _add_common_flags(p_bound)
-    _add_model_flags(p_bound)
-    p_bound.add_argument("--rates", metavar="S0,SMU,SMUP", help="direct observed rates")
-    p_bound.set_defaults(handler=cmd_bound)
-
-    p_sim = sub.add_parser("simulate", help="sample an observation and bound it")
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--seed", type=int)
-    _add_model_flags(p_sim)
-    p_sim.set_defaults(handler=cmd_simulate)
-
-    p_table = sub.add_parser("table1", help="benchmark grid with frozen references")
-    _add_output_flags(p_table)
-    p_table.set_defaults(handler=cmd_table1)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep over (mu, mu_prime, eta)")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--mu", metavar="GRID")
-    p_sweep.add_argument("--mu-prime", dest="mu_prime", metavar="GRID")
-    p_sweep.add_argument("--eta", metavar="GRID")
-    p_sweep.add_argument("--s0", type=float)
-    p_sweep.add_argument("--n", type=_count_flag)
-    _add_solver_flags(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_feas = sub.add_parser("feasibility", help="very-weak-decoy pulse-count verdict")
-    _add_common_flags(p_feas)
-    p_feas.add_argument("--eta", type=float)
-    p_feas.add_argument("--s0", type=float)
-    p_feas.add_argument("--mu-v", dest="mu_v", type=float)
-    p_feas.add_argument("--rep-rate", dest="rep_rate", type=float)
-    p_feas.add_argument("--confidence-exponent", dest="confidence_exponent", type=float)
-    p_feas.add_argument("--target", type=float)
-    p_feas.set_defaults(handler=cmd_feasibility)
-
+    for name, (summary, handler, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag in flags:
+            command.add_argument(flag, **FLAG_HELP.get(f"{name} {flag}", FLAG_HELP.get(flag, {})))
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -233,9 +233,10 @@ def test_sample_observation_empty_vacuum_class():
 
 def test_sampled_finite_bound_without_vacuum_class_is_sound():
     # With no vacuum pulses, a reported s0 of 0 dropped the vacuum credit, and
-    # 223 of these sampled finite bounds fell below the truth.
+    # 223 of these sampled finite bounds fell below the truth.  A small vacuum
+    # class gave a noisy s0 that the bound took as exact: with 1, 10, 100 and
+    # 1000 vacuum pulses, 223, 223, 217 and 166 fell below.
     rng = random.Random(20040615)
-    budget = PulseBudget(10**10, 10**10)
     below = []
     for seed in range(1000):
         mu = rng.uniform(0.1, 0.5)
@@ -245,10 +246,12 @@ def test_sampled_finite_bound_without_vacuum_class_is_sound():
             scenario = NoEve(eta=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
         else:
             scenario = PnsAttack(q=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
-        obs = sample_observation(scenario, params, budget, seed)
         truth, _ = true_delta(scenario, params)
-        if finite_bound(obs.rates, params, budget).delta_upper < truth:
-            below.append((seed, scenario, params))
+        for n_vacuum in (0, 1, 10, 100, 1000):
+            budget = PulseBudget(10**10, 10**10, n_vacuum)
+            obs = sample_observation(scenario, params, budget, seed)
+            if finite_bound(obs.rates, params, budget).delta_upper < truth:
+                below.append((seed, n_vacuum, scenario, params))
     assert below == []
 
 

@@ -229,6 +229,8 @@ PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
         ((), "", "no rate source: supply a scenario, direct rates, or a [rates] section"),
         ((), "[rates]\ns0 = 0\ns_mu = 1e-4\n", "[rates] section is missing ['s_mu_prime']"),
         (("--rates", "0,1e-4"), None, "--rates expects three values: s0,s_mu,s_mu_prime"),
+        (("--rates", "0,1e-4,1.5e-4", "--s0", "1e-6"), None,
+         "supply either --rates or scenario flags, not both"),
     ],
     ids=[
         "no_eve-without-eta",
@@ -239,6 +241,7 @@ PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
         "no-rate-source",
         "rates-section-incomplete",
         "rates-flag-count",
+        "rates-and-s0-flag",
     ],
 )
 def test_rate_source_resolution_errors(tmp_path, capsys, argv, ini, message):
@@ -308,6 +311,22 @@ def test_simulate_negative_seed_exit_2(capsys):
         "--seed", "-1",
     )
     assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("1.5", "--seed: expected an integer, got '1.5'"),
+        # An integer this large takes hours to build, and past 4300 digits
+        # the input echo cannot print it.
+        ("1e999999999", "--seed: expected an integer of at most 4300 digits, got '1e999999999'"),
+    ],
+    ids=["fraction", "huge"],
+)
+def test_simulate_seed_takes_the_count_grammar(capsys, seed, message):
+    argv = ("simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "1e6")
+    assert run(capsys, *argv, "--seed", seed) == (2, "", f"error: {message}\n")
+    assert run(capsys, *argv, "--seed", "1e1") == run(capsys, *argv, "--seed", "10")
 
 
 def test_simulate_rejects_direct_rates(tmp_path, capsys):
@@ -957,14 +976,17 @@ COUNT_COMMANDS = {
 @pytest.mark.parametrize(
     "form, value, cause",
     [
-        ("flag", "inf", "argument --n: expected a finite integer, got 'inf'"),
+        ("flag", "inf", "error: --n: expected a finite integer, got 'inf'"),
         ("flag", "1e400", "error: n_mu is too large to convert to a float"),
-        ("flag", "abc", "argument --n: expected an integer, got 'abc'"),
+        ("flag", "abc", "error: --n: expected an integer, got 'abc'"),
         ("config", "inf", "expected a finite integer, got 'inf'"),
         ("config", "1e400", "error: n_mu is too large to convert to a float"),
         ("config", "abc", "expected an integer, got 'abc'"),
+        ("flag", "1e4300", "error: --n: expected an integer of at most 4300 digits, got '1e4300'"),
+        ("config", "1e4300", "expected an integer of at most 4300 digits, got '1e4300'"),
     ],
-    ids=["flag-inf", "flag-1e400", "flag-text", "config-inf", "config-1e400", "config-text"],
+    ids=["flag-inf", "flag-1e400", "flag-text", "config-inf", "config-1e400", "config-text",
+         "flag-4301-digits", "config-4301-digits"],
 )
 def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value, cause):
     argv = list(COUNT_COMMANDS[command])
@@ -977,14 +999,9 @@ def test_out_of_range_pulse_counts_exit_2(tmp_path, capsys, command, form, value
         else:
             cfg.write_text(f"[budget]\nn_mu = {value}\nn_mu_prime = 1e10\n")
         argv += ["--config", str(cfg)]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the flag
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and cause in errors[0]
 
 
@@ -1049,6 +1066,19 @@ def test_simulate_without_vacuum_class_covers_no_eve(capsys):
     )
     assert code == 0
     assert payload["sampled"]["finite"]["delta_upper"] >= 0.2035
+
+
+def test_simulate_with_a_small_vacuum_class_covers_no_eve(capsys):
+    # 100 vacuum pulses drew no click, and the sampled s0 of 0 gave a sampled
+    # finite bound of 7.7e-05 against a true tagged fraction of 0.0882.
+    code, payload = run_json(
+        capsys, "simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3",
+        "--s0", "1e-3", "--n", "1e9", "--n-vacuum", "100", "--seed", "3",
+    )
+    assert code == 0
+    assert payload["observation"]["clicks_vacuum"] == 0
+    assert payload["observation"]["s0"] == 1e-3
+    assert payload["sampled"]["finite"]["delta_upper"] >= 0.0882
 
 
 BUDGET_INI = "[budget]\nn_mu = 5e8\nn_mu_prime = 5e8\n"
@@ -1138,3 +1168,94 @@ def test_flag_inventory():
     }
     assert flags == FLAG_INVENTORY
     assert sum(map(len, flags.values())) == 55
+
+
+# The flags that set a config key, by command: flag -> (section, key).
+def _keys(section, *keys):
+    return {"--" + key.replace("_", "-"): (section, key) for key in keys}
+
+
+_OUTPUT_KEYS = {"--format": ("output", "format"), "--out": ("output", "path")}
+_MODEL_KEYS = {
+    **_keys("params", "mu", "mu_prime"),
+    "--scenario": ("scenario", "kind"),
+    **_keys("scenario", "eta", "s0", "q", "yields"),
+    **_keys("budget", "n_mu", "n_mu_prime", "n_vacuum"),
+    **_keys("key", "qber"),
+    **_keys("fluctuation", "confidence_exponent"),
+}
+FLAG_KEYS = {
+    "bound": {**_OUTPUT_KEYS, **_MODEL_KEYS},
+    "simulate": {**_OUTPUT_KEYS, **_MODEL_KEYS},
+    "sweep": {
+        **_OUTPUT_KEYS,
+        **_keys("sweep", "mu", "mu_prime", "eta", "s0"),
+        "--n": ("sweep", "n_pulses"),
+        **_keys("sweep", "qber"),
+        **_keys("fluctuation", "confidence_exponent"),
+    },
+    "feasibility": {
+        **_OUTPUT_KEYS,
+        **_keys("feasibility", "eta", "s0", "mu_v", "rep_rate", "confidence_exponent", "target"),
+    },
+}
+# The other flags: a file to read, direct rates, the seed, and the --n that
+# stands in for both [budget] signal counts.
+NOT_CONFIG_KEYS = {"--config", "--rates", "--seed", "--n"}
+
+# A valid run of each command with none of the flags above set in a config.
+# The yields scenario reads every [scenario] key, and with --n-mu and
+# --n-mu-prime in place of --n, [budget] is read too.
+_BASE = {"--mu": "0.3", "--mu-prime": "0.45", "--scenario": "yields", "--yields": "0.1,0.2",
+         "--n-mu": "1e6", "--n-mu-prime": "1e6"}
+FLAG_BASES = {
+    "bound": _BASE,
+    "simulate": {**_BASE, "--seed": "1"},
+    "sweep": {"--mu": "0.3", "--mu-prime": "0.45", "--eta": "1e-3"},
+    "feasibility": {},
+}
+# A malformed text for each parser, and the two free-text keys' bad values.
+MALFORMED = {
+    cli._as_float: "abc",
+    cli._as_floats: "0.1,x",
+    cli._as_count: "1.5",
+    cli.parse_grid: "0.1:0.5:0",
+}
+TEXT_ERRORS = {
+    ("output", "format"): ("xml", "unknown output format 'xml' (expected table, json, or csv)"),
+    ("scenario", "kind"): ("foo", "unknown scenario kind 'foo' (expected no_eve, pns, or yields)"),
+}
+
+
+def test_flag_keys_cover_every_flag():
+    # table1 takes no --config, so its two flags set no config key.
+    assert FLAG_KEYS.keys() == FLAG_INVENTORY.keys() - {"table1"}
+    for command, keyed in FLAG_KEYS.items():
+        flags = set(FLAG_INVENTORY[command])
+        assert keyed.keys() <= flags and flags - keyed.keys() <= NOT_CONFIG_KEYS
+        assert all(key in cli.CONFIG_KEYS[section] for section, key in keyed.values())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in FLAG_KEYS.items() for flag in flags],
+    ids=[f"{command}{flag}" for command, flags in FLAG_KEYS.items() for flag in flags],
+)
+def test_a_malformed_flag_fails_as_its_config_key_does(tmp_path, capsys, command, flag):
+    # The same text fails the same way, with the flag or the key as its label.
+    section, key = FLAG_KEYS[command][flag]
+    if (section, key) == ("output", "path"):
+        value, message = str(tmp_path / "nodir" / "x"), "cannot write output file "
+    elif (section, key) in TEXT_ERRORS:
+        value, message = TEXT_ERRORS[section, key]
+    else:
+        value, message = MALFORMED[cli.CONFIG_KEYS[section][key]], f"{flag}: "
+    base = [text for name, given in FLAG_BASES[command].items() if name != flag
+            for text in (name, given)]
+    code, out, err = run(capsys, command, *base, flag, value)
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    configured = run(capsys, command, *base, "--config", str(cfg))
+    assert configured == (2, "", err.replace(f"{flag}: ", f"[{section}] {key}: "))
+
