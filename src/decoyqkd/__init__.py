@@ -41,7 +41,6 @@ from .finite_stats import (
     FluctuationSettings,
     PulseBudget,
     finite_bound,
-    relative_fluctuation,
 )
 from .key_rate import KeyRateInput, binary_entropy, gllp_rate
 from .photon_stats import (
@@ -92,7 +91,6 @@ __all__ = [
     "multi_photon_fraction",
     "multi_photon_weight",
     "required_pulses",
-    "relative_fluctuation",
     "sample_observation",
     "true_delta",
     "validate_pair",

@@ -240,7 +240,7 @@ def finite_bound(
     """
     seed = wang_asymptotic_bound(rates, pairs)
     c, p1_mu = pairs.c, pairs.p1_mu
-    # relative_fluctuation(1.0, n, settings); r_x = k_x / sqrt(s_x).
+    # finite_stats.finite_bound's k_x = 2 sqrt(E / n_x); r_x = k_x / sqrt(s_x).
     k1 = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * p1_mu))
     kc = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * c))
 

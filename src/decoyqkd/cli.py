@@ -65,7 +65,7 @@ SWEEP_COLUMNS = (
 
 
 # ---------------------------------------------------------------------------
-# config values: parsers, the key table, and the flag > config > default lookup
+# config values: parsers, the key table, and the one input map of a run
 
 
 def _as_float(raw: str, where: str) -> float:
@@ -163,10 +163,13 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
     },
 }
 
-Config = dict[str, dict[str, str]]
+# Section -> key -> (text, label) of one run: the config file's text, each
+# labelled "[section] key", overlaid by each given flag's text, labelled with
+# the flag.  Handlers read their inputs from this map alone.
+Inputs = dict[str, dict[str, tuple[str, str]]]
 
 
-def load_config(path: str) -> Config:
+def load_config(path: str) -> Inputs:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -176,48 +179,35 @@ def load_config(path: str) -> Config:
     except configparser.Error as exc:
         # configparser reports offending line numbers in its message.
         raise ConfigError(f"config file {path} is malformed: {exc}") from None
-    data = {section: dict(parser.items(section)) for section in parser.sections()}
-    for section, entries in data.items():
+    inputs: Inputs = {}
+    for section in parser.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config section [{section}]")
-        for key in entries:
+        inputs[section] = {}
+        for key, text in parser.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-    return data
+            inputs[section][key] = (text, f"[{section}] {key}")
+    return inputs
 
 
-def _setting(
-    args: argparse.Namespace | None,
-    config: Config,
-    section: str,
-    key: str,
-    default: Any = None,
-    flag: str | None = None,
-) -> Any:
-    """The flag ``flag`` (default: ``key``), else ``[section] key``, else default.
+def _setting(inputs: Inputs, section: str, key: str, default: Any = None) -> Any:
+    """``[section] key`` parsed by its CONFIG_KEYS parser, else default.
 
-    Either text is parsed by the key's CONFIG_KEYS parser, and its errors
-    name the flag or the config key it came from.  ``args=None`` reads the
-    config only.
+    A parse error names the flag or the config key the text came from.
     """
-    text = getattr(args, flag or key, None)
-    where = "--" + (flag or key).replace("_", "-")
-    if text is None:
-        text = config.get(section, {}).get(key)
-        where = f"[{section}] {key}"
+    text, where = inputs.get(section, {}).get(key, (None, ""))
     return default if text is None else CONFIG_KEYS[section][key](text, where)
 
 
-def _given(
-    args: argparse.Namespace, config: Config, section: str, keys: Iterable[str] = ()
-) -> dict[str, Any]:
+def _given(inputs: Inputs, section: str, keys: Iterable[str] = ()) -> dict[str, Any]:
     """The set keys (default: all of section), parsed; unset ones keep library defaults."""
-    values = {key: _setting(args, config, section, key) for key in keys or CONFIG_KEYS[section]}
+    values = {key: _setting(inputs, section, key) for key in keys or CONFIG_KEYS[section]}
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _resolve_params(args: argparse.Namespace, config: Config) -> ProtocolParams:
-    values = _given(args, config, "params")
+def _resolve_params(inputs: Inputs) -> ProtocolParams:
+    values = _given(inputs, "params")
     if len(values) < 2:
         raise ConfigError("mu and mu_prime are required (flags or [params] section)")
     return ProtocolParams(**values)
@@ -232,22 +222,12 @@ SCENARIOS: dict[str, tuple[type, str]] = {
 }
 
 
-def _scenario_inputs_given(args: argparse.Namespace, config: Config) -> list[str]:
-    return [
-        key
-        for _, key in SCENARIOS.values()
-        if getattr(args, key, None) is not None or key in config.get("scenario", {})
-    ]
-
-
-def _build_scenario(
-    args: argparse.Namespace, config: Config
-) -> tuple[ChannelScenario, dict[str, Any]]:
-    kind = _setting(args, config, "scenario", "kind", flag="scenario")
+def _build_scenario(inputs: Inputs) -> tuple[ChannelScenario, dict[str, Any]]:
+    kind = _setting(inputs, "scenario", "kind")
     # Numbers parse up front, in CONFIG_KEYS order; a list only once it is read.
     parsers = CONFIG_KEYS["scenario"]
-    numbers = _given(args, config, "scenario", [k for k in parsers if parsers[k] is _as_float])
-    given = _scenario_inputs_given(args, config)
+    numbers = _given(inputs, "scenario", [k for k in parsers if parsers[k] is _as_float])
+    given = [key for _, key in SCENARIOS.values() if key in inputs.get("scenario", {})]
     if kind is None:
         kind = next((kind for kind, (_, key) in SCENARIOS.items() if key in given), None)
         if kind is None:
@@ -264,69 +244,48 @@ def _build_scenario(
     if key not in given:
         needed = key if parsers[key] is _as_float else f"a {key} list"
         raise ConfigError(f"{kind} scenario requires {needed}")
-    scenario = cls(**{"s0": 0.0, **numbers, key: _setting(args, config, "scenario", key)})
+    scenario = cls(**{"s0": 0.0, **numbers, key: _setting(inputs, "scenario", key)})
     return scenario, {"kind": kind, **asdict(scenario)}
 
 
-def _read_rates(source: str | dict[str, str]) -> ObservedRates:
-    """Direct rates from the --rates text or the [rates] config section."""
-    if isinstance(source, str):
-        parts = [p for p in source.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
-        return ObservedRates(*(_as_float(p, "--rates") for p in parts))
-    keys = CONFIG_KEYS["rates"]
-    missing = set(keys) - set(source)
-    if missing:
-        raise ConfigError(f"[rates] section is missing {sorted(missing)}")
-    return ObservedRates(**{key: _as_float(source[key], f"[rates] {key}") for key in keys})
-
-
 def _resolve_rate_source(
-    args: argparse.Namespace, config: Config, params: ProtocolParams
+    inputs: Inputs, params: ProtocolParams
 ) -> tuple[ObservedRates, dict[str, Any] | None]:
-    """Direct rates, or a scenario's rates and echo; the flags decide, else the config."""
-    for rates, scenario, conflict in (
-        (
-            args.rates,
-            args.scenario is not None or args.s0 is not None or _scenario_inputs_given(args, {}),
-            "supply either --rates or scenario flags, not both",
-        ),
-        (
-            config.get("rates"),
-            "scenario" in config,
-            "config supplies both [rates] and [scenario]; keep exactly one",
-        ),
-    ):
-        if rates is not None and scenario:
-            raise ConfigError(conflict)
-        if rates is not None:
-            return _read_rates(rates), None
-        if scenario:
-            built, echo = _build_scenario(args, config)
-            return expected_rates(built, params), echo
+    """Direct rates, or a scenario's rates and echo; a run may give only one."""
+    rates, scenario = inputs.get("rates"), inputs.get("scenario")
+    if rates is not None and scenario is not None:
+        # Each is named by its flags if any of its keys came from one.
+        direct = "--rates" if any(label == "--rates" for _, label in rates.values()) else "[rates]"
+        modelled = "[scenario]"
+        if any(label.startswith("--") for _, label in scenario.values()):
+            modelled = "scenario flags"
+        if (direct, modelled) == ("[rates]", "[scenario]"):
+            raise ConfigError("config supplies both [rates] and [scenario]; keep exactly one")
+        raise ConfigError(f"supply either {direct} or {modelled}, not both")
+    if rates is not None:
+        missing = set(CONFIG_KEYS["rates"]) - set(rates)
+        if missing:
+            raise ConfigError(f"[rates] section is missing {sorted(missing)}")
+        return ObservedRates(**_given(inputs, "rates")), None
+    if scenario is not None:
+        built, echo = _build_scenario(inputs)
+        return expected_rates(built, params), echo
     raise ConfigError("no rate source: supply a scenario, direct rates, or a [rates] section")
 
 
-def _resolve_budget(args: argparse.Namespace, config: Config) -> PulseBudget | None:
-    """Each signal count from its own flag, else --n, else [budget]."""
-    stand_in = {}
-    if args.n is not None:
-        n = _as_count(args.n, "--n")
-        stand_in = {key: n for key in ("n_mu", "n_mu_prime") if getattr(args, key) is None}
-    keys = [key for key in CONFIG_KEYS["budget"] if key not in stand_in]
-    counts = stand_in | _given(args, config, "budget", keys)
+def _resolve_budget(inputs: Inputs) -> PulseBudget | None:
+    counts = _given(inputs, "budget")
     signal = {"n_mu", "n_mu_prime"} & counts.keys()
     if len(signal) == 1:
         raise ConfigError("a pulse budget needs both n_mu and n_mu_prime (or --n)")
     return PulseBudget(**counts) if signal else None
 
 
-def _resolve_output(args: argparse.Namespace, config: Config) -> tuple[str, str | None]:
-    fmt = _setting(args, config, "output", "format", "table")
+def _resolve_output(inputs: Inputs) -> tuple[str, str | None]:
+    fmt = _setting(inputs, "output", "format", "table")
     if fmt not in ("table", "json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r} (expected table, json, or csv)")
-    return fmt, args.out or _setting(None, config, "output", "path")
+    return fmt, _setting(inputs, "output", "path")
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +438,13 @@ def _method_records(sections: dict[str, Any]) -> list[dict[str, Any]]:
     return [body for name, body in sections.items() if name != "key_rate"]
 
 
-def cmd_bound(args: argparse.Namespace, config: Config) -> int:
-    params = _resolve_params(args, config)
-    rates, scenario_echo = _resolve_rate_source(args, config, params)
-    budget = _resolve_budget(args, config)
-    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
-    qber = _setting(args, config, "key", "qber")
-    fmt, out = _resolve_output(args, config)
+def cmd_bound(args: argparse.Namespace, inputs: Inputs) -> int:
+    params = _resolve_params(inputs)
+    rates, scenario_echo = _resolve_rate_source(inputs, params)
+    budget = _resolve_budget(inputs)
+    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
+    qber = _setting(inputs, "key", "qber")
+    fmt, out = _resolve_output(inputs)
 
     sections, final = _bound_pipeline(rates, params, budget, settings, qber)
     no_budget = dict.fromkeys(field.name for field in fields(PulseBudget))
@@ -516,20 +475,20 @@ def cmd_bound(args: argparse.Namespace, config: Config) -> int:
     return EXIT_VACUOUS if final.vacuous else EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
-    if "rates" in config:
+def cmd_simulate(args: argparse.Namespace, inputs: Inputs) -> int:
+    if "rates" in inputs:
         raise ConfigError("simulate draws from a scenario; direct rates are not samplable")
-    params = _resolve_params(args, config)
-    scenario, scenario_echo = _build_scenario(args, config)
-    budget = _resolve_budget(args, config)
+    params = _resolve_params(inputs)
+    scenario, scenario_echo = _build_scenario(inputs)
+    budget = _resolve_budget(inputs)
     if budget is None:
         raise ConfigError("simulate requires a pulse budget (--n or [budget] section)")
     if args.seed is None:
         raise ConfigError("simulate requires --seed for reproducible sampling")
     seed = _as_count(args.seed, "--seed")
-    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
-    qber = _setting(args, config, "key", "qber")
-    fmt, out = _resolve_output(args, config)
+    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
+    qber = _setting(inputs, "key", "qber")
+    fmt, out = _resolve_output(inputs)
 
     observation = sample_observation(scenario, params, budget, seed)
     exact = expected_rates(scenario, params)
@@ -572,11 +531,11 @@ def cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     return EXIT_VACUOUS if sampled_final.vacuous else EXIT_OK
 
 
-def cmd_table1(args: argparse.Namespace, config: Config) -> int:
+def cmd_table1(args: argparse.Namespace, inputs: Inputs) -> int:
     # Imported here, like batch in cmd_sweep, so other commands never load it.
     from .table1 import rows
 
-    fmt, out = _resolve_output(args, config)
+    fmt, out = _resolve_output(inputs)
     all_rows = rows()
     records = [{**asdict(row), "deviation": row.deviation} for row in all_rows]
 
@@ -595,7 +554,7 @@ def cmd_table1(args: argparse.Namespace, config: Config) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
+def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
     """Bound every admissible (mu, mu_prime, eta) grid row on a NoEve channel.
 
     Rows come from the lane-parallel engine in batch.py, which matches the
@@ -605,16 +564,16 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     """
     from . import batch
 
-    mu_grid = _setting(args, config, "sweep", "mu")
-    mu_prime_grid = _setting(args, config, "sweep", "mu_prime")
-    eta_grid = _setting(args, config, "sweep", "eta")
+    mu_grid = _setting(inputs, "sweep", "mu")
+    mu_prime_grid = _setting(inputs, "sweep", "mu_prime")
+    eta_grid = _setting(inputs, "sweep", "eta")
     if not mu_grid or not mu_prime_grid or not eta_grid:
         raise ConfigError("sweep needs mu, mu_prime, and eta grids")
-    s0 = _setting(args, config, "sweep", "s0", 1e-6)
-    n_pulses = _setting(args, config, "sweep", "n_pulses", flag="n")
-    qber = _setting(args, config, "sweep", "qber")
-    settings = FluctuationSettings(**_given(args, config, "fluctuation"))
-    fmt, out = _resolve_output(args, config)
+    s0 = _setting(inputs, "sweep", "s0", 1e-6)
+    n_pulses = _setting(inputs, "sweep", "n_pulses")
+    qber = _setting(inputs, "sweep", "qber")
+    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
+    fmt, out = _resolve_output(inputs)
 
     size = len(mu_grid) * len(mu_prime_grid) * len(eta_grid)
     if size > MAX_GRID_POINTS:
@@ -685,15 +644,15 @@ def cmd_sweep(args: argparse.Namespace, config: Config) -> int:
     return EXIT_VACUOUS if rows.vacuous.all() else EXIT_OK
 
 
-def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
-    eta = _setting(args, config, "feasibility", "eta", 1e-4)
-    s0 = _setting(args, config, "feasibility", "s0", 1e-6)
-    mu_v = _setting(args, config, "feasibility", "mu_v", eta)
-    options = _given(args, config, "feasibility", ("rep_rate", "confidence_exponent", "target"))
+def cmd_feasibility(args: argparse.Namespace, inputs: Inputs) -> int:
+    eta = _setting(inputs, "feasibility", "eta", 1e-4)
+    s0 = _setting(inputs, "feasibility", "s0", 1e-6)
+    mu_v = _setting(inputs, "feasibility", "mu_v", eta)
+    options = _given(inputs, "feasibility", ("rep_rate", "confidence_exponent", "target"))
     target = {"rel_dark_fluct_target": options.pop("target")} if "target" in options else {}
     setup = WeakDecoySetup(eta=eta, s0=s0, mu_v=mu_v, **options)
     report = build_report(setup, **target)
-    fmt, out = _resolve_output(args, config)
+    fmt, out = _resolve_output(inputs)
 
     # The report's fields in order, with its time as acquisition_seconds and _days.
     verdict: dict[str, Any] = {}
@@ -718,26 +677,44 @@ def cmd_feasibility(args: argparse.Namespace, config: Config) -> int:
 # parser assembly
 
 
-_COMMON_FLAGS = ("--config", "--format", "--out")
-_MODEL_FLAGS = (
-    "--mu", "--mu-prime", "--scenario", "--eta", "--s0", "--q", "--yields",
-    "--n", "--n-mu", "--n-mu-prime", "--n-vacuum", "--qber", "--confidence-exponent",
-)
+# Each flag's (section, key) pairs: its text sets every one of them, or with
+# --rates, one comma-separated value each.  --config and --seed set none.
+Flags = dict[str, tuple[tuple[str, str], ...]]
 
-# Each command's help line, handler, and flags in help order.  A flag's text
-# is read by the handler, with its config key's parser.
-COMMANDS: dict[str, tuple[str, Callable[..., int], tuple[str, ...]]] = {
+
+def _keys(section: str, *keys: str) -> Flags:
+    return {"--" + key.replace("_", "-"): ((section, key),) for key in keys}
+
+
+_OUTPUT_FLAGS = {"--format": (("output", "format"),), "--out": (("output", "path"),)}
+_COMMON_FLAGS = {"--config": (), **_OUTPUT_FLAGS}
+_MODEL_FLAGS = {
+    **_keys("params", "mu", "mu_prime"),
+    "--scenario": (("scenario", "kind"),),
+    **_keys("scenario", "eta", "s0", "q", "yields"),
+    # Before --n-mu and --n-mu-prime, which overlay it.
+    "--n": (("budget", "n_mu"), ("budget", "n_mu_prime")),
+    **_keys("budget", "n_mu", "n_mu_prime", "n_vacuum"),
+    **_keys("key", "qber"),
+    **_keys("fluctuation", "confidence_exponent"),
+}
+
+# Each command's help line, handler, and flags in help order.  Flags overlay
+# the config in this order; the handler reads the keys they set.
+COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, Inputs], int], Flags]] = {
     "bound": ("bound the tagged fraction from counting rates", cmd_bound,
-              (*_COMMON_FLAGS, *_MODEL_FLAGS, "--rates")),
+              {**_COMMON_FLAGS, **_MODEL_FLAGS,
+               "--rates": tuple(("rates", key) for key in CONFIG_KEYS["rates"])}),
     "simulate": ("sample an observation and bound it", cmd_simulate,
-                 (*_COMMON_FLAGS, "--seed", *_MODEL_FLAGS)),
-    "table1": ("benchmark grid with frozen references", cmd_table1, ("--format", "--out")),
+                 {**_COMMON_FLAGS, "--seed": (), **_MODEL_FLAGS}),
+    "table1": ("benchmark grid with frozen references", cmd_table1, _OUTPUT_FLAGS),
     "sweep": ("grid sweep over (mu, mu_prime, eta)", cmd_sweep,
-              (*_COMMON_FLAGS, "--mu", "--mu-prime", "--eta", "--s0", "--n", "--qber",
-               "--confidence-exponent")),
+              {**_COMMON_FLAGS, **_keys("sweep", "mu", "mu_prime", "eta", "s0"),
+               "--n": (("sweep", "n_pulses"),), **_keys("sweep", "qber"),
+               **_keys("fluctuation", "confidence_exponent")}),
     "feasibility": ("very-weak-decoy pulse-count verdict", cmd_feasibility,
-                    (*_COMMON_FLAGS, "--eta", "--s0", "--mu-v", "--rep-rate",
-                     "--confidence-exponent", "--target")),
+                    {**_COMMON_FLAGS, **_keys("feasibility", "eta", "s0", "mu_v", "rep_rate",
+                                                "confidence_exponent", "target")}),
 }
 
 # Help text and metavar of the flags that have them; "command --flag" wins over "--flag".
@@ -773,11 +750,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _inputs(args: argparse.Namespace) -> Inputs:
+    """The config's text, then each given flag's text over the keys it sets."""
+    inputs = load_config(args.config) if getattr(args, "config", None) else {}
+    _, _, flags = COMMANDS[args.command]
+    for flag, keys in flags.items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is None:
+            continue
+        texts = [text] * len(keys)
+        if flag == "--rates":
+            texts = [part for part in text.split(",") if part.strip()]
+            if len(texts) != 3:
+                raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
+        for (section, key), part in zip(keys, texts):
+            inputs.setdefault(section, {})[key] = (part, flag)
+    return inputs
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else {}
-        return args.handler(args, config)
+        return args.handler(args, _inputs(args))
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

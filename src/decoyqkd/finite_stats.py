@@ -22,7 +22,7 @@ from .bounds import (
     _solve_sc,
     wang_asymptotic_bound,
 )
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .photon_stats import ProtocolParams, decompose
 
 
@@ -70,13 +70,6 @@ class FluctuationSettings:
             )
 
 
-def relative_fluctuation(s: float, n0: float, settings: FluctuationSettings) -> float:
-    """Relative half-width 2 sqrt(E / (s n0)) at violation probability e^{-E}."""
-    if s <= 0 or n0 <= 0:
-        raise DomainError(f"need positive rate and sub-population, got s={s}, n0={n0}")
-    return 2.0 * math.sqrt(settings.confidence_exponent / (s * n0))
-
-
 def _vacuous_report(rates: ObservedRates, c: float) -> BoundReport:
     return BoundReport(
         delta_upper=1.0,
@@ -122,9 +115,9 @@ def finite_bound(
     # n_mu' >= n_mu both mins return the weak-class size bit for bit.
     n_singles = min(budget.n_mu * coeffs.p1_mu, budget.n_mu_prime * coeffs.p1_mu_prime)
     n_multi = min(budget.n_mu * c, budget.n_mu_prime * c * coeffs.multi_ratio)
-    # r_x = k_x / sqrt(s_x) for a sub-population rate s_x.
-    k1 = relative_fluctuation(1.0, n_singles, settings)
-    kc = relative_fluctuation(1.0, n_multi, settings)
+    # r_x = 2 sqrt(E / (s_x n_x)) = k_x / sqrt(s_x) for a sub-population rate s_x.
+    k1 = 2.0 * math.sqrt(settings.confidence_exponent / n_singles)
+    kc = 2.0 * math.sqrt(settings.confidence_exponent / n_multi)
 
     seed = wang_asymptotic_bound(rates, params)
     # A k that overflows to inf is a fluctuation far beyond 1.

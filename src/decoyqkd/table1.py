@@ -34,8 +34,6 @@ W2_ETA = 1e-4
 W2_PULSES = 8 * 10**10
 W2_PAIRS = ((0.2, 0.39), (0.25, 0.41), (0.3, 0.45), (0.35, 0.47))
 
-VACUUM_PULSES = 4 * 10**9
-
 # The true-fraction row is evaluated on a dark-free lossy channel.
 TRUE_FRACTION_ETA = 1e-3
 
@@ -98,7 +96,7 @@ def finite_cell(
     """Finite bound and its strong-class transfer for one grid cell."""
     params = ProtocolParams(mu=mu, mu_prime=mu_prime)
     rates = loss_only_rates(mu, mu_prime, eta, s0)
-    budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses, n_vacuum=VACUUM_PULSES)
+    budget = PulseBudget(n_pulses, n_pulses)
     report = finite_bound(rates, params, budget, FluctuationSettings())
     return report.delta_upper, delta_prime_bound(report.delta_upper, rates, params)
 

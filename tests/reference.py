@@ -45,7 +45,7 @@ def dark_rate_sensitivity(
     rates (independent-OR channel model) and the verification formulas.
     """
     params = ProtocolParams(mu=mu, mu_prime=mu_prime)
-    budget = PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses, n_vacuum=table1.VACUUM_PULSES)
+    budget = PulseBudget(n_pulses, n_pulses)
     settings = FluctuationSettings()
     base = finite_bound(expected_rates(NoEve(eta=eta, s0=s0), params), params, budget, settings)
     bumped = finite_bound(

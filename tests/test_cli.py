@@ -214,6 +214,7 @@ def test_config_scenario_keys_the_kind_does_not_use(tmp_path, capsys):
 
 
 PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
+RATES_INI = "[rates]\ns0 = 1e-6\ns_mu = 1e-4\ns_mu_prime = 1.5e-4\n"
 
 
 @pytest.mark.parametrize(
@@ -231,6 +232,11 @@ PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
         (("--rates", "0,1e-4"), None, "--rates expects three values: s0,s_mu,s_mu_prime"),
         (("--rates", "0,1e-4,1.5e-4", "--s0", "1e-6"), None,
          "supply either --rates or scenario flags, not both"),
+        # Direct rates from one layer and a scenario from the other.
+        (("--s0", "1e-6"), RATES_INI, "supply either [rates] or scenario flags, not both"),
+        (("--eta", "1e-3"), RATES_INI, "supply either [rates] or scenario flags, not both"),
+        (("--rates", "0,1e-4,1.5e-4"), "[scenario]\neta = 1e-3\ns0 = 1e-6\n",
+         "supply either --rates or [scenario], not both"),
     ],
     ids=[
         "no_eve-without-eta",
@@ -242,6 +248,9 @@ PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"
         "rates-section-incomplete",
         "rates-flag-count",
         "rates-and-s0-flag",
+        "config-rates-and-s0-flag",
+        "config-rates-and-eta-flag",
+        "rates-flag-and-config-scenario",
     ],
 )
 def test_rate_source_resolution_errors(tmp_path, capsys, argv, ini, message):
@@ -1170,27 +1179,33 @@ def test_flag_inventory():
     assert sum(map(len, flags.values())) == 55
 
 
-# The flags that set a config key, by command: flag -> (section, key).
+# The config keys each flag sets, by command: flag -> ((section, key), ...).
 def _keys(section, *keys):
-    return {"--" + key.replace("_", "-"): (section, key) for key in keys}
+    return {"--" + key.replace("_", "-"): ((section, key),) for key in keys}
 
 
-_OUTPUT_KEYS = {"--format": ("output", "format"), "--out": ("output", "path")}
+_OUTPUT_KEYS = {"--format": (("output", "format"),), "--out": (("output", "path"),)}
 _MODEL_KEYS = {
     **_keys("params", "mu", "mu_prime"),
-    "--scenario": ("scenario", "kind"),
+    "--scenario": (("scenario", "kind"),),
     **_keys("scenario", "eta", "s0", "q", "yields"),
+    "--n": (("budget", "n_mu"), ("budget", "n_mu_prime")),
     **_keys("budget", "n_mu", "n_mu_prime", "n_vacuum"),
     **_keys("key", "qber"),
     **_keys("fluctuation", "confidence_exponent"),
 }
 FLAG_KEYS = {
-    "bound": {**_OUTPUT_KEYS, **_MODEL_KEYS},
+    "bound": {
+        **_OUTPUT_KEYS,
+        **_MODEL_KEYS,
+        "--rates": (("rates", "s0"), ("rates", "s_mu"), ("rates", "s_mu_prime")),
+    },
     "simulate": {**_OUTPUT_KEYS, **_MODEL_KEYS},
+    "table1": _OUTPUT_KEYS,
     "sweep": {
         **_OUTPUT_KEYS,
         **_keys("sweep", "mu", "mu_prime", "eta", "s0"),
-        "--n": ("sweep", "n_pulses"),
+        "--n": (("sweep", "n_pulses"),),
         **_keys("sweep", "qber"),
         **_keys("fluctuation", "confidence_exponent"),
     },
@@ -1199,9 +1214,8 @@ FLAG_KEYS = {
         **_keys("feasibility", "eta", "s0", "mu_v", "rep_rate", "confidence_exponent", "target"),
     },
 }
-# The other flags: a file to read, direct rates, the seed, and the --n that
-# stands in for both [budget] signal counts.
-NOT_CONFIG_KEYS = {"--config", "--rates", "--seed", "--n"}
+# The other flags: a file to read, and the seed.
+NOT_CONFIG_KEYS = {"--config", "--seed"}
 
 # A valid run of each command with none of the flags above set in a config.
 # The yields scenario reads every [scenario] key, and with --n-mu and
@@ -1210,6 +1224,8 @@ _BASE = {"--mu": "0.3", "--mu-prime": "0.45", "--scenario": "yields", "--yields"
          "--n-mu": "1e6", "--n-mu-prime": "1e6"}
 FLAG_BASES = {
     "bound": _BASE,
+    # Direct rates exclude a scenario.
+    "bound --rates": {"--mu": "0.3", "--mu-prime": "0.45"},
     "simulate": {**_BASE, "--seed": "1"},
     "sweep": {"--mu": "0.3", "--mu-prime": "0.45", "--eta": "1e-3"},
     "feasibility": {},
@@ -1228,34 +1244,46 @@ TEXT_ERRORS = {
 
 
 def test_flag_keys_cover_every_flag():
-    # table1 takes no --config, so its two flags set no config key.
-    assert FLAG_KEYS.keys() == FLAG_INVENTORY.keys() - {"table1"}
-    for command, keyed in FLAG_KEYS.items():
-        flags = set(FLAG_INVENTORY[command])
-        assert keyed.keys() <= flags and flags - keyed.keys() <= NOT_CONFIG_KEYS
-        assert all(key in cli.CONFIG_KEYS[section] for section, key in keyed.values())
+    # The reviewed table above is the one the CLI overlays the config with,
+    # in the same order: --n before the --n-mu and --n-mu-prime that win over it.
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        keyed = [(flag, keys) for flag, keys in flags.items() if keys]
+        assert keyed == list(FLAG_KEYS[command].items())
+        assert tuple(flags) == FLAG_INVENTORY[command]
+        assert flags.keys() - FLAG_KEYS[command].keys() <= NOT_CONFIG_KEYS
+    for keyed in FLAG_KEYS.values():
+        for keys in keyed.values():
+            assert all(key in cli.CONFIG_KEYS[section] for section, key in keys)
+
+
+# table1 reads no config file.
+CONFIGURED_FLAGS = [
+    (command, flag) for command, flags in FLAG_KEYS.items() if command != "table1" for flag in flags
+]
 
 
 @pytest.mark.parametrize(
-    "command, flag",
-    [(command, flag) for command, flags in FLAG_KEYS.items() for flag in flags],
-    ids=[f"{command}{flag}" for command, flags in FLAG_KEYS.items() for flag in flags],
+    "command, flag", CONFIGURED_FLAGS, ids=[f"{command}{flag}" for command, flag in CONFIGURED_FLAGS]
 )
 def test_a_malformed_flag_fails_as_its_config_key_does(tmp_path, capsys, command, flag):
     # The same text fails the same way, with the flag or the key as its label.
-    section, key = FLAG_KEYS[command][flag]
+    keys = FLAG_KEYS[command][flag]
+    (section, key), *_ = keys
     if (section, key) == ("output", "path"):
         value, message = str(tmp_path / "nodir" / "x"), "cannot write output file "
     elif (section, key) in TEXT_ERRORS:
         value, message = TEXT_ERRORS[section, key]
     else:
         value, message = MALFORMED[cli.CONFIG_KEYS[section][key]], f"{flag}: "
-    base = [text for name, given in FLAG_BASES[command].items() if name != flag
-            for text in (name, given)]
-    code, out, err = run(capsys, command, *base, flag, value)
+    # The base run, without the flags that set any of the same keys.
+    given = FLAG_BASES.get(f"{command} {flag}", FLAG_BASES[command])
+    base = [text for name, setting in given.items()
+            if not set(keys) & set(FLAG_KEYS[command].get(name, ())) for text in (name, setting)]
+    # --rates takes one value per key.
+    text = ",".join([value] * len(keys)) if flag == "--rates" else value
+    code, out, err = run(capsys, command, *base, flag, text)
     assert (code, out) == (2, "") and err.startswith(f"error: {message}")
     cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    cfg.write_text(f"[{section}]\n" + "".join(f"{name} = {value}\n" for _, name in keys))
     configured = run(capsys, command, *base, "--config", str(cfg))
     assert configured == (2, "", err.replace(f"{flag}: ", f"[{section}] {key}: "))
-

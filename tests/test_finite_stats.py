@@ -19,7 +19,6 @@ from decoyqkd import (
     decompose,
     expected_rates,
     finite_bound,
-    relative_fluctuation,
     sample_observation,
     validate_pair,
     wang_asymptotic_bound,
@@ -59,6 +58,16 @@ def test_fluctuation_settings_validation():
     # Every sub-population is sized by the smaller class; there is no switch.
     with pytest.raises(TypeError):
         FluctuationSettings(min_over_classes=True)
+
+
+def relative_fluctuation(s: float, n0: float, settings: FluctuationSettings) -> float:
+    """Relative half-width 2 sqrt(E / (s n0)) at violation probability e^{-E}.
+
+    finite_bound inlines it with s = 1.0, as k = 2 sqrt(E / n0).
+    """
+    if s <= 0 or n0 <= 0:
+        raise DomainError(f"need positive rate and sub-population, got s={s}, n0={n0}")
+    return 2.0 * math.sqrt(settings.confidence_exponent / (s * n0))
 
 
 def confidence_bound(delta_abs: float, s: float, n0: float) -> float:

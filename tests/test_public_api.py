@@ -44,7 +44,6 @@ PUBLIC_API = [
     "hwang_optimized",
     "multi_photon_fraction",
     "multi_photon_weight",
-    "relative_fluctuation",
     "required_pulses",
     "sample_observation",
     "true_delta",
@@ -56,7 +55,7 @@ PUBLIC_API = [
 
 def test_public_api_inventory():
     assert sorted(decoyqkd.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 42
+    assert len(PUBLIC_API) == 41
     for name in PUBLIC_API:
         assert hasattr(decoyqkd, name), name
 
