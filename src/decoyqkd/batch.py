@@ -21,7 +21,10 @@ with the C library's pow rather than as x * x.  The binary entropy of the
 key rate is -x log2 x - (1-x) log2(1-x) in numpy on the lanes with
 0 < x < 1, each log2 through ``math``, and 0 on the others, which is the
 scalar function's arithmetic in its order.  Clamps use np.where, since
-Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.
+Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.  The
+constraint system is not copied: both engines form it with
+bounds._constraints and take every s1 from it with bounds._s1, on floats
+or on lanes.
 
 Errors come from the scalar functions alone.  A layer raises the private
 ``_Replay`` when some lane meets a condition on which its scalar function
@@ -164,7 +167,7 @@ def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
     raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (p1_mu * rates.s0) / (mu_prime * rates.s_mu)
     delta = _clamp01(raw)
     sc_upper = delta * rates.s_mu / pairs.c
-    s1_lower = _floor0((rates.s_mu - pairs.p0_mu * rates.s0 - pairs.c * sc_upper) / p1_mu)
+    s1_lower = _floor0(bounds._s1(bounds._constraints(rates, pairs), sc_upper))
     return Bounds(delta, s1_lower, sc_upper, raw != delta, delta >= 1.0)
 
 
@@ -181,7 +184,7 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
 def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray:
     """sc of bounds._solve_sc on every lane, stepping all unfinished lanes together.
 
-    ``lanes`` stacks weak, strong, c, a, p1_mu, p1_mu', k1 and kc.  Every
+    ``lanes`` stacks a bounds._constraints record of lanes.  Every
     lane evaluates the excess exactly as often as the scalar solver does, so
     _Replay is raised once a lane needs more than max_iter evaluations, as
     the scalar solver then raises ConvergenceError.
@@ -197,7 +200,7 @@ def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray
 
     weak, _, c, _, p1_mu, _, k1, _ = lanes
     g_floor, _, sc_out = excess(lanes, k1, (weak - p1_mu * k1 * k1) / c)
-    s1_lo = (weak - c * sc_lo) / p1_mu
+    s1_lo = bounds._s1(lanes, sc_lo)
     # Lanes with s1_lo <= k1^2 keep the floor value.
     idx = np.flatnonzero(~(s1_lo <= k1 * k1))
     lanes, sc, g_floor = lanes[:, idx], sc_lo[idx], g_floor[idx]
@@ -243,18 +246,13 @@ def finite_bound(
     # finite_stats.finite_bound's k_x = 2 sqrt(E / n_x); r_x = k_x / sqrt(s_x).
     k1 = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * p1_mu))
     kc = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * c))
-
-    weak = rates.s_mu - pairs.p0_mu * rates.s0
-    strong = rates.s_mu_prime - pairs.p0_mu_prime * rates.s0
+    system = bounds._constraints(rates, pairs, k1, kc)
     # A k that overflows to inf is a fluctuation far beyond 1.
     blown = np.isinf(k1) | np.isinf(kc)
     live = np.flatnonzero(~(seed.vacuous | blown))
     sc = seed.sc_upper.copy()
-    constants = np.stack(
-        (weak, strong, c, 1.0 / pairs.multi_ratio, p1_mu, pairs.p1_mu_prime, k1, kc)
-    )
-    sc[live] = _solve_sc(constants[:, live], seed.sc_upper[live], max_iter)
-    s1 = (rates.s_mu - pairs.p0_mu * rates.s0 - c * sc) / p1_mu
+    sc[live] = _solve_sc(np.stack(system)[:, live], seed.sc_upper[live], max_iter)
+    s1 = bounds._s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     vacuous = seed.vacuous | blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
     return Bounds(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError, check_probability
-from .photon_stats import ProtocolParams, decompose
+from .photon_stats import DecompositionCoefficients, ProtocolParams, decompose
 
 METHOD_HWANG = "hwang_crude"
 METHOD_WANG_ASYMPTOTIC = "wang_asymptotic"
@@ -91,15 +91,30 @@ def hwang_optimized(mu: float) -> float:
     return mu * math.exp(1.0 - mu)
 
 
-def _solve_sc(
-    rates: ObservedRates,
-    params: ProtocolParams,
-    k1: float,
-    kc: float,
-    sc_lo: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, float]:
-    """Solve F(sc) = sc for (sc, s1) with sc on [sc_lo, fluctuation floor].
+def _constraints(
+    rates: ObservedRates, coeffs: DecompositionCoefficients, k1: float = 0.0, kc: float = 0.0
+) -> tuple:
+    """The sc/s1 constraint system that every bound solves, formed in this one place.
+
+    Returns (weak, strong, c, a, p1_mu, p1_mu', k1, kc): weak = S_mu - e^{-mu} s0
+    and strong = S_mu' - e^{-mu'} s0, s0 taken as exact; a = 1 / multi_ratio; k1
+    and kc size the fluctuations, 0 asymptotically.  It is arithmetic on named
+    fields alone, so batch.Rates on batch.Pairs gives the same record in lanes.
+    """
+    weak = rates.s_mu - coeffs.p0_mu * rates.s0
+    strong = rates.s_mu_prime - coeffs.p0_mu_prime * rates.s0
+    a = 1.0 / coeffs.multi_ratio
+    return weak, strong, coeffs.c, a, coeffs.p1_mu, coeffs.p1_mu_prime, k1, kc
+
+
+def _s1(system: tuple, sc: float) -> float:
+    """The single-photon rate that the weak class of a _constraints record leaves beside sc."""
+    weak, _, c, _, p1_mu, _, _, _ = system
+    return (weak - c * sc) / p1_mu
+
+
+def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
+    """Solve F(sc) = sc for sc on [sc_lo, fluctuation floor] in a _constraints record.
 
     F is one pass through both constraints.  The weak class fixes
     s1 = y^2 at sc; the strong class then allows the larger root of
@@ -113,11 +128,7 @@ def _solve_sc(
     root is left.  Raises ConvergenceError when a root needs more than
     max_iter evaluations of F.
     """
-    coeffs = decompose(params)
-    c, p1_mu, p1_mu_prime = coeffs.c, coeffs.p1_mu, coeffs.p1_mu_prime
-    a = 1.0 / coeffs.multi_ratio
-    weak = rates.s_mu - coeffs.p0_mu * rates.s0
-    strong = rates.s_mu_prime - coeffs.p0_mu_prime * rates.s0
+    weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
     evals = 0
 
     def excess(y: float, sc: float) -> tuple[float, float, float]:
@@ -132,16 +143,16 @@ def _solve_sc(
         f = 0.25 * (kc + disc) ** 2
         return f - sc, 2.0 * p1_mu * y / c - slope, f
 
-    s1_lo = (weak - c * sc_lo) / p1_mu
+    s1_lo = _s1(system, sc_lo)
     g_floor, _, f_floor = excess(k1, (weak - p1_mu * k1 * k1) / c)
     if s1_lo <= k1 * k1:
-        return f_floor, (weak - c * f_floor) / p1_mu
+        return f_floor
     y = hi = math.sqrt(s1_lo)
     g, dg, _ = excess(y, sc_lo)
     if g <= 0.0:
-        return sc_lo, s1_lo
+        return sc_lo
     if g_floor >= 0.0:
-        return f_floor, (weak - c * f_floor) / p1_mu
+        return f_floor
     lo, sc = k1, sc_lo
     while True:
         y_next = y - g / dg if dg > 0.0 else 0.5 * (lo + hi)
@@ -150,7 +161,7 @@ def _solve_sc(
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
         if abs(sc_next - sc) <= TOL * sc_next or not lo < y_next < hi:
-            return sc_next, y_next * y_next
+            return sc_next
         y, sc = y_next, sc_next
         g, dg, _ = excess(y, sc)
         if g > 0.0:
@@ -182,12 +193,9 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     )
     delta = min(max(raw, 0.0), 1.0)
     sc_upper = delta * rates.s_mu / coeffs.c
-    s1_lower = max(
-        (rates.s_mu - coeffs.p0_mu * rates.s0 - coeffs.c * sc_upper) / coeffs.p1_mu, 0.0
-    )
     return BoundReport(
         delta_upper=delta,
-        s1_lower=s1_lower,
+        s1_lower=max(_s1(_constraints(rates, coeffs), sc_upper), 0.0),
         sc_upper=sc_upper,
         method=METHOD_WANG_ASYMPTOTIC,
         clamped=raw != delta,
@@ -202,15 +210,19 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
                 - e^{-mu'} s0 / S_mu'
     clamped to [0, 1].  A zero strong-class rate forfeits its dark-count
     credit term rather than dividing by zero; dropping a non-negative
-    credit can only loosen the bound.
+    credit can only loosen the bound.  Raises DomainError when a credit
+    overflows to inf, which the clamp would turn into NaN, 0 or 1.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     _require_weak_rate(rates)
     coeffs = decompose(params)
-    untagged_weak = 1.0 - delta - coeffs.p0_mu * rates.s0 / rates.s_mu
+    weak_credit = coeffs.p0_mu * rates.s0 / rates.s_mu
     dark_credit = (
         coeffs.p0_mu_prime * rates.s0 / rates.s_mu_prime if rates.s_mu_prime > 0.0 else 0.0
     )
-    raw = 1.0 - untagged_weak * coeffs.exp_gap - dark_credit
+    if math.isinf(weak_credit) or math.isinf(dark_credit):
+        term = "e^{-mu} s0 / S_mu" if math.isinf(weak_credit) else "e^{-mu'} s0 / S_mu'"
+        raise DomainError(f"{term} overflows to inf ({rates})")
+    raw = 1.0 - (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
     return min(max(raw, 0.0), 1.0)

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .bounds import (
     BoundReport,
@@ -163,10 +163,11 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
     },
 }
 
-# Section -> key -> (text, label) of one run: the config file's text, each
-# labelled "[section] key", overlaid by each given flag's text, labelled with
-# the flag.  Handlers read their inputs from this map alone.
-Inputs = dict[str, dict[str, tuple[str, str]]]
+# Section -> key -> (value, label) of one run: the config file's values, each
+# labelled "[section] key", overlaid by each given flag's values, labelled with
+# the flag.  Each text is parsed where it enters, so a malformed one fails even
+# if another layer overrides it.  Handlers read their inputs from this map alone.
+Inputs = dict[str, dict[str, tuple[Any, str]]]
 
 
 def load_config(path: str) -> Inputs:
@@ -187,23 +188,14 @@ def load_config(path: str) -> Inputs:
         for key, text in parser.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-            inputs[section][key] = (text, f"[{section}] {key}")
+            where = f"[{section}] {key}"
+            inputs[section][key] = (CONFIG_KEYS[section][key](text, where), where)
     return inputs
 
 
-def _setting(inputs: Inputs, section: str, key: str, default: Any = None) -> Any:
-    """``[section] key`` parsed by its CONFIG_KEYS parser, else default.
-
-    A parse error names the flag or the config key the text came from.
-    """
-    text, where = inputs.get(section, {}).get(key, (None, ""))
-    return default if text is None else CONFIG_KEYS[section][key](text, where)
-
-
-def _given(inputs: Inputs, section: str, keys: Iterable[str] = ()) -> dict[str, Any]:
-    """The set keys (default: all of section), parsed; unset ones keep library defaults."""
-    values = {key: _setting(inputs, section, key) for key in keys or CONFIG_KEYS[section]}
-    return {key: value for key, value in values.items() if value is not None}
+def _given(inputs: Inputs, section: str) -> dict[str, Any]:
+    """The values set in section; unset keys keep library defaults."""
+    return {key: value for key, (value, _) in inputs.get(section, {}).items()}
 
 
 def _resolve_params(inputs: Inputs) -> ProtocolParams:
@@ -223,11 +215,9 @@ SCENARIOS: dict[str, tuple[type, str]] = {
 
 
 def _build_scenario(inputs: Inputs) -> tuple[ChannelScenario, dict[str, Any]]:
-    kind = _setting(inputs, "scenario", "kind")
-    # Numbers parse up front, in CONFIG_KEYS order; a list only once it is read.
-    parsers = CONFIG_KEYS["scenario"]
-    numbers = _given(inputs, "scenario", [k for k in parsers if parsers[k] is _as_float])
-    given = [key for _, key in SCENARIOS.values() if key in inputs.get("scenario", {})]
+    values = _given(inputs, "scenario")
+    kind = values.pop("kind", None)
+    given = [key for _, key in SCENARIOS.values() if key in values]
     if kind is None:
         kind = next((kind for kind, (_, key) in SCENARIOS.items() if key in given), None)
         if kind is None:
@@ -242,9 +232,9 @@ def _build_scenario(inputs: Inputs) -> tuple[ChannelScenario, dict[str, Any]]:
         if unused != key:
             raise ConfigError(f"{kind} scenario does not use {unused}")
     if key not in given:
-        needed = key if parsers[key] is _as_float else f"a {key} list"
+        needed = key if CONFIG_KEYS["scenario"][key] is _as_float else f"a {key} list"
         raise ConfigError(f"{kind} scenario requires {needed}")
-    scenario = cls(**{"s0": 0.0, **numbers, key: _setting(inputs, "scenario", key)})
+    scenario = cls(**{"s0": 0.0, **values})
     return scenario, {"kind": kind, **asdict(scenario)}
 
 
@@ -282,10 +272,11 @@ def _resolve_budget(inputs: Inputs) -> PulseBudget | None:
 
 
 def _resolve_output(inputs: Inputs) -> tuple[str, str | None]:
-    fmt = _setting(inputs, "output", "format", "table")
+    output = _given(inputs, "output")
+    fmt = output.get("format", "table")
     if fmt not in ("table", "json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r} (expected table, json, or csv)")
-    return fmt, _setting(inputs, "output", "path")
+    return fmt, output.get("path")
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +410,15 @@ def _bound_pipeline(
 ) -> tuple[dict[str, Any], BoundReport]:
     sections = {"hwang": _report_dict(hwang_bound(rates, params), rates, params)}
     final = wang_asymptotic_bound(rates, params)
-    sections["asymptotic"] = _report_dict(final, rates, params)
+    sections["asymptotic"] = last = _report_dict(final, rates, params)
     if budget is not None:
         final = finite_bound(rates, params, budget, settings)
-        sections["finite"] = _report_dict(final, rates, params)
+        sections["finite"] = last = _report_dict(final, rates, params)
     if qber is not None:
-        final_delta_prime = delta_prime_bound(final.delta_upper, rates, params)
         sections["key_rate"] = {
             "qber": qber,
             "weak": gllp_rate(KeyRateInput(delta=final.delta_upper, qber=qber)),
-            "strong": gllp_rate(KeyRateInput(delta=final_delta_prime, qber=qber)),
+            "strong": gllp_rate(KeyRateInput(delta=last["delta_prime_upper"], qber=qber)),
         }
     return sections, final
 
@@ -443,7 +433,7 @@ def cmd_bound(args: argparse.Namespace, inputs: Inputs) -> int:
     rates, scenario_echo = _resolve_rate_source(inputs, params)
     budget = _resolve_budget(inputs)
     settings = FluctuationSettings(**_given(inputs, "fluctuation"))
-    qber = _setting(inputs, "key", "qber")
+    qber = _given(inputs, "key").get("qber")
     fmt, out = _resolve_output(inputs)
 
     sections, final = _bound_pipeline(rates, params, budget, settings, qber)
@@ -487,7 +477,7 @@ def cmd_simulate(args: argparse.Namespace, inputs: Inputs) -> int:
         raise ConfigError("simulate requires --seed for reproducible sampling")
     seed = _as_count(args.seed, "--seed")
     settings = FluctuationSettings(**_given(inputs, "fluctuation"))
-    qber = _setting(inputs, "key", "qber")
+    qber = _given(inputs, "key").get("qber")
     fmt, out = _resolve_output(inputs)
 
     observation = sample_observation(scenario, params, budget, seed)
@@ -564,14 +554,11 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
     """
     from . import batch
 
-    mu_grid = _setting(inputs, "sweep", "mu")
-    mu_prime_grid = _setting(inputs, "sweep", "mu_prime")
-    eta_grid = _setting(inputs, "sweep", "eta")
+    given = _given(inputs, "sweep")
+    mu_grid, mu_prime_grid, eta_grid = given.get("mu"), given.get("mu_prime"), given.get("eta")
     if not mu_grid or not mu_prime_grid or not eta_grid:
         raise ConfigError("sweep needs mu, mu_prime, and eta grids")
-    s0 = _setting(inputs, "sweep", "s0", 1e-6)
-    n_pulses = _setting(inputs, "sweep", "n_pulses")
-    qber = _setting(inputs, "sweep", "qber")
+    s0, n_pulses, qber = given.get("s0", 1e-6), given.get("n_pulses"), given.get("qber")
     settings = FluctuationSettings(**_given(inputs, "fluctuation"))
     fmt, out = _resolve_output(inputs)
 
@@ -645,12 +632,9 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace, inputs: Inputs) -> int:
-    eta = _setting(inputs, "feasibility", "eta", 1e-4)
-    s0 = _setting(inputs, "feasibility", "s0", 1e-6)
-    mu_v = _setting(inputs, "feasibility", "mu_v", eta)
-    options = _given(inputs, "feasibility", ("rep_rate", "confidence_exponent", "target"))
-    target = {"rel_dark_fluct_target": options.pop("target")} if "target" in options else {}
-    setup = WeakDecoySetup(eta=eta, s0=s0, mu_v=mu_v, **options)
+    given = {"eta": 1e-4, "s0": 1e-6, **_given(inputs, "feasibility")}
+    target = {"rel_dark_fluct_target": given.pop("target")} if "target" in given else {}
+    setup = WeakDecoySetup(**{"mu_v": given["eta"], **given})
     report = build_report(setup, **target)
     fmt, out = _resolve_output(inputs)
 
@@ -751,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs(args: argparse.Namespace) -> Inputs:
-    """The config's text, then each given flag's text over the keys it sets."""
+    """The config's values, then each given flag's values over the keys it sets."""
     inputs = load_config(args.config) if getattr(args, "config", None) else {}
     _, _, flags = COMMANDS[args.command]
     for flag, keys in flags.items():
@@ -764,7 +748,7 @@ def _inputs(args: argparse.Namespace) -> Inputs:
             if len(texts) != 3:
                 raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
         for (section, key), part in zip(keys, texts):
-            inputs.setdefault(section, {})[key] = (part, flag)
+            inputs.setdefault(section, {})[key] = (CONFIG_KEYS[section][key](part, flag), flag)
     return inputs
 
 

@@ -18,7 +18,9 @@ from .bounds import (
     METHOD_WANG_FINITE,
     BoundReport,
     ObservedRates,
+    _constraints,
     _require_weak_rate,
+    _s1,
     _solve_sc,
     wang_asymptotic_bound,
 )
@@ -123,8 +125,9 @@ def finite_bound(
     # A k that overflows to inf is a fluctuation far beyond 1.
     if seed.vacuous or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
-    sc, _ = _solve_sc(rates, params, k1, kc, seed.sc_upper, max_iter)
-    s1 = (rates.s_mu - coeffs.p0_mu * rates.s0 - c * sc) / coeffs.p1_mu
+    system = _constraints(rates, coeffs, k1, kc)
+    sc = _solve_sc(system, seed.sc_upper, max_iter)
+    s1 = _s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.
     if s1 <= k1 * k1 or delta_raw >= 1.0:

@@ -32,7 +32,7 @@ from decoyqkd import (
     validate_pair,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import _solve_sc
+from decoyqkd.bounds import _constraints, _solve_sc
 
 from finite_oracle import INTERIOR, SEED, VACUOUS, finite_oracle
 from reference import dark_rate_sensitivity
@@ -248,7 +248,7 @@ def test_criterion_09_cross_validation():
             # value by design, so the closed form is not its fixed point.
             continue
         accepted += 1
-        sc, _ = _solve_sc(rates, params, 0.0, 0.0, 0.0)
+        sc = _solve_sc(_constraints(rates, decompose(params)), 0.0)
         delta_iter = decompose(params).c * sc / rates.s_mu
         worst_rel = max(
             worst_rel, abs(delta_iter - closed.delta_upper) / closed.delta_upper

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from decoyqkd import (
     ProtocolParams,
     PulseBudget,
     YieldTable,
+    decompose,
     delta_prime_bound,
     expected_rates,
     finite_bound,
@@ -25,7 +27,7 @@ from decoyqkd import (
     true_delta,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _solve_sc
+from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _constraints, _s1, _solve_sc
 
 PARAMS = ProtocolParams(0.3, 0.45)
 # Exact no-eavesdropper class-rate ratio S'/S = mu'/mu.
@@ -123,8 +125,10 @@ def test_wang_rate_decomposition_consistent():
 
 
 def _solve_exact(rates, params, max_iter=DEFAULT_MAX_ITER):
-    """The shared sc/s1 solver without fluctuations, searching from sc = 0."""
-    return _solve_sc(rates, params, 0.0, 0.0, 0.0, max_iter)
+    """(sc, s1) of the shared solver without fluctuations, searching from sc = 0."""
+    system = _constraints(rates, decompose(params))
+    sc = _solve_sc(system, 0.0, max_iter)
+    return sc, _s1(system, sc)
 
 
 def test_solver_matches_closed_form():
@@ -190,6 +194,22 @@ def test_delta_prime_domain_and_degenerate_strong_class():
     assert 0.0 <= value <= 1.0
     no_credit = 1.0 - (1.0 - 0.2 - math.exp(-0.3) * 1e-6 / 1e-4) * math.exp(0.3 - 0.45)
     assert value == pytest.approx(no_credit, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rates, term",
+    [
+        # Both credits overflow, where the clamp would pass inf - inf = nan on.
+        (ObservedRates(1.0, 1e-320, 1e-320), "e^{-mu} s0 / S_mu"),
+        (ObservedRates(1.0, 1e-320, 1.5e-4), "e^{-mu} s0 / S_mu"),
+        # The strong credit alone would clamp -inf to 0, below delta = 1.
+        (ObservedRates(1.0, 1e-4, 1e-320), "e^{-mu'} s0 / S_mu'"),
+    ],
+    ids=["both", "weak-credit", "dark-credit"],
+)
+def test_delta_prime_overflowing_credit_raises(rates, term):
+    with pytest.raises(DomainError, match=re.escape(f"{term} overflows to inf")):
+        delta_prime_bound(1.0, rates, PARAMS)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))

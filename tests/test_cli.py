@@ -205,12 +205,32 @@ def test_scenario_flags_the_kind_does_not_use(capsys, argv, unused):
 
 def test_config_scenario_keys_the_kind_does_not_use(tmp_path, capsys):
     cfg = tmp_path / "mixed.ini"
-    cfg.write_text(
-        "[params]\nmu = 0.3\nmu_prime = 0.45\n"
-        "[scenario]\neta = 1e-3\nq = 0.5\nyields = abc\n"
-    )
+    scenario = "[params]\nmu = 0.3\nmu_prime = 0.45\n[scenario]\neta = 1e-3\nq = 0.5\n"
+    cfg.write_text(scenario + "yields = 1e-3\n")
     code, out, err = run(capsys, "bound", "--config", str(cfg))
     assert (code, out, err) == (2, "", "error: no_eve scenario does not use q\n")
+    # Every text is parsed where it enters, even one that no kind reads.
+    cfg.write_text(scenario + "yields = abc\n")
+    code, out, err = run(capsys, "bound", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: [scenario] yields: expected a number, got 'abc'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, ini, message",
+    [
+        (("--config", "run.ini", "--mu", "0.3"), "[params]\nmu = abc\n",
+         "[params] mu: expected a number, got 'abc'"),
+        (("--mu", "0.3", "--n", "abc", "--n-mu", "1e6", "--n-mu-prime", "1e6"), None,
+         "--n: expected an integer, got 'abc'"),
+    ],
+    ids=["config-under-flag", "flag-under-flag"],
+)
+def test_overridden_text_is_still_parsed(tmp_path, monkeypatch, capsys, argv, ini, message):
+    monkeypatch.chdir(tmp_path)
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+    code, out, err = run(capsys, "bound", *argv, "--mu-prime", "0.45", "--eta", "1e-3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 PARAMS_INI = "[params]\nmu = 0.3\nmu_prime = 0.45\n"

@@ -45,7 +45,8 @@ VALID = [
 EDGE = ["0", "-0", "5e-324", "1e-170", "-1", "1e308", "inf", "-inf", "nan", "1e4300", "1e5000",
         "", "abc", "1,2", "0.30000000000000004", "1.5"]
 EDGE_GRIDS = ["0:inf:0.1", "nan:1:0.1", "0.1:0.2:0", "0.3:0.2:0.1", "0:1:1e-7", "1e-170,0.3"]
-EDGE_RATES = ["1e-6,1e-4", "0,0,0", "5e-324,1e-4,1.5e-4", "1e-6,nan,1", "1e-6,1e-4,inf"]
+EDGE_RATES = ["1e-6,1e-4", "0,0,0", "5e-324,1e-4,1.5e-4", "1e-6,nan,1", "1e-6,1e-4,inf",
+              "1,1e-320,1e-320"]
 # Practical text, by the parser of the key a flag sets.
 PRACTICAL = {
     cli._as_float: ["0.1", "0.3", "0.45", "0.6", "1e-3", "1e-4", "1e-6", "0.02", "20"],
@@ -64,10 +65,10 @@ FLAG_POOLS = {
     "--rates": (["1e-6,1e-4,1.5e-4", "0,1e-4,1e-3", "1e-6,1e-4,0"], EDGE_RATES + EDGE),
 }
 
-# Reproductions of tracebacks that hand-run batteries found, each drawn first:
-# a subnormal s0, an --out into a missing directory, an intensity whose
-# weights overflowed, grid ranges with inf and nan, and seeds numpy or the
-# echo refused.
+# Reproductions of tracebacks and NaN output that hand-run batteries found,
+# each drawn first: a subnormal s0, an --out into a missing directory, an
+# intensity whose weights overflowed, grid ranges with inf and nan, seeds
+# numpy or the echo refused, and rates whose dark-count credits overflowed.
 PINNED = [
     (0, {"--s0": "5e-324"}),
     (1, {"--rates": "5e-324,1e-4,1.5e-4"}),
@@ -77,6 +78,7 @@ PINNED = [
     (6, {"--eta": "nan:1:0.1"}),
     (3, {"--seed": "-1"}),
     (3, {"--seed": "1e5000"}),
+    (1, {"--rates": "1,1e-320,1e-320"}),
 ]
 DRAWS = 600
 BOUNDED = {"delta_upper", "delta_prime_upper"}

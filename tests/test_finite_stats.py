@@ -23,7 +23,7 @@ from decoyqkd import (
     validate_pair,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import TOL, _solve_sc
+from decoyqkd.bounds import TOL, _constraints, _s1, _solve_sc
 from decoyqkd.table1 import loss_only_rates
 
 PARAMS = ProtocolParams(0.3, 0.45)
@@ -300,7 +300,8 @@ def test_finite_bound_vacuous_at_floor_exit_with_s1_near_k1_squared():
     k1 = relative_fluctuation(1.0, budget.n_mu * 0.29 * math.exp(-0.29), settings)
     kc = relative_fluctuation(1.0, budget.n_mu * decompose(params).c, settings)
     seed = wang_asymptotic_bound(rates, params)
-    _, s1 = _solve_sc(rates, params, k1, kc, seed.sc_upper)
+    system = _constraints(rates, decompose(params), k1, kc)
+    s1 = _s1(system, _solve_sc(system, seed.sc_upper))
     assert 0.6 * k1 * k1 < s1 < 0.62 * k1 * k1
 
 

@@ -82,9 +82,12 @@ def test_benchmark_hooks_resolve():
     # The soundness scan passes n_vacuum as the third positional argument.
     assert [field.name for field in fields(PulseBudget)][:3] == ["n_mu", "n_mu_prime", "n_vacuum"]
     assert PulseBudget(1, 1, 1).n_vacuum == 1
+    # The workloads pass finite_bound's rates, params and budget by position.
+    parameters = inspect.signature(finite_bound).parameters
+    assert list(parameters)[:3] == ["rates", "params", "budget"]
     # Solver evaluation counts bisect finite_bound's max_iter, by name, over
     # [1, DEFAULT_MAX_ITER].
-    assert inspect.signature(finite_bound).parameters["max_iter"].default == DEFAULT_MAX_ITER
+    assert parameters["max_iter"].default == DEFAULT_MAX_ITER
     # The one-shot CLI workload checks the feasibility verdict against report.time.days.
     report = build_report(WeakDecoySetup(eta=1e-4, s0=1e-6, mu_v=1e-4), 1e-3)
     assert isinstance(report.time.days, float)
