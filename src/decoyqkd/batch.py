@@ -15,12 +15,16 @@ Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
 the same bits.  numpy's vectorized exp, expm1, log2 and power are not: they
 differ from the C library's in the last place on a few percent of inputs.
-Every such call therefore goes through ``math`` on Python floats, once per
-pair or once per lane, and so does every ``x ** 2``, which Python computes
-with the C library's pow rather than as x * x.  The binary entropy of the
-key rate is -x log2 x - (1-x) log2(1-x) in numpy on the lanes with
-0 < x < 1, each log2 through ``math``, and 0 on the others, which is the
-scalar function's arithmetic in its order.  Clamps use np.where, since
+Every such call therefore goes through ``math`` on Python floats, and so
+does every ``x ** 2``, which Python computes with the C library's pow
+rather than as x * x.  Each call runs once per value it depends on: a
+sweep forms e^{-x} and x e^{-x} once per grid intensity (``Weights``), c
+once per mu and S_mu once per (eta, mu), and only e^{mu-mu'}, the
+multi-photon ratio and S_mu' per pair or lane.  The vacuum rate needs no
+call at all, since expm1 returns the signed zero -eta * 0.0 unchanged.
+The binary entropy of the key rate is -x log2 x - (1-x) log2(1-x) in
+numpy on the lanes with 0 < x < 1, each log2 through ``math``, and 0 on
+the others, which is the scalar function's arithmetic in its order.  Clamps use np.where, since
 Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.  The
 constraint system is not copied: both engines form it with
 bounds._constraints and take every s1 from it with bounds._s1, on floats
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from .channel import NoEve
 from .errors import ParameterError
 from .finite_stats import FluctuationSettings, PulseBudget
 from .key_rate import KeyRateInput, binary_entropy
-from .photon_stats import ProtocolParams, _multi_ratio, multi_photon_weight
+from .photon_stats import MIN_INTENSITY, ProtocolParams, _multi_ratio, multi_photon_weight
 
 _quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
@@ -75,12 +79,26 @@ class _Replay(Exception):
     """A lane met a condition on which its scalar function raises."""
 
 
-class Pairs(NamedTuple):
-    """Per lane, an intensity pair and the bits of its DecompositionCoefficients fields.
+class Weights(NamedTuple):
+    """Per grid intensity x: x, e^{-x} and x e^{-x}, each formed once.
 
-    Pairs must be admissible (``validate_pair``); ``of`` then never raises,
-    as ``decompose`` never does.
+    Every field is nan where validate_pair refuses x whatever its partner
+    (x not finite, or below MIN_INTENSITY), so no comparison admits it.
     """
+
+    x: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+
+    @classmethod
+    def of(cls, values: Sequence[float]) -> Weights:
+        x = np.array([v if MIN_INTENSITY <= v < math.inf else math.nan for v in values], float)
+        p0 = _libm(math.exp, -x)
+        return cls(x, p0, x * p0)
+
+
+class Pairs(NamedTuple):
+    """Per lane, an intensity pair and the bits of its DecompositionCoefficients fields."""
 
     mu: np.ndarray
     mu_prime: np.ndarray
@@ -93,14 +111,22 @@ class Pairs(NamedTuple):
     multi_ratio: np.ndarray
 
     @classmethod
-    def of(cls, mu: Sequence[float], mu_prime: Sequence[float]) -> Pairs:
-        mu, mu_prime = np.asarray(mu, float), np.asarray(mu_prime, float)
-        exp_gap = _libm(math.exp, mu - mu_prime)
-        multi_ratio = _libm(_multi_ratio, mu, mu_prime, exp_gap)
-        c = _libm(multi_photon_weight, mu)
-        p0_mu, p0_mu_prime = _libm(math.exp, -mu), _libm(math.exp, -mu_prime)
-        p1_mu, p1_mu_prime = mu * p0_mu, mu_prime * p0_mu_prime
-        return cls(mu, mu_prime, p0_mu, p1_mu, p0_mu_prime, p1_mu_prime, exp_gap, c, multi_ratio)
+    def of(cls, mu: Weights, mu_prime: Weights, i: np.ndarray, j: np.ndarray) -> Pairs:
+        """The pairs (mu.x[i], mu_prime.x[j]), which must be admissible (``validate_pair``).
+
+        Only e^{mu-mu'} and the multi-photon ratio are formed per pair, and c
+        once per mu value.  Never raises, as ``decompose`` never does.
+        """
+        c = np.full_like(mu.x, math.nan)
+        valid = ~np.isnan(mu.x)
+        c[valid] = _libm(multi_photon_weight, mu.x[valid])
+        x, x_prime = mu.x[i], mu_prime.x[j]
+        exp_gap = _libm(math.exp, x - x_prime)
+        multi_ratio = _libm(_multi_ratio, x, x_prime, exp_gap)
+        return cls(
+            x, x_prime, mu.p0[i], mu.p1[i], mu_prime.p0[j], mu_prime.p1[j], exp_gap, c[i],
+            multi_ratio,
+        )
 
     def repeat(self, count: int) -> Pairs:
         """Each pair ``count`` times in a row, as a sweep lays out its channels."""
@@ -143,10 +169,15 @@ def _class_rate(
     return s0 - (1.0 - s0) * _libm(math.expm1, -eta * intensity)
 
 
+def _vacuum_rate(eta: np.ndarray, s0: np.ndarray | float) -> np.ndarray:
+    """NoEve.class_rate(0.0): expm1 returns its argument, the signed zero -eta * 0.0."""
+    return s0 - (1.0 - s0) * (-eta * 0.0)
+
+
 def expected_rates(eta: np.ndarray, s0: np.ndarray | float, pairs: Pairs) -> Rates:
     """channel.expected_rates of NoEve(eta, s0); eta and s0 must be valid for NoEve."""
     return Rates(
-        s0=_class_rate(eta, s0, 0.0),
+        s0=_vacuum_rate(eta, s0),
         s_mu=_class_rate(eta, s0, pairs.mu),
         s_mu_prime=_class_rate(eta, s0, pairs.mu_prime),
     )
@@ -184,32 +215,37 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
 def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray:
     """sc of bounds._solve_sc on every lane, stepping all unfinished lanes together.
 
-    ``lanes`` stacks a bounds._constraints record of lanes.  Every
-    lane evaluates the excess exactly as often as the scalar solver does, so
-    _Replay is raised once a lane needs more than max_iter evaluations, as
-    the scalar solver then raises ConvergenceError.
+    ``lanes`` stacks a bounds._constraints record of lanes.  Every lane
+    evaluates the excess exactly as often as the scalar solver does, and no
+    evaluation runs on zero lanes, so _Replay is raised once a lane needs
+    more than max_iter evaluations, as the scalar solver then raises
+    ConvergenceError.
     """
     evals = 0
 
     def excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
         nonlocal evals
-        if evals == max_iter and y.size:
+        if evals == max_iter:
             raise _Replay
         evals += 1
         return _excess(lanes, y, sc)
 
+    if not sc_lo.size:
+        return sc_lo
     weak, _, c, _, p1_mu, _, k1, _ = lanes
     g_floor, _, sc_out = excess(lanes, k1, (weak - p1_mu * k1 * k1) / c)
     s1_lo = bounds._s1(lanes, sc_lo)
     # Lanes with s1_lo <= k1^2 keep the floor value.
     idx = np.flatnonzero(~(s1_lo <= k1 * k1))
+    if not idx.size:
+        return sc_out
     lanes, sc, g_floor = lanes[:, idx], sc_lo[idx], g_floor[idx]
     y = np.sqrt(s1_lo[idx])
     g, dg, _ = excess(lanes, y, sc)
     below = g <= 0.0
     sc_out[idx[below]] = sc[below]
     # Of the rest, those with g_floor >= 0 keep the floor value too.
-    keep = ~below & ~(g_floor >= 0.0)
+    keep = np.flatnonzero(~below & ~(g_floor >= 0.0))
     idx, lanes, y, sc, g, dg = (v[..., keep] for v in (idx, lanes, y, sc, g, dg))
     weak, _, c, _, p1_mu, _, lo, _ = lanes
     hi = y
@@ -219,10 +255,14 @@ def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
         stop = (abs(sc_next - sc) <= TOL * sc_next) | ~((lo < y_next) & (y_next < hi))
-        sc_out[idx[stop]] = sc_next[stop]
-        keep = ~stop
-        idx, lanes, y, sc, lo, hi = (v[..., keep] for v in (idx, lanes, y_next, sc_next, lo, hi))
-        weak, _, c, _, p1_mu, _, _, _ = lanes
+        y, sc = y_next, sc_next
+        if stop.any():
+            sc_out[idx[stop]] = sc[stop]
+            keep = np.flatnonzero(~stop)
+            if not keep.size:
+                break
+            idx, lanes, y, sc, lo, hi = (v[..., keep] for v in (idx, lanes, y, sc, lo, hi))
+            weak, _, c, _, p1_mu, _, _, _ = lanes
         g, dg, _ = excess(lanes, y, sc)
         up = g > 0.0
         hi, lo = np.where(up, y, hi), np.where(up, lo, y)
@@ -268,9 +308,9 @@ def finite_bound(
 def delta_prime_bound(delta: np.ndarray, rates: Rates, pairs: Pairs) -> np.ndarray:
     """bounds.delta_prime_bound of a bound's delta (in [0, 1], with s_mu > 0)."""
     untagged_weak = 1.0 - delta - pairs.p0_mu * rates.s0 / rates.s_mu
-    dark_credit = np.where(
-        rates.s_mu_prime > 0.0, pairs.p0_mu_prime * rates.s0 / rates.s_mu_prime, 0.0
-    )
+    vacuum_part = pairs.p0_mu_prime * rates.s0
+    credited = (rates.s_mu_prime > 0.0) & (rates.s_mu_prime >= vacuum_part)
+    dark_credit = np.where(credited, vacuum_part / rates.s_mu_prime, 0.0)
     return _clamp01(1.0 - untagged_weak * pairs.exp_gap - dark_credit)
 
 
@@ -294,7 +334,9 @@ def gllp_rate(delta: np.ndarray, qber: float) -> np.ndarray:
 
 
 def sweep(
-    pairs: Sequence[tuple[float, float]],
+    mu: Weights,
+    mu_prime: Weights,
+    pairs: tuple[np.ndarray, np.ndarray],
     etas: Sequence[float],
     s0: float,
     n_pulses: int | None,
@@ -303,11 +345,14 @@ def sweep(
 ) -> Rows:
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
-    Rows use the finite bound with n_pulses in each signal class, or the
-    asymptotic bound without them.  pairs and etas must be non-empty, and
-    pairs admissible.  Raises the error that a row-by-row run of the scalar
+    Pair k is (mu.x[i[k]], mu_prime.x[j[k]]) for (i, j) = pairs.  Rows use
+    the finite bound with n_pulses in each signal class, or the asymptotic
+    bound without them.  pairs and etas must be non-empty, and pairs
+    admissible.  Raises the error that a row-by-row run of the scalar
     functions raises.
     """
+    i, j = pairs
+    grid = Pairs.of(mu, mu_prime, i, j)
     try:
         # What each row's constructors and solver check.
         for eta in etas:
@@ -316,16 +361,23 @@ def sweep(
             PulseBudget(n_mu=n_pulses, n_mu_prime=n_pulses)
         if qber is not None:
             KeyRateInput(delta=0.0, qber=qber)
-        grid = Pairs.of([mu for mu, _ in pairs], [mu_prime for _, mu_prime in pairs])
-        grid = grid.repeat(len(etas))
-        rates = expected_rates(np.tile(np.asarray(etas, float), len(pairs)), s0, grid)
+        eta = np.asarray(etas, float)
+        lanes = grid.repeat(eta.size)
+        eta_lanes = np.tile(eta, i.size)
+        # S_mu once per (mu value, eta), then per lane.
+        s_mu = _class_rate(np.tile(eta, mu.x.size), s0, np.repeat(mu.x, eta.size))
+        rates = Rates(
+            s0=_vacuum_rate(eta_lanes, s0),
+            s_mu=s_mu.reshape(-1, eta.size)[i].ravel(),
+            s_mu_prime=_class_rate(eta_lanes, s0, lanes.mu_prime),
+        )
         if n_pulses is None:
-            report = wang_asymptotic_bound(rates, grid)
+            report = wang_asymptotic_bound(rates, lanes)
         else:
-            report = finite_bound(rates, grid, n_pulses, settings.confidence_exponent)
+            report = finite_bound(rates, lanes, n_pulses, settings.confidence_exponent)
         return Rows(
             delta_upper=report.delta_upper,
-            delta_prime_upper=delta_prime_bound(report.delta_upper, rates, grid),
+            delta_prime_upper=delta_prime_bound(report.delta_upper, rates, lanes),
             s1_lower=report.s1_lower,
             key_rate=None if qber is None else gllp_rate(report.delta_upper, qber),
             clamped=report.clamped,
@@ -334,11 +386,11 @@ def sweep(
     except (_Replay, ParameterError):
         pass
     # Outside the except block, so the scalar error carries no _Replay context.
-    _replay(pairs, etas, s0, n_pulses, settings, qber)
+    _replay(zip(grid.mu.tolist(), grid.mu_prime.tolist()), etas, s0, n_pulses, settings, qber)
 
 
 def _replay(
-    pairs: Sequence[tuple[float, float]],
+    pairs: Iterable[tuple[float, float]],
     etas: Sequence[float],
     s0: float,
     n_pulses: int | None,

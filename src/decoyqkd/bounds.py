@@ -208,21 +208,22 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
 
     delta' <= 1 - (1 - delta - e^{-mu} s0 / S_mu) e^{mu - mu'}
                 - e^{-mu'} s0 / S_mu'
-    clamped to [0, 1].  A zero strong-class rate forfeits its dark-count
-    credit term rather than dividing by zero; dropping a non-negative
-    credit can only loosen the bound.  Raises DomainError when a credit
-    overflows to inf, which the clamp would turn into NaN, 0 or 1.
+    clamped to [0, 1].  The dark-count credit e^{-mu'} s0 / S_mu' is
+    forfeited where S_mu' is 0 or below its own vacuum part e^{-mu'} s0,
+    which no channel yields; dropping a non-negative credit can only loosen
+    the bound, and the credit taken is at most 1.  Raises DomainError when
+    the weak-class credit overflows to inf, which the clamp would turn into
+    NaN or 1.
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     _require_weak_rate(rates)
     coeffs = decompose(params)
     weak_credit = coeffs.p0_mu * rates.s0 / rates.s_mu
-    dark_credit = (
-        coeffs.p0_mu_prime * rates.s0 / rates.s_mu_prime if rates.s_mu_prime > 0.0 else 0.0
-    )
-    if math.isinf(weak_credit) or math.isinf(dark_credit):
-        term = "e^{-mu} s0 / S_mu" if math.isinf(weak_credit) else "e^{-mu'} s0 / S_mu'"
-        raise DomainError(f"{term} overflows to inf ({rates})")
+    if math.isinf(weak_credit):
+        raise DomainError(f"e^{{-mu}} s0 / S_mu overflows to inf ({rates})")
+    vacuum_part = coeffs.p0_mu_prime * rates.s0
+    credited = rates.s_mu_prime > 0.0 and rates.s_mu_prime >= vacuum_part
+    dark_credit = vacuum_part / rates.s_mu_prime if credited else 0.0
     raw = 1.0 - (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
     return min(max(raw, 0.0), 1.0)

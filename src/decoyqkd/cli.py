@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 from .bounds import (
     BoundReport,
@@ -38,7 +38,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
 from .feasibility import WeakDecoySetup, build_report
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .key_rate import KeyRateInput, gllp_rate
-from .photon_stats import ProtocolParams, validate_pair
+from .photon_stats import MIN_SEPARATION, ProtocolParams, validate_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -170,7 +170,12 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
 Inputs = dict[str, dict[str, tuple[Any, str]]]
 
 
-def load_config(path: str) -> Inputs:
+def load_config(path: str, sections: Collection[str]) -> Inputs:
+    """The values of the config file's sections named in sections.
+
+    Every section and key must be known, but values are parsed only in the
+    named sections; the others are left out.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -184,12 +189,15 @@ def load_config(path: str) -> Inputs:
     for section in parser.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config section [{section}]")
-        inputs[section] = {}
+        values = {}
         for key, text in parser.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-            where = f"[{section}] {key}"
-            inputs[section][key] = (CONFIG_KEYS[section][key](text, where), where)
+            if section in sections:
+                where = f"[{section}] {key}"
+                values[key] = (CONFIG_KEYS[section][key](text, where), where)
+        if section in sections:
+            inputs[section] = values
     return inputs
 
 
@@ -565,27 +573,32 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
     size = len(mu_grid) * len(mu_prime_grid) * len(eta_grid)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"sweep grid has {size} rows, more than {MAX_GRID_POINTS}")
-    pairs: list[tuple[float, float]] = []
-    for mu in mu_grid:
-        for mu_prime in mu_prime_grid:
-            check = validate_pair(mu, mu_prime)
-            if not check:
-                print(
-                    f"note: skipping inadmissible pair mu={mu}, mu_prime={mu_prime}: "
-                    f"{check.reason}",
-                    file=sys.stderr,
-                )
-                continue
-            pairs.append((mu, mu_prime))
-    if not pairs:
+    mu, mu_prime = batch.Weights.of(mu_grid), batch.Weights.of(mu_prime_grid)
+    # validate_pair's tests on its own per-value floats.  A value it refuses
+    # whatever the partner has nan weights, which fail both; mu' > mu needs no
+    # test, as the floor mu (1 + MIN_SEPARATION) exceeds mu.  validate_pair
+    # itself runs only for a rejected pair's note.
+    floor = mu.x * (1.0 + MIN_SEPARATION)
+    admitted = (mu_prime.x >= floor[:, None]) & (mu_prime.p1 > mu.p1[:, None])
+    notes = [
+        f"note: skipping inadmissible pair mu={mu_grid[a]}, mu_prime={mu_prime_grid[b]}: "
+        f"{validate_pair(mu_grid[a], mu_prime_grid[b]).reason}\n"
+        for a, b in zip(*(index.tolist() for index in (~admitted).nonzero()))
+    ]
+    sys.stderr.write("".join(notes))
+    pairs = admitted.nonzero()
+    if not pairs[0].size:
         raise ConfigError("sweep grid contains no admissible (mu, mu_prime) pairs")
 
-    rows = batch.sweep(pairs, eta_grid, s0, n_pulses, settings, qber)
+    rows = batch.sweep(mu, mu_prime, pairs, eta_grid, s0, n_pulses, settings, qber)
+    i, j = (index.tolist() for index in pairs)
 
     def csv() -> list[str]:
-        # Each pair and each eta is formatted once, into the prefix of its
-        # rows; the computed cells of a row fill one template.
-        heads = list(map(f"{_CSV_FLOAT},{_CSV_FLOAT},".__mod__, pairs))
+        # Each grid value and each eta is formatted once, and joined into the
+        # prefix of its rows; the computed cells of a row fill one template.
+        mu_cells = [f"{_CSV_FLOAT}," % value for value in mu_grid]
+        mu_prime_cells = [f"{_CSV_FLOAT}," % value for value in mu_prime_grid]
+        heads = [mu_cells[a] + mu_prime_cells[b] for a, b in zip(i, j)]
         tails = [f"{_fmt_cell(eta)},{_fmt_cell(n_pulses)},{_fmt_cell(s0)}," for eta in eta_grid]
         computed = [rows.delta_upper, rows.delta_prime_upper, rows.s1_lower]
         key_rate = ""
@@ -603,11 +616,11 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
         return [",".join(SWEEP_COLUMNS), *map(template.__mod__, cells)]
 
     def records() -> Iterator[tuple[Any, ...]]:
-        count = len(pairs) * len(eta_grid)
+        count = len(i) * len(eta_grid)
         return zip(
-            [mu for mu, _ in pairs for _ in eta_grid],
-            [mu_prime for _, mu_prime in pairs for _ in eta_grid],
-            eta_grid * len(pairs),
+            [mu_grid[a] for a in i for _ in eta_grid],
+            [mu_prime_grid[b] for b in j for _ in eta_grid],
+            eta_grid * len(i),
             [n_pulses] * count,
             [s0] * count,
             rows.delta_upper.tolist(),
@@ -735,9 +748,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs(args: argparse.Namespace) -> Inputs:
-    """The config's values, then each given flag's values over the keys it sets."""
-    inputs = load_config(args.config) if getattr(args, "config", None) else {}
+    """The config's values, then each given flag's values over the keys it sets.
+
+    The config's sections are parsed where the command reads them: those its
+    flags set, and [rates], which simulate reads to refuse it.
+    """
     _, _, flags = COMMANDS[args.command]
+    inputs: Inputs = {}
+    if getattr(args, "config", None):
+        sections = {section for keys in flags.values() for section, _ in keys}
+        inputs = load_config(args.config, sections | {"rates"})
     for flag, keys in flags.items():
         text = getattr(args, flag[2:].replace("-", "_"))
         if text is None:

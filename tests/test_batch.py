@@ -22,6 +22,7 @@ from decoyqkd import (
     FluctuationSettings,
     KeyRateInput,
     NoEve,
+    ObservedRates,
     ParameterError,
     ProtocolParams,
     PulseBudget,
@@ -78,9 +79,22 @@ def scalar_lanes(lanes, n, fluct, qber, max_iter):
     return rows
 
 
+def lane_pairs(mu, mu_prime):
+    """batch.Pairs with one lane per (mu, mu_prime), each value its own grid value."""
+    index = np.arange(len(mu))
+    return batch.Pairs.of(batch.Weights.of(mu), batch.Weights.of(mu_prime), index, index)
+
+
+def sweep_arguments(pairs):
+    """batch.sweep's weights and pair indices for a list of pairs."""
+    mu, mu_prime = zip(*pairs)
+    index = np.arange(len(pairs))
+    return batch.Weights.of(mu), batch.Weights.of(mu_prime), (index, index)
+
+
 def batch_lanes(lanes, n, fluct, qber, max_iter):
     mu, mu_prime, eta, s0 = (np.array(column, float) for column in zip(*lanes))
-    pairs = batch.Pairs.of(mu, mu_prime)
+    pairs = lane_pairs(mu, mu_prime)
     rates = batch.expected_rates(eta, s0, pairs)
     if n is None:
         bounds = batch.wang_asymptotic_bound(rates, pairs)
@@ -137,8 +151,8 @@ def scalar_sweep(pairs, etas, s0, n, fluct, qber):
     return rows
 
 
-def batch_sweep(*args):
-    rows = batch.sweep(*args)
+def batch_sweep(pairs, *args):
+    rows = batch.sweep(*sweep_arguments(pairs), *args)
     key = [None] * rows.vacuous.size if rows.key_rate is None else rows.key_rate.tolist()
     return zip(
         rows.delta_upper.tolist(),
@@ -242,7 +256,7 @@ def test_pairs_carry_the_decomposition_bit_for_bit():
         pairs.append((mu, mu * (1.0 + MIN_SEPARATION)))
     names = [field.name for field in fields(DecompositionCoefficients)]
     assert batch.Pairs._fields == ("mu", "mu_prime", *names)
-    lanes = batch.Pairs.of(*zip(*pairs))
+    lanes = lane_pairs(*zip(*pairs))
     columns = [getattr(lanes, name).tolist() for name in names]
     for (mu, mu_prime), *row in zip(pairs, *columns):
         coeffs = decompose(ProtocolParams(mu, mu_prime))
@@ -270,7 +284,7 @@ def test_every_pair_above_the_intensity_floor_decomposes():
         pairs += [(mu, floor), (mu, middle), (mu, top)]
     assert pairs[2] == (1e-150, 351.2492600631708)
     names = [field.name for field in fields(DecompositionCoefficients)]
-    lanes = batch.Pairs.of(*zip(*pairs))
+    lanes = lane_pairs(*zip(*pairs))
     columns = [getattr(lanes, name).tolist() for name in names]
     channel = NoEve(eta=1e-3, s0=1e-6)
     budget = PulseBudget(10**10, 10**10)
@@ -353,6 +367,26 @@ def test_key_rate_at_the_entropy_edges():
         assert [key.hex() for key in batch.gllp_rate(np.array(lanes), qber).tolist()] == expected
 
 
+def test_delta_prime_forfeits_the_dark_credit_as_scalar():
+    # Direct rates with S_mu' below, at and above e^{-mu'} s0, and S_mu' = 0,
+    # which no NoEve channel yields.
+    rng = random.Random(22)
+    params = ProtocolParams(0.3, 0.45)
+    vacuum_part = decompose(params).p0_mu_prime * 1e-3
+    strong = [0.0, 5e-324, 1e-320, 1e-5, math.nextafter(vacuum_part, 0.0), vacuum_part, 1e-3]
+    strong += [rng.uniform(0.0, 2e-3) for _ in range(200)]
+    rates = [(1e-3, s_mu, s_mu_prime) for s_mu in (1e-4, 1e-2) for s_mu_prime in strong]
+    deltas = [rng.choice((0.0, 0.2, 1.0, rng.random())) for _ in rates]
+    expected = [
+        delta_prime_bound(delta, ObservedRates(*lane), params).hex()
+        for delta, lane in zip(deltas, rates)
+    ]
+    lanes = batch.Rates(*(np.array(column) for column in zip(*rates)))
+    pairs = lane_pairs([0.3] * len(rates), [0.45] * len(rates))
+    got = batch.delta_prime_bound(np.array(deltas), lanes, pairs).tolist()
+    assert [value.hex() for value in got] == expected
+
+
 def both_orders(pairs, etas, **flags):
     """assert_sweep_matches on the grid, then on its pairs and etas reversed."""
     return [
@@ -428,5 +462,5 @@ def test_underflow_errors_match_scalar():
 def test_sweep_errors_carry_no_replay_context():
     for pairs, etas, s0 in (([(1e-150, 2e-150)], [1e-30], 0.0), ([(0.3, 0.45)], [1e-3, 2.0], 1e-6)):
         with pytest.raises((DomainError, ParameterError)) as raised:
-            batch.sweep(pairs, etas, s0, 10**10, DEFAULTS, None)
+            batch.sweep(*sweep_arguments(pairs), etas, s0, 10**10, DEFAULTS, None)
         assert raised.value.__context__ is None

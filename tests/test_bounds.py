@@ -202,14 +202,41 @@ def test_delta_prime_domain_and_degenerate_strong_class():
         # Both credits overflow, where the clamp would pass inf - inf = nan on.
         (ObservedRates(1.0, 1e-320, 1e-320), "e^{-mu} s0 / S_mu"),
         (ObservedRates(1.0, 1e-320, 1.5e-4), "e^{-mu} s0 / S_mu"),
-        # The strong credit alone would clamp -inf to 0, below delta = 1.
-        (ObservedRates(1.0, 1e-4, 1e-320), "e^{-mu'} s0 / S_mu'"),
+        # The strong credit alone would overflow, but S_mu' lies below
+        # e^{-mu'} s0, so it is forfeited and nothing overflows.
+        (ObservedRates(1.0, 1e-4, 1e-320), None),
     ],
     ids=["both", "weak-credit", "dark-credit"],
 )
 def test_delta_prime_overflowing_credit_raises(rates, term):
+    if term is None:
+        weak_credit = math.exp(-0.3) * rates.s0 / rates.s_mu
+        forfeited = 1.0 - (1.0 - 1.0 - weak_credit) * math.exp(0.3 - 0.45)
+        assert delta_prime_bound(1.0, rates, PARAMS) == min(max(forfeited, 0.0), 1.0) == 1.0
+        return
     with pytest.raises(DomainError, match=re.escape(f"{term} overflows to inf")):
         delta_prime_bound(1.0, rates, PARAMS)
+
+
+def test_delta_prime_forfeits_a_dark_credit_above_the_strong_rate():
+    # S_mu' below its own vacuum part e^{-mu'} s0 would credit more than the
+    # strong class holds; the credit is forfeited, so delta' no longer
+    # reads 0 beside a vacuous delta.
+    rates = ObservedRates(1e-3, 1e-4, 1e-5)
+    assert rates.s_mu_prime < math.exp(-0.45) * rates.s0
+    for delta in (0.0, 0.05, 0.2, 1.0):
+        weak_credit = math.exp(-0.3) * rates.s0 / rates.s_mu
+        no_credit = 1.0 - (1.0 - delta - weak_credit) * math.exp(0.3 - 0.45)
+        assert delta_prime_bound(delta, rates, PARAMS) == min(max(no_credit, 0.0), 1.0)
+    assert delta_prime_bound(1.0, rates, PARAMS) == 1.0
+    # At S_mu' equal to its vacuum part the credit is taken, and it is 1.
+    vacuum_part = decompose(PARAMS).p0_mu_prime * 1e-6
+    rates = ObservedRates(1e-6, 1e-4, vacuum_part)
+    weak_credit = math.exp(-0.3) * 1e-6 / 1e-4
+    taken = 1.0 - (1.0 - 0.2 - weak_credit) * math.exp(0.3 - 0.45) - 1.0
+    assert delta_prime_bound(0.2, rates, PARAMS) == pytest.approx(min(max(taken, 0.0), 1.0))
+    below = ObservedRates(1e-6, 1e-4, math.nextafter(vacuum_part, 0.0))
+    assert delta_prime_bound(0.2, below, PARAMS) > delta_prime_bound(0.2, rates, PARAMS)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))

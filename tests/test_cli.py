@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import lzma
 import math
@@ -9,12 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
 from decoyqkd.errors import ConfigError, ConvergenceError
-from decoyqkd.photon_stats import validate_pair
+from decoyqkd.photon_stats import MIN_INTENSITY, validate_pair
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,6 +302,28 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--config", str(cfg))
     assert code == 2
     assert "unknown key 'mu_primee'" in err
+
+
+@pytest.mark.parametrize(
+    "ini, message",
+    [
+        ("[sweep]\nmu = 0:1:0.000001\n", "has more than 1000000 points"),
+        ("[sweep]\nmu = 0.1:0.2\n", "grid ranges use start:stop:step"),
+    ],
+    ids=["over-cap", "malformed"],
+)
+def test_config_sections_the_command_does_not_read_are_not_parsed(tmp_path, capsys, ini, message):
+    bound = ("bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--format", "csv")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert run(capsys, *bound, "--config", str(cfg)) == run(capsys, *bound)
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--mu-prime", "0.45", "--eta", "1e-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [sweep] mu: ") and message in err
+    # An unknown key stays an error in a section the command does not read.
+    cfg.write_text(ini + "mu_primee = 0.45\n")
+    code, _, err = run(capsys, *bound, "--config", str(cfg))
+    assert (code, err) == (2, f"error: {cfg}: unknown key 'mu_primee' in section [sweep]\n")
 
 
 def test_malformed_config_exit_2(tmp_path, capsys):
@@ -678,10 +702,11 @@ def test_parse_grid_malformed():
 
 
 SWEEP_GRID = ("--mu", "0.1,0.3,0.5", "--mu-prime", "0.2:0.6:0.1", "--eta", "1e-4,1e-2")
+SWEEP_VALUES = ((0.1, 0.3, 0.5), (0.2, 0.3, 0.4, 0.5, 0.6), (1e-4, 1e-2))
 
 
-def scalar_sweep(n=None, qber=None, **fluctuation):
-    """Notes and rows of the sweep over SWEEP_GRID, assembled from the scalar functions."""
+def scalar_sweep(grid, n=None, qber=None, **fluctuation):
+    """Notes and rows of the sweep over grid = (mus, mu_primes, etas), from the scalar functions."""
     from decoyqkd import (
         FluctuationSettings, KeyRateInput, NoEve, ProtocolParams, PulseBudget,
         delta_prime_bound, expected_rates, finite_bound, gllp_rate, validate_pair,
@@ -689,9 +714,10 @@ def scalar_sweep(n=None, qber=None, **fluctuation):
     )
 
     fluct = FluctuationSettings(**fluctuation)
+    mus, mu_primes, etas = grid
     notes, rows = [], []
-    for mu in (0.1, 0.3, 0.5):
-        for mu_prime in (0.2, 0.3, 0.4, 0.5, 0.6):
+    for mu in mus:
+        for mu_prime in mu_primes:
             check = validate_pair(mu, mu_prime)
             if not check:
                 notes.append(
@@ -700,7 +726,7 @@ def scalar_sweep(n=None, qber=None, **fluctuation):
                 )
                 continue
             params = ProtocolParams(mu, mu_prime)
-            for eta in (1e-4, 1e-2):
+            for eta in etas:
                 rates = expected_rates(NoEve(eta=eta, s0=1e-6), params)
                 if n is None:
                     report = wang_asymptotic_bound(rates, params)
@@ -757,13 +783,93 @@ SWEEP_FLAG_SETS = [
 @pytest.mark.parametrize("flags, scalar_args", SWEEP_FLAG_SETS)
 def test_sweep_output_equals_scalar_rows(capsys, fmt, flags, scalar_args):
     code, out, err = run(capsys, "sweep", *SWEEP_GRID, *flags, "--format", fmt)
-    notes, rows = scalar_sweep(**scalar_args)
+    notes, rows = scalar_sweep(SWEEP_VALUES, **scalar_args)
     assert out == render_sweep(rows, fmt)
     assert err == "".join(note + "\n" for note in notes)
     assert notes
     all_vacuous = all(row[-1] for row in rows)
     assert all_vacuous == (scalar_args.get("n") in (1, 1000))
     assert code == (3 if all_vacuous else 0)
+
+
+def below_dominance(mu):
+    """The least float mu' > 1 with mu' e^{-mu'} <= mu e^{-mu}, for 0 < mu < 1."""
+    lo, hi = 1.0, 800.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if mid * math.exp(-mid) > mu * math.exp(-mu) else (lo, mid)
+    return hi
+
+
+# Values validate_pair refuses on their own, and the intensity floor's neighbours.
+EDGE_INTENSITIES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -0.3, -1e-300, 5e-324,
+    MIN_INTENSITY, math.nextafter(MIN_INTENSITY, 0.0), math.nextafter(MIN_INTENSITY, 1.0),
+]
+
+
+@st.composite
+def admissibility_grids(draw):
+    """mu and mu' grids around every test of validate_pair."""
+    intensities = st.sampled_from(EDGE_INTENSITIES) | st.floats(1e-160, 2.0)
+    mus = draw(st.lists(intensities | st.floats(0.01, 0.9), min_size=1, max_size=5))
+    mu_primes = draw(st.lists(intensities, max_size=3))
+    for mu in mus:
+        if not MIN_INTENSITY <= mu < 0.99:
+            continue
+        floor = mu * (1.0 + 1e-6)
+        edge = below_dominance(mu)
+        near = [math.nextafter(floor, 0.0), floor, math.nextafter(floor, 2.0)]
+        near += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1e3)]
+        mu_primes += draw(st.lists(st.sampled_from(near), max_size=4))
+        mu_primes.append(draw(st.floats(floor, edge)))
+    return mus, draw(st.permutations(mu_primes))
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(admissibility_grids())
+@example(([0.3, MIN_INTENSITY], [math.nan, 0.3 * (1.0 + 1e-6), below_dominance(0.3)]))
+def test_sweep_admits_exactly_the_pairs_validate_pair_admits(grid):
+    mus, mu_primes = grid
+    # --flag=value, since a value may start with "-".
+    argv = ["sweep", "--mu=" + ",".join(map(repr, mus)), "--eta", "1e-3", "--format", "csv"]
+    if mu_primes:
+        argv.append("--mu-prime=" + ",".join(map(repr, mu_primes)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if not mu_primes:
+        assert (code, out, err) == (2, "", "error: sweep needs mu, mu_prime, and eta grids\n")
+        return
+    notes, rows = scalar_sweep((mus, mu_primes, (1e-3,)))
+    if not rows:
+        notes.append("error: sweep grid contains no admissible (mu, mu_prime) pairs")
+    assert err == "".join(note + "\n" for note in notes)
+    assert out == (render_sweep(rows, "csv") if rows else "")
+    assert code == (0 if rows else 2)
+
+
+def test_sweep_validates_only_rejected_pairs_and_skips_empty_solver_passes(capsys, monkeypatch):
+    from decoyqkd import batch
+
+    validated, lane_counts = [], []
+
+    def counting_validate_pair(mu, mu_prime):
+        validated.append((mu, mu_prime))
+        return validate_pair(mu, mu_prime)
+
+    def counting_excess(lanes, y, sc):
+        lane_counts.append(y.size)
+        return excess(lanes, y, sc)
+
+    excess = batch._excess
+    monkeypatch.setattr(cli, "validate_pair", counting_validate_pair)
+    monkeypatch.setattr(batch, "_excess", counting_excess)
+    code, out, err = run(capsys, "sweep", *SWEEP_GRID, "--n", "8e10", "--format", "csv")
+    notes, rows = scalar_sweep(SWEEP_VALUES, n=8 * 10**10)
+    assert code == 0 and rows and notes
+    assert len(validated) == len(notes) == err.count("\n")
+    assert lane_counts and 0 not in lane_counts
 
 
 # Floats with text of their own: both zeros, NaN, infinities and subnormals.
@@ -891,7 +997,7 @@ def test_sweep_csv_equals_generic_csv(capsys, tmp_path, flags):
 def test_sweep_errors_equal_scalar_errors(capsys, flags, scalar_args, exit_code):
     code, out, err = run(capsys, "sweep", *SWEEP_GRID, *flags)
     with pytest.raises(Exception) as raised:
-        scalar_sweep(**scalar_args)
+        scalar_sweep(SWEEP_VALUES, **scalar_args)
     assert code == exit_code
     assert out == ""
     assert err.splitlines()[-1] == f"error: {raised.value}"
