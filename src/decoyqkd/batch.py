@@ -174,15 +174,6 @@ def _vacuum_rate(eta: np.ndarray, s0: np.ndarray | float) -> np.ndarray:
     return s0 - (1.0 - s0) * (-eta * 0.0)
 
 
-def expected_rates(eta: np.ndarray, s0: np.ndarray | float, pairs: Pairs) -> Rates:
-    """channel.expected_rates of NoEve(eta, s0); eta and s0 must be valid for NoEve."""
-    return Rates(
-        s0=_vacuum_rate(eta, s0),
-        s_mu=_class_rate(eta, s0, pairs.mu),
-        s_mu_prime=_class_rate(eta, s0, pairs.mu_prime),
-    )
-
-
 @_quiet
 def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
     """bounds.wang_asymptotic_bound.

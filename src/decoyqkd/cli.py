@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_PREC, Context, Decimal, InvalidOperation, localcontext
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 from .bounds import (
@@ -38,7 +38,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
 from .feasibility import WeakDecoySetup, build_report
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .key_rate import KeyRateInput, gllp_rate
-from .photon_stats import MIN_SEPARATION, ProtocolParams, validate_pair
+from .photon_stats import MIN_SEPARATION, ProtocolParams, decompose, validate_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +102,11 @@ def _as_text(raw: str, where: str) -> str:
 
 
 def parse_grid(text: str, where: str) -> list[float]:
-    """Grid syntax: 'start:stop:step' (inclusive) or a comma list or one value."""
+    """Grid syntax: 'start:stop:step' (inclusive) or a comma list or one value.
+
+    Range point k is start + k step, summed exactly in the decimals that start
+    and step print as and rounded to a float once; no point passes stop.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -115,18 +119,13 @@ def parse_grid(text: str, where: str) -> list[float]:
             raise ConfigError(f"{where}: grid step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"{where}: grid stop {stop} is below start {start}")
-        steps = (stop - start) / step
-        if math.isinf(steps) or round(steps) + 1 > MAX_GRID_POINTS:
-            raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
-        # Round, and widen stop, to 12 decimals, 3 past a smaller step's first
-        # digit, or as many as start or step is written with.
-        try:
-            written = [-Decimal(part).as_tuple().exponent for part in (parts[0], parts[2])]
-        except InvalidOperation:  # an exponent past Decimal's range: a start of 0
-            written = []
-        digits = max(12, 3 - math.floor(math.log10(step)), *written)
-        values = [round(start + k * step, digits) for k in range(round(steps) + 1)]
-        return [v for v in values if v <= stop + 10.0**-digits]
+        first, last, increment = (Decimal(repr(x)) for x in (start, stop, step))
+        # No sum rounds at this width; a non-terminating / would run to MAX_PREC digits.
+        with localcontext(Context(prec=MAX_PREC)):
+            count = (last - first) // increment + 1
+            if count > MAX_GRID_POINTS:
+                raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
+            return [float(first + k * increment) for k in range(int(count))]
     values = list(_as_floats(text, where))
     if not values:
         raise ConfigError(f"{where}: empty grid")
@@ -251,9 +250,10 @@ def _resolve_rate_source(
 ) -> tuple[ObservedRates, dict[str, Any] | None]:
     """Direct rates, or a scenario's rates and echo; a run may give only one."""
     rates, scenario = inputs.get("rates"), inputs.get("scenario")
+    # Each source is named by its flags if any of its keys came from one.
+    labels = {label for _, label in (rates or {}).values()}
+    direct = "--rates" if "--rates" in labels else "[rates]"
     if rates is not None and scenario is not None:
-        # Each is named by its flags if any of its keys came from one.
-        direct = "--rates" if any(label == "--rates" for _, label in rates.values()) else "[rates]"
         modelled = "[scenario]"
         if any(label.startswith("--") for _, label in scenario.values()):
             modelled = "scenario flags"
@@ -264,7 +264,14 @@ def _resolve_rate_source(
         missing = set(CONFIG_KEYS["rates"]) - set(rates)
         if missing:
             raise ConfigError(f"[rates] section is missing {sorted(missing)}")
-        return ObservedRates(**_given(inputs, "rates")), None
+        observed = ObservedRates(**_given(inputs, "rates"))
+        vacuum = decompose(params).p0_mu * observed.s0
+        if observed.s_mu < vacuum:
+            raise ConfigError(
+                f"{direct}: S_mu {observed.s_mu} is below its vacuum part e^{{-mu}} s0 = {vacuum},"
+                " which no photon-number yields produce"
+            )
+        return observed, None
     if scenario is not None:
         built, echo = _build_scenario(inputs)
         return expected_rates(built, params), echo

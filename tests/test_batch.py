@@ -93,9 +93,16 @@ def sweep_arguments(pairs):
 
 
 def batch_lanes(lanes, n, fluct, qber, max_iter):
-    mu, mu_prime, eta, s0 = (np.array(column, float) for column in zip(*lanes))
+    mu, mu_prime, _, _ = zip(*lanes)
     pairs = lane_pairs(mu, mu_prime)
-    rates = batch.expected_rates(eta, s0, pairs)
+    # Each lane's scalar rates, stacked; batch.sweep's own rate assembly is
+    # checked against scalar_sweep.
+    observed = [
+        expected_rates(NoEve(eta=eta, s0=s0), ProtocolParams(m, mp)) for m, mp, eta, s0 in lanes
+    ]
+    rates = batch.Rates._make(
+        np.array([getattr(r, name) for r in observed], float) for name in batch.Rates._fields
+    )
     if n is None:
         bounds = batch.wang_asymptotic_bound(rates, pairs)
     else:
@@ -176,6 +183,10 @@ def grid_lanes(pairs, etas, s0=1e-6):
     return [(mu, mu_prime, eta, s0) for mu, mu_prime in pairs for eta in etas]
 
 
+transmittances = st.one_of(st.just(0.0), st.floats(-5.0, 0.0).map(lambda e: 10.0**e))
+dark_rates = st.one_of(st.just(0.0), st.just(1e-6), st.floats(0.0, 1e-3))
+
+
 @st.composite
 def lanes(draw):
     count = draw(st.integers(1, 12))
@@ -191,8 +202,8 @@ def lanes(draw):
         mu_prime = mu * (1.0 + gap)
         if not validate_pair(mu, mu_prime):
             continue
-        eta = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0).map(lambda e: 10.0**e)))
-        s0 = draw(st.one_of(st.just(0.0), st.just(1e-6), st.floats(0.0, 1e-3)))
+        eta = draw(transmittances)
+        s0 = draw(dark_rates)
         if eta == 0.0 and s0 == 0.0:
             s0 = 1e-6  # s_mu = 0 is covered by the error tests
         result.append((mu, mu_prime, eta, s0))
@@ -208,6 +219,19 @@ qbers = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.5))
 @given(lanes(), budgets, fluctuations, qbers)
 def test_layers_equal_scalar_functions(drawn, n, fluct, qber):
     assert_lanes_match(drawn, n, fluct, qber)
+
+
+@hyp_settings(max_examples=40)
+@given(
+    lanes(), st.lists(transmittances, min_size=1, max_size=4), dark_rates,
+    budgets, fluctuations, qbers,
+)
+def test_sweep_equals_scalar_sweep(drawn, etas, s0, n, fluct, qber):
+    # batch.sweep assembles its own rates (S_mu per (eta, mu) value, S_mu' and
+    # s0 per lane), so this covers that assembly under random s0; a zero eta
+    # with s0 = 0 must raise the scalar error.
+    pairs = [(mu, mu_prime) for mu, mu_prime, _, _ in drawn]
+    assert_sweep_matches(pairs, etas, s0, n, fluct, qber)
 
 
 def random_lane(rng):

@@ -8,10 +8,12 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
 from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
@@ -176,6 +178,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert direct["asymptotic"]["delta_upper"] == overridden["asymptotic"]["delta_upper"]
+
+
+@pytest.mark.parametrize("source", ["--rates", "[rates]"])
+def test_bound_refuses_rates_below_their_vacuum_part(tmp_path, capsys, source):
+    # No photon-number yields give S_mu < e^{-mu} s0.  Such rates exited 3,
+    # with a 5.164 % hwang bound beside a vacuous asymptotic one.
+    argv = ["bound", "--mu", "0.3", "--mu-prime", "0.45"]
+    if source == "--rates":
+        argv += ["--rates", "1e-3,1e-4,1e-5"]
+    else:
+        (tmp_path / "r.ini").write_text("[rates]\ns0 = 1e-3\ns_mu = 1e-4\ns_mu_prime = 1e-5\n")
+        argv += ["--config", str(tmp_path / "r.ini")]
+    assert run(capsys, *argv) == (
+        2, "", f"error: {source}: S_mu 0.0001 is below its vacuum part e^{{-mu}} s0 = "
+        "0.0007408182206817179, which no photon-number yields produce\n",
+    )
+    # S_mu at its vacuum part is not refused.
+    vacuum = math.exp(-0.3) * 1e-3
+    code, _, err = run(capsys, *argv[:5], "--rates", f"1e-3,{vacuum!r},1e-3")
+    assert (code, err) == (0, "")
 
 
 def test_config_rejects_rates_and_scenario(tmp_path, capsys):
@@ -684,6 +706,39 @@ def test_parse_grid_rounds_to_the_step(capsys):
     assert (code, err) == (0, "")
     etas = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
     assert etas == [1e-14, 2e-14, 3e-14, 4e-14, 5e-14]
+
+
+def test_parse_grid_never_passes_stop(capsys):
+    # Stop was widened by 1e-12, which let in a point just past it.
+    assert parse_grid("0.3:0.449999999999999:0.05", "test") == [0.3, 0.35, 0.4]
+    code, out, err = run(
+        capsys, "sweep", "--mu", "0.2", "--mu-prime", "0.3:0.449999999999999:0.05",
+        "--eta", "1e-3", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == [0.3, 0.35, 0.4]
+
+
+@hyp_settings(max_examples=300)
+@given(
+    st.integers(-10**7, 10**7), st.integers(-20, 5), st.integers(1, 10**5),
+    st.integers(-20, 5), st.integers(1, 60), st.one_of(st.none(), st.integers(1, 17)),
+)
+def test_parse_grid_points_are_exact_decimal_sums(a, a_exp, b, b_exp, count, short):
+    # Decimal-written start and step; stop is the exact last point, or just
+    # below it.  Point k is the float nearest start + k step, taken in the
+    # decimals that the parsed floats print as, and no point passes stop.
+    start, step = Decimal(a).scaleb(a_exp), Decimal(b).scaleb(b_exp)
+    with localcontext(Context(prec=100)):
+        stop = start + (count - 1) * step
+        if short is not None and count > 1:
+            stop -= step.scaleb(-short)
+    first, last, increment = (Fraction(repr(float(x))) for x in (start, stop, step))
+    points = (last - first) // increment + 1
+    assume(points <= 1000)
+    values = parse_grid(f"{start}:{stop}:{step}", "test")
+    assert values == [float(first + k * increment) for k in range(points)]
+    assert all(value <= float(stop) for value in values)
 
 
 def test_parse_grid_point_limit(monkeypatch):

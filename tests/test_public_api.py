@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import decoyqkd
 from decoyqkd.bounds import DEFAULT_MAX_ITER
+from decoyqkd.cli import parse_grid
 from decoyqkd.feasibility import WeakDecoySetup, build_report
 from decoyqkd.finite_stats import PulseBudget, finite_bound
 
@@ -88,6 +89,8 @@ def test_benchmark_hooks_resolve():
     # Solver evaluation counts bisect finite_bound's max_iter, by name, over
     # [1, DEFAULT_MAX_ITER].
     assert parameters["max_iter"].default == DEFAULT_MAX_ITER
+    # The sweep workload passes parse_grid's text and label by position.
+    assert list(inspect.signature(parse_grid).parameters)[:2] == ["text", "where"]
     # The one-shot CLI workload checks the feasibility verdict against report.time.days.
     report = build_report(WeakDecoySetup(eta=1e-4, s0=1e-6, mu_v=1e-4), 1e-3)
     assert isinstance(report.time.days, float)
