@@ -27,8 +27,8 @@ numpy on the lanes with 0 < x < 1, each log2 through ``math``, and 0 on
 the others, which is the scalar function's arithmetic in its order.  Clamps use np.where, since
 Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.  The
 constraint system is not copied: both engines form it with
-bounds._constraints and take every s1 from it with bounds._s1, on floats
-or on lanes.
+bounds._constraints, take every s1 from it with bounds._s1 and the
+closed form from bounds._closed_form, on floats or on lanes.
 
 Errors come from the scalar functions alone.  A layer raises the private
 ``_Replay`` when some lane meets a condition on which its scalar function
@@ -174,19 +174,17 @@ def _vacuum_rate(eta: np.ndarray, s0: np.ndarray | float) -> np.ndarray:
     return s0 - (1.0 - s0) * (-eta * 0.0)
 
 
+def _raw_delta(rates: Rates, pairs: Pairs) -> np.ndarray:
+    """bounds._raw_delta; raises _Replay where mu' e^{-mu'} S_mu is 0 (the scalar bounds raise)."""
+    if (pairs.p1_mu_prime * rates.s_mu == 0.0).any():
+        raise _Replay
+    return bounds._closed_form(rates, pairs, pairs)
+
+
 @_quiet
 def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
-    """bounds.wang_asymptotic_bound.
-
-    Raises _Replay where s_mu = 0 or where mu' e^{-mu'} S_mu has underflowed
-    to 0: there the scalar bound (and finite_bound) raises.
-    """
-    p1_s_mu = pairs.p1_mu_prime * rates.s_mu
-    if (p1_s_mu == 0.0).any():
-        raise _Replay
-    mu, mu_prime, p1_mu = pairs.mu, pairs.mu_prime, pairs.p1_mu
-    ratio = (p1_mu * rates.s_mu_prime) / p1_s_mu
-    raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (p1_mu * rates.s0) / (mu_prime * rates.s_mu)
+    """bounds.wang_asymptotic_bound; raises _Replay where that raises."""
+    raw = _raw_delta(rates, pairs)
     delta = _clamp01(raw)
     sc_upper = delta * rates.s_mu / pairs.c
     s1_lower = _floor0(bounds._s1(bounds._constraints(rates, pairs), sc_upper))
@@ -272,20 +270,21 @@ def finite_bound(
 
     n_pulses must be valid for PulseBudget, confidence_exponent for FluctuationSettings.
     """
-    seed = wang_asymptotic_bound(rates, pairs)
+    # The asymptotic bound, clamped to [0, 1], seeds the solver.
+    delta = _clamp01(_raw_delta(rates, pairs))
     c, p1_mu = pairs.c, pairs.p1_mu
     # finite_stats.finite_bound's k_x = 2 sqrt(E / n_x); r_x = k_x / sqrt(s_x).
     k1 = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * p1_mu))
     kc = 2.0 * np.sqrt(confidence_exponent / (float(n_pulses) * c))
     system = bounds._constraints(rates, pairs, k1, kc)
-    # A k that overflows to inf is a fluctuation far beyond 1.
-    blown = np.isinf(k1) | np.isinf(kc)
-    live = np.flatnonzero(~(seed.vacuous | blown))
-    sc = seed.sc_upper.copy()
-    sc[live] = _solve_sc(np.stack(system)[:, live], seed.sc_upper[live], max_iter)
+    # A vacuous seed, or a k that overflows to inf (a fluctuation far beyond 1).
+    blown = (delta >= 1.0) | np.isinf(k1) | np.isinf(kc)
+    live = np.flatnonzero(~blown)
+    sc = delta * rates.s_mu / c
+    sc[live] = _solve_sc(np.stack(system)[:, live], sc[live], max_iter)
     s1 = bounds._s1(system, sc)
     delta_raw = c * sc / rates.s_mu
-    vacuous = seed.vacuous | blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
+    vacuous = blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
     return Bounds(
         delta_upper=np.where(vacuous, 1.0, delta_raw),
         s1_lower=np.where(vacuous, 0.0, _floor0(s1 - k1 * np.sqrt(s1))),

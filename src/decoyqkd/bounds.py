@@ -107,6 +107,18 @@ def _constraints(
     return weak, strong, coeffs.c, a, coeffs.p1_mu, coeffs.p1_mu_prime, k1, kc
 
 
+def _closed_form(rates: ObservedRates, coeffs: DecompositionCoefficients, pair) -> float:
+    """wang_asymptotic_bound's closed form, unclamped; pair holds mu and mu_prime.
+
+    Arithmetic on named fields alone, like _constraints, so it runs on floats
+    or on lanes.  It divides by mu' e^{-mu'} S_mu, which each engine first
+    checks is not 0.
+    """
+    mu, mu_prime, p1_mu = pair.mu, pair.mu_prime, coeffs.p1_mu
+    ratio = (p1_mu * rates.s_mu_prime) / (coeffs.p1_mu_prime * rates.s_mu)
+    return (mu / (mu_prime - mu)) * (ratio - 1.0) + (p1_mu * rates.s0) / (mu_prime * rates.s_mu)
+
+
 def _s1(system: tuple, sc: float) -> float:
     """The single-photon rate that the weak class of a _constraints record leaves beside sc."""
     weak, _, c, _, p1_mu, _, _, _ = system
@@ -170,6 +182,17 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
             lo = y
 
 
+def _raw_delta(
+    rates: ObservedRates, params: ProtocolParams, coeffs: DecompositionCoefficients
+) -> float:
+    """_closed_form on floats; raises DomainError where mu' e^{-mu'} S_mu underflows to 0."""
+    if coeffs.p1_mu_prime * rates.s_mu == 0.0:
+        raise DomainError(
+            f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={params.mu_prime}, s_mu={rates.s_mu})"
+        )
+    return _closed_form(rates, coeffs, params)
+
+
 def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     """Closed-form solution of the sc/s1 constraint system.
 
@@ -180,17 +203,8 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     bound divides by it.
     """
     _require_weak_rate(rates)
-    mu, mu_prime = params.mu, params.mu_prime
     coeffs = decompose(params)
-    p1_s_mu = coeffs.p1_mu_prime * rates.s_mu
-    if p1_s_mu == 0.0:
-        raise DomainError(
-            f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={mu_prime}, s_mu={rates.s_mu})"
-        )
-    ratio = (coeffs.p1_mu * rates.s_mu_prime) / p1_s_mu
-    raw = (mu / (mu_prime - mu)) * (ratio - 1.0) + (coeffs.p1_mu * rates.s0) / (
-        mu_prime * rates.s_mu
-    )
+    raw = _raw_delta(rates, params, coeffs)
     delta = min(max(raw, 0.0), 1.0)
     sc_upper = delta * rates.s_mu / coeffs.c
     return BoundReport(

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, localcontext
 from typing import Any, Callable, Collection, Iterator, Sequence
@@ -105,7 +106,9 @@ def parse_grid(text: str, where: str) -> list[float]:
     """Grid syntax: 'start:stop:step' (inclusive) or a comma list or one value.
 
     Range point k is start + k step, summed exactly in the decimals that start
-    and step print as and rounded to a float once; no point passes stop.
+    and step print as and rounded to a float once; no point passes stop.  No
+    two points may be the same float, as from a step below the float spacing
+    of its points or a value listed twice.
     """
     text = text.strip()
     if ":" in text:
@@ -125,10 +128,17 @@ def parse_grid(text: str, where: str) -> list[float]:
             count = (last - first) // increment + 1
             if count > MAX_GRID_POINTS:
                 raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
-            return [float(first + k * increment) for k in range(int(count))]
-    values = list(_as_floats(text, where))
-    if not values:
-        raise ConfigError(f"{where}: empty grid")
+            values = [float(first + k * increment) for k in range(int(count))]
+    else:
+        values = list(_as_floats(text, where))
+        if not values:
+            raise ConfigError(f"{where}: empty grid")
+    if len(set(values)) < len(values):
+        # Equal points of one sign are one float; 0.0 and -0.0 are two.
+        counts = Counter((v, math.copysign(1.0, v)) for v in values)
+        repeated = [v for v, sign in counts if counts[v, sign] > 1]
+        if repeated:
+            raise ConfigError(f"{where}: grid {text!r} holds {repeated[0]!r} more than once")
     return values
 
 

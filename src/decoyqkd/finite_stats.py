@@ -19,10 +19,12 @@ from .bounds import (
     BoundReport,
     ObservedRates,
     _constraints,
+    _raw_delta,
     _require_weak_rate,
     _s1,
     _solve_sc,
-    wang_asymptotic_bound,
+    # Not called here; a benchmark hook (tests/test_public_api.py BENCHMARK_HOOKS).
+    wang_asymptotic_bound,  # noqa: F401
 )
 from .errors import ParameterError
 from .photon_stats import ProtocolParams, decompose
@@ -121,12 +123,13 @@ def finite_bound(
     k1 = 2.0 * math.sqrt(settings.confidence_exponent / n_singles)
     kc = 2.0 * math.sqrt(settings.confidence_exponent / n_multi)
 
-    seed = wang_asymptotic_bound(rates, params)
+    # The asymptotic bound, clamped to [0, 1], seeds the solver.
+    delta = min(max(_raw_delta(rates, params, coeffs), 0.0), 1.0)
     # A k that overflows to inf is a fluctuation far beyond 1.
-    if seed.vacuous or math.isinf(k1) or math.isinf(kc):
+    if delta >= 1.0 or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
     system = _constraints(rates, coeffs, k1, kc)
-    sc = _solve_sc(system, seed.sc_upper, max_iter)
+    sc = _solve_sc(system, delta * rates.s_mu / c, max_iter)
     s1 = _s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.

@@ -10,7 +10,6 @@ admissible pair and read by no bound, so it is not computed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -133,21 +132,18 @@ class ProtocolParams:
     mu_prime: float
 
     def __post_init__(self) -> None:
-        check = validate_pair(self.mu, self.mu_prime)
+        mu, mu_prime = self.mu, self.mu_prime
+        check = validate_pair(mu, mu_prime)
         if not check:
             raise ParameterError(check.reason)
-
-    @functools.cached_property
-    def _coefficients(self) -> DecompositionCoefficients:
-        """decompose(self), computed on first use; not a dataclass field."""
-        mu, mu_prime = self.mu, self.mu_prime
         exp_gap = math.exp(mu - mu_prime)
-        multi_ratio = _multi_ratio(mu, mu_prime, exp_gap)
-        c = multi_photon_weight(mu)
         p0_mu, p0_mu_prime = math.exp(-mu), math.exp(-mu_prime)
-        return DecompositionCoefficients(
-            p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap, c, multi_ratio
+        coefficients = DecompositionCoefficients(
+            p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap,
+            multi_photon_weight(mu), _multi_ratio(mu, mu_prime, exp_gap),
         )
+        # decompose(self), formed once here; not a dataclass field.
+        object.__setattr__(self, "_coefficients", coefficients)
 
 
 def _multi_ratio(mu: float, mu_prime: float, exp_gap: float) -> float:
@@ -182,7 +178,7 @@ class DecompositionCoefficients:
 
 
 def decompose(params: ProtocolParams) -> DecompositionCoefficients:
-    """Every weight the bounds read, computed once per ``params`` and cached on it.
+    """Every weight the bounds read, formed once when ``params`` is built.
 
     No bound forms a Poisson weight of mu or mu' itself.  Never raises: the
     admissibility floor MIN_INTENSITY keeps every weight finite and normal.

@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -26,7 +26,9 @@ from decoyqkd import (
     ParameterError,
     ProtocolParams,
     PulseBudget,
+    YieldTable,
     batch,
+    bounds,
     decompose,
     delta_prime_bound,
     expected_rates,
@@ -36,7 +38,7 @@ from decoyqkd import (
     validate_pair,
     wang_asymptotic_bound,
 )
-from decoyqkd.bounds import DEFAULT_MAX_ITER
+from decoyqkd.bounds import DEFAULT_MAX_ITER, _closed_form, _constraints, _solve_sc
 from decoyqkd.cli import parse_grid
 from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION
 
@@ -369,6 +371,93 @@ def test_seed_exit_lanes():
     # test_finite_stats' budgets at which F(seed) - seed rounds to <= 0.
     for lane, exponent in (((0.3, 0.3001, 1e-3, 1e-6), 38), ((0.25, 0.41, 1e-4, 1e-6), 40)):
         assert isinstance(assert_lanes_match([lane], 10**exponent), list)
+
+
+def clamped_seed_cases():
+    """(source, params, rates) whose closed-form raw delta is below 0, exactly 0 or at least 1.
+
+    A single-photon yield table with y1 = 1 and s0 = 0, or direct rates
+    S_mu = mu e^{-mu} and S_mu' = mu' e^{-mu'}, makes the ratio exactly 1;
+    other single-photon tables miss it by rounding, either way.
+    """
+    cases = []
+    for mu, mu_prime in ((0.3, 0.45), (0.1, 0.5), (0.5, 0.9)):
+        params = ProtocolParams(mu, mu_prime)
+        coeffs = decompose(params)
+        direct = (
+            ObservedRates(0.0, 1e-3, 1e-3),
+            ObservedRates(1e-6, 1e-3, 1.1e-3),
+            ObservedRates(0.0, coeffs.p1_mu, coeffs.p1_mu_prime),
+            ObservedRates(1e-6, 1e-6, 1e-3),
+        )
+        cases += [("direct", params, rates) for rates in direct]
+        for s0 in (0.0, 1e-6):
+            for yields in ((1.0, 0.0), (0.7, 0.0), (0.3, 0.0, 0.0), (0.0, 0.0, 1.0)):
+                rates = expected_rates(YieldTable(s0, yields), params)
+                cases.append(("yields", params, rates))
+    return cases
+
+
+def finite_outcome(params, rates, n, max_iter):
+    """finite_bound's report fields as exact values, or its error's type and message."""
+    return outcome(
+        lambda: [astuple(finite_bound(rates, params, PulseBudget(n, n), DEFAULTS, max_iter))]
+    )
+
+
+def batch_finite_outcome(cases, n, max_iter):
+    """batch.finite_bound on the cases' lanes, as finite_outcome rows, or _Replay."""
+    mu, mu_prime = zip(*((params.mu, params.mu_prime) for params, _ in cases))
+    rates = batch.Rates._make(
+        np.array([getattr(r, name) for _, r in cases], float) for name in batch.Rates._fields
+    )
+    try:
+        lanes = batch.finite_bound(rates, lane_pairs(mu, mu_prime), n, 25.0, max_iter)
+    except batch._Replay:
+        return batch._Replay
+    return [
+        tuple(map(exact, (delta, s1, sc, bounds.METHOD_WANG_FINITE, clamped, vacuous)))
+        for delta, s1, sc, clamped, vacuous in zip(*(a.tolist() for a in lanes))
+    ]
+
+
+@pytest.mark.parametrize("n", [10**6, 10**10, 10**14])
+def test_finite_seed_is_the_clamped_closed_form_in_both_engines(n):
+    cases = clamped_seed_cases()
+    raw = {
+        source: [_closed_form(r, decompose(p), p) for s, p, r in cases if s == source]
+        for source in ("direct", "yields")
+    }
+    for values in raw.values():
+        assert min(values) < 0.0 and 0.0 in values and max(values) >= 1.0
+    # Errors too: s_mu = 0, and mu' e^{-mu'} S_mu underflowing to 0.
+    errors = [
+        (ProtocolParams(0.3, 0.45), ObservedRates(0.0, 0.0, 1e-3)),
+        (ProtocolParams(1e-150, 2e-150), ObservedRates(0.0, 1e-180, 1e-180)),
+    ]
+    lanes = [(params, rates) for _, params, rates in cases]
+    for max_iter in (1, 2, DEFAULT_MAX_ITER):
+        expected = [finite_outcome(p, r, n, max_iter) for p, r in lanes + errors]
+        # Lane by lane, every scalar error is a _Replay of its lane.
+        for lane, scalar in zip(lanes + errors, expected):
+            rows = batch_finite_outcome([lane], n, max_iter)
+            assert rows is batch._Replay if isinstance(scalar, tuple) else rows == scalar
+        if all(isinstance(row, list) for row in expected[:len(lanes)]):
+            assert batch_finite_outcome(lanes, n, max_iter) == [
+                row for rows in expected[:len(lanes)] for row in rows
+            ]
+    # The solver starts at the asymptotic sc_upper: 0 where raw delta is below 0.
+    for params, rates in lanes:
+        coeffs = decompose(params)
+        seed = wang_asymptotic_bound(rates, params)
+        report = finite_bound(rates, params, PulseBudget(n, n))
+        assert (seed.sc_upper == 0.0) == (seed.delta_upper == 0.0)
+        if seed.vacuous or report.vacuous:
+            continue
+        k1 = 2.0 * math.sqrt(25.0 / (n * coeffs.p1_mu))
+        kc = 2.0 * math.sqrt(25.0 / (n * coeffs.c))
+        system = _constraints(rates, coeffs, k1, kc)
+        assert exact(report.sc_upper) == exact(_solve_sc(system, seed.sc_upper))
 
 
 def test_key_rate_at_the_entropy_edges():

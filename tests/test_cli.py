@@ -719,6 +719,39 @@ def test_parse_grid_never_passes_stop(capsys):
     assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == [0.3, 0.35, 0.4]
 
 
+@pytest.mark.parametrize(
+    "flag, grid, repeated",
+    [
+        # A step below the float spacing: 8 points, 2 distinct floats.
+        ("--mu-prime", "0.45:0.45000000000000007:1e-17", "0.45"),
+        ("--mu", "0.3,0.3", "0.3"),
+        ("--mu", "0.2,0.3,0.25,0.3", "0.3"),
+        ("--eta", "1e-3,0.001", "0.001"),
+    ],
+)
+def test_parse_grid_refuses_repeated_points(capsys, tmp_path, flag, grid, repeated):
+    # Each repeat was bounded and printed as a row of its own.
+    values = {"--mu": "0.3", "--mu-prime": "0.45", "--eta": "1e-3", flag: grid}
+    message = f"grid {grid!r} holds {repeated} more than once\n"
+    code, out, err = run(capsys, "sweep", *(x for kv in values.items() for x in kv))
+    assert (code, out, err) == (2, "", f"error: {flag}: {message}")
+    # The same grid from a config file names its key.
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "sweep.ini"
+    lines = (f"{k[2:].replace('-', '_')} = {v}\n" for k, v in values.items())
+    cfg.write_text("[sweep]\n" + "".join(lines))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: [sweep] {key}: {message}")
+
+
+def test_parse_grid_keeps_both_signed_zeros():
+    # 0.0 and -0.0 compare equal but are two floats, printed apart.
+    values = parse_grid("0,-0,1e-3", "test")
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, 1.0]
+    with pytest.raises(ConfigError, match="holds -0.0 more than once"):
+        parse_grid("0,-0,-0.0", "test")
+
+
 @hyp_settings(max_examples=300)
 @given(
     st.integers(-10**7, 10**7), st.integers(-20, 5), st.integers(1, 10**5),
@@ -736,8 +769,14 @@ def test_parse_grid_points_are_exact_decimal_sums(a, a_exp, b, b_exp, count, sho
     first, last, increment = (Fraction(repr(float(x))) for x in (start, stop, step))
     points = (last - first) // increment + 1
     assume(points <= 1000)
+    expected = [float(first + k * increment) for k in range(points)]
+    if len(set(expected)) < points:
+        # A step below the float spacing of its points repeats a float.
+        with pytest.raises(ConfigError, match="more than once"):
+            parse_grid(f"{start}:{stop}:{step}", "test")
+        return
     values = parse_grid(f"{start}:{stop}:{step}", "test")
-    assert values == [float(first + k * increment) for k in range(points)]
+    assert values == expected
     assert all(value <= float(stop) for value in values)
 
 
@@ -877,7 +916,12 @@ def admissibility_grids(draw):
         near += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1e3)]
         mu_primes += draw(st.lists(st.sampled_from(near), max_size=4))
         mu_primes.append(draw(st.floats(floor, edge)))
-    return mus, draw(st.permutations(mu_primes))
+    # A grid repeats no float (test_parse_grid_refuses_repeated_points); 0.0
+    # and -0.0 are two.
+    def distinct(values):
+        return list({(v, math.copysign(1.0, v)): v for v in values}.values())
+
+    return distinct(mus), draw(st.permutations(distinct(mu_primes)))
 
 
 @hyp_settings(max_examples=60, deadline=None)

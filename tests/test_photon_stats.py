@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 import random
-from dataclasses import asdict
+from dataclasses import asdict, astuple, replace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from decoyqkd import (
     DomainError,
@@ -14,7 +16,7 @@ from decoyqkd import (
     multi_photon_weight,
     validate_pair,
 )
-from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION, poisson_mixture
+from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION, _multi_ratio, poisson_mixture
 
 from reference import poisson_pmf
 
@@ -148,6 +150,43 @@ def test_decompose_computed_once_per_params():
     assert decompose(params) == decompose(ProtocolParams(0.3, 0.45))
     assert asdict(params) == {"mu": 0.3, "mu_prime": 0.45}
     assert params == ProtocolParams(0.3, 0.45)
+
+
+def decomposition_bits(mu, mu_prime):
+    """Each coefficient formed by itself from the pair, as float.hex."""
+    exp_gap = math.exp(mu - mu_prime)
+    weights = (
+        math.exp(-mu), mu * math.exp(-mu), math.exp(-mu_prime), mu_prime * math.exp(-mu_prime),
+        exp_gap, multi_photon_weight(mu), _multi_ratio(mu, mu_prime, exp_gap),
+    )
+    return [w.hex() for w in weights]
+
+
+@st.composite
+def pair_and_other_partner(draw):
+    """An admissible pair down to the MIN_INTENSITY floor, and a second admissible mu'."""
+    mu = draw(st.floats(MIN_INTENSITY, 0.99))
+    # Below 1, every mu' from the separation floor on dominates; above, some do.
+    partners = st.floats(mu * (1.0 + MIN_SEPARATION), 1.0) | st.floats(1.0, 400.0)
+    mu_prime, other = draw(partners), draw(partners)
+    assume(validate_pair(mu, mu_prime) and validate_pair(mu, other) and other != mu_prime)
+    return mu, mu_prime, other
+
+
+@given(pair_and_other_partner())
+def test_decomposition_is_formed_at_construction(pairs):
+    mu, mu_prime, other = pairs
+    params = ProtocolParams(mu, mu_prime)
+    # Formed by the constructor, before anything reads it; not a field.
+    assert "_coefficients" in vars(params)
+    assert asdict(params) == {"mu": mu, "mu_prime": mu_prime}
+    bits = decomposition_bits(mu, mu_prime)
+    assert [w.hex() for w in astuple(decompose(params))] == bits
+    for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert twin == params
+        assert [w.hex() for w in astuple(decompose(twin))] == bits
+    moved = replace(params, mu_prime=other)
+    assert [w.hex() for w in astuple(decompose(moved))] == decomposition_bits(mu, other)
 
 
 @pytest.mark.parametrize(
