@@ -6,8 +6,9 @@ weak class the smaller sub-population in both fluctuation terms, so the
 finite bound's smaller-class sizing is the weak class's n p1 and n c on
 every lane.  Each function takes numpy arrays with one entry per lane and
 returns, lane by lane, exactly what the scalar function of the same name
-returns: the same bits and flags, and for the finite solver the same
-steps and evaluation count.  The scalar functions stay the reference that
+returns: the same bits and flags, the bounds in the same BoundReport with
+one array per field, and for the finite solver the same steps and
+evaluation count.  The scalar functions stay the reference that
 single bounds, simulation, Table 1 and the tests use; ``decoyqkd sweep``
 runs on this module.
 
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from . import bounds, channel, finite_stats, key_rate
-from .bounds import DEFAULT_MAX_ITER, TOL
+from .bounds import DEFAULT_MAX_ITER, METHOD_WANG_ASYMPTOTIC, METHOD_WANG_FINITE, TOL, BoundReport
 from .channel import NoEve
 from .errors import ParameterError
 from .finite_stats import FluctuationSettings, PulseBudget
@@ -141,27 +142,6 @@ class Rates(NamedTuple):
     s_mu_prime: np.ndarray
 
 
-class Bounds(NamedTuple):
-    """Per-lane BoundReport fields."""
-
-    delta_upper: np.ndarray
-    s1_lower: np.ndarray
-    sc_upper: np.ndarray
-    clamped: np.ndarray
-    vacuous: np.ndarray
-
-
-class Rows(NamedTuple):
-    """The computed columns of a sweep; key_rate is None without a qber."""
-
-    delta_upper: np.ndarray
-    delta_prime_upper: np.ndarray
-    s1_lower: np.ndarray
-    key_rate: np.ndarray | None
-    clamped: np.ndarray
-    vacuous: np.ndarray
-
-
 def _class_rate(
     eta: np.ndarray, s0: np.ndarray | float, intensity: np.ndarray | float
 ) -> np.ndarray:
@@ -182,13 +162,13 @@ def _raw_delta(rates: Rates, pairs: Pairs) -> np.ndarray:
 
 
 @_quiet
-def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> Bounds:
+def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> BoundReport:
     """bounds.wang_asymptotic_bound; raises _Replay where that raises."""
     raw = _raw_delta(rates, pairs)
     delta = _clamp01(raw)
     sc_upper = delta * rates.s_mu / pairs.c
-    s1_lower = _floor0(bounds._s1(bounds._constraints(rates, pairs), sc_upper))
-    return Bounds(delta, s1_lower, sc_upper, raw != delta, delta >= 1.0)
+    s1 = _floor0(bounds._s1(bounds._constraints(rates, pairs), sc_upper))
+    return BoundReport(delta, s1, sc_upper, METHOD_WANG_ASYMPTOTIC, raw != delta, delta >= 1.0)
 
 
 def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
@@ -265,7 +245,7 @@ def finite_bound(
     n_pulses: int,
     confidence_exponent: float,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> Bounds:
+) -> BoundReport:
     """finite_stats.finite_bound with n_pulses in each class; raises _Replay where that raises.
 
     n_pulses must be valid for PulseBudget, confidence_exponent for FluctuationSettings.
@@ -285,10 +265,11 @@ def finite_bound(
     s1 = bounds._s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     vacuous = blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)
-    return Bounds(
+    return BoundReport(
         delta_upper=np.where(vacuous, 1.0, delta_raw),
         s1_lower=np.where(vacuous, 0.0, _floor0(s1 - k1 * np.sqrt(s1))),
         sc_upper=np.where(vacuous, rates.s_mu / c, sc),
+        method=METHOD_WANG_FINITE,
         clamped=vacuous,
         vacuous=vacuous,
     )
@@ -299,9 +280,12 @@ def delta_prime_bound(delta: np.ndarray, rates: Rates, pairs: Pairs) -> np.ndarr
     """bounds.delta_prime_bound of a bound's delta (in [0, 1], with s_mu > 0)."""
     untagged_weak = 1.0 - delta - pairs.p0_mu * rates.s0 / rates.s_mu
     vacuum_part = pairs.p0_mu_prime * rates.s0
-    credited = (rates.s_mu_prime > 0.0) & (rates.s_mu_prime >= vacuum_part)
+    strong = rates.s_mu_prime > 0.0
+    credited = strong & (rates.s_mu_prime >= vacuum_part)
     dark_credit = np.where(credited, vacuum_part / rates.s_mu_prime, 0.0)
-    return _clamp01(1.0 - untagged_weak * pairs.exp_gap - dark_credit)
+    f = np.where(strong, (pairs.mu_prime / pairs.mu) * (rates.s_mu / rates.s_mu_prime), 1.0)
+    f = np.where(1.0 < f, 1.0, f)
+    return _clamp01(1.0 - f * untagged_weak * pairs.exp_gap - dark_credit)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -332,13 +316,14 @@ def sweep(
     n_pulses: int | None,
     settings: FluctuationSettings,
     qber: float | None,
-) -> Rows:
+) -> tuple[BoundReport, np.ndarray, np.ndarray | None]:
     """Every (pair, eta) row of ``decoyqkd sweep``, pair-major, eta fastest.
 
     Pair k is (mu.x[i[k]], mu_prime.x[j[k]]) for (i, j) = pairs.  Rows use
     the finite bound with n_pulses in each signal class, or the asymptotic
-    bound without them.  pairs and etas must be non-empty, and pairs
-    admissible.  Raises the error that a row-by-row run of the scalar
+    bound without them.  Returns the rows' report, their delta' and their
+    key rate, None without a qber.  pairs and etas must be non-empty, and
+    pairs admissible.  Raises the error that a row-by-row run of the scalar
     functions raises.
     """
     i, j = pairs
@@ -365,14 +350,8 @@ def sweep(
             report = wang_asymptotic_bound(rates, lanes)
         else:
             report = finite_bound(rates, lanes, n_pulses, settings.confidence_exponent)
-        return Rows(
-            delta_upper=report.delta_upper,
-            delta_prime_upper=delta_prime_bound(report.delta_upper, rates, lanes),
-            s1_lower=report.s1_lower,
-            key_rate=None if qber is None else gllp_rate(report.delta_upper, qber),
-            clamped=report.clamped,
-            vacuous=report.vacuous,
-        )
+        delta_prime = delta_prime_bound(report.delta_upper, rates, lanes)
+        return report, delta_prime, None if qber is None else gllp_rate(report.delta_upper, qber)
     except (_Replay, ParameterError):
         pass
     # Outside the except block, so the scalar error carries no _Replay context.

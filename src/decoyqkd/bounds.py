@@ -50,6 +50,8 @@ class BoundReport:
     weak class; sc_upper and s1_lower are the per-pulse rate bounds it was
     derived from.  ``clamped`` records that a raw value fell outside [0, 1];
     ``vacuous`` that the bound carries no information (delta_upper == 1).
+    The sweep's lanes (batch.py) use this record with one array per field;
+    compare those field by field, as == and hash do not work on arrays.
     """
 
     delta_upper: float
@@ -220,9 +222,14 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
 def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams) -> float:
     """Transfer a weak-class tagged bound to the strong class.
 
-    delta' <= 1 - (1 - delta - e^{-mu} s0 / S_mu) e^{mu - mu'}
+    delta' <= 1 - min(f, 1) (1 - delta - e^{-mu} s0 / S_mu) e^{mu - mu'}
                 - e^{-mu'} s0 / S_mu'
-    clamped to [0, 1].  The dark-count credit e^{-mu'} s0 / S_mu' is
+    clamped to [0, 1], with f = (mu'/mu) (S_mu / S_mu'), or 1 where S_mu' is
+    0.  Both classes share one single-photon yield, so the strong class's
+    single-photon share is f e^{mu - mu'} times the weak class's.  The
+    paper's form takes f = 1, which is sound only where f >= 1, as on every
+    NoEve channel; min(f, 1) keeps the bound sound for every adversary and
+    leaves it unchanged there.  The dark-count credit e^{-mu'} s0 / S_mu' is
     forfeited where S_mu' is 0 or below its own vacuum part e^{-mu'} s0,
     which no channel yields; dropping a non-negative credit can only loosen
     the bound, and the credit taken is at most 1.  Raises DomainError when
@@ -237,7 +244,9 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
     if math.isinf(weak_credit):
         raise DomainError(f"e^{{-mu}} s0 / S_mu overflows to inf ({rates})")
     vacuum_part = coeffs.p0_mu_prime * rates.s0
-    credited = rates.s_mu_prime > 0.0 and rates.s_mu_prime >= vacuum_part
+    strong = rates.s_mu_prime > 0.0
+    credited = strong and rates.s_mu_prime >= vacuum_part
     dark_credit = vacuum_part / rates.s_mu_prime if credited else 0.0
-    raw = 1.0 - (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
+    f = (params.mu_prime / params.mu) * (rates.s_mu / rates.s_mu_prime) if strong else 1.0
+    raw = 1.0 - min(f, 1.0) * (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
     return min(max(raw, 0.0), 1.0)

@@ -607,7 +607,9 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
     if not pairs[0].size:
         raise ConfigError("sweep grid contains no admissible (mu, mu_prime) pairs")
 
-    rows = batch.sweep(mu, mu_prime, pairs, eta_grid, s0, n_pulses, settings, qber)
+    report, delta_prime, key_rate = batch.sweep(
+        mu, mu_prime, pairs, eta_grid, s0, n_pulses, settings, qber
+    )
     i, j = (index.tolist() for index in pairs)
 
     def csv() -> list[str]:
@@ -617,18 +619,18 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
         mu_prime_cells = [f"{_CSV_FLOAT}," % value for value in mu_prime_grid]
         heads = [mu_cells[a] + mu_prime_cells[b] for a, b in zip(i, j)]
         tails = [f"{_fmt_cell(eta)},{_fmt_cell(n_pulses)},{_fmt_cell(s0)}," for eta in eta_grid]
-        computed = [rows.delta_upper, rows.delta_prime_upper, rows.s1_lower]
-        key_rate = ""
-        if rows.key_rate is not None:
-            computed.append(rows.key_rate)
-            key_rate = _CSV_FLOAT
-        template = f"%s{_CSV_FLOAT},{_CSV_FLOAT},{_CSV_FLOAT},{key_rate},%s,%s"
+        computed = [report.delta_upper, delta_prime, report.s1_lower]
+        key_cell = ""
+        if key_rate is not None:
+            computed.append(key_rate)
+            key_cell = _CSV_FLOAT
+        template = f"%s{_CSV_FLOAT},{_CSV_FLOAT},{_CSV_FLOAT},{key_cell},%s,%s"
         flag = _FMT_MACHINE[bool]
         cells = zip(
             [head + tail for head in heads for tail in tails],
             *(column.tolist() for column in computed),
-            map(flag, rows.clamped.tolist()),
-            map(flag, rows.vacuous.tolist()),
+            map(flag, report.clamped.tolist()),
+            map(flag, report.vacuous.tolist()),
         )
         return [",".join(SWEEP_COLUMNS), *map(template.__mod__, cells)]
 
@@ -640,12 +642,12 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
             eta_grid * len(i),
             [n_pulses] * count,
             [s0] * count,
-            rows.delta_upper.tolist(),
-            rows.delta_prime_upper.tolist(),
-            rows.s1_lower.tolist(),
-            [None] * count if rows.key_rate is None else rows.key_rate.tolist(),
-            rows.clamped.tolist(),
-            rows.vacuous.tolist(),
+            report.delta_upper.tolist(),
+            delta_prime.tolist(),
+            report.s1_lower.tolist(),
+            [None] * count if key_rate is None else key_rate.tolist(),
+            report.clamped.tolist(),
+            report.vacuous.tolist(),
         )
 
     _render(
@@ -658,7 +660,7 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
             *("  ".join(map(_fmt_human, record)) for record in records()),
         ],
     )
-    return EXIT_VACUOUS if rows.vacuous.all() else EXIT_OK
+    return EXIT_VACUOUS if report.vacuous.all() else EXIT_OK
 
 
 def cmd_feasibility(args: argparse.Namespace, inputs: Inputs) -> int:

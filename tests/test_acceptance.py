@@ -21,6 +21,7 @@ from decoyqkd import (
     YieldTable,
     acquisition_time,
     decompose,
+    delta_prime_bound,
     expected_rates,
     finite_bound,
     hwang_bound,
@@ -151,8 +152,8 @@ def test_criterion_08_soundness():
     budget = PulseBudget(10**10, 10**10)
     settings = FluctuationSettings()
     t0 = time.perf_counter()
-    violations = 0
-    worst_margin = 1.0
+    violations = prime_violations = 0
+    worst_margin = worst_prime_margin = 1.0
     checked = 0
     while checked < 10_000:
         mu = rng.uniform(0.1, 0.5)
@@ -167,21 +168,26 @@ def test_criterion_08_soundness():
         if rates.s_mu <= 0.0:
             continue
         checked += 1
-        truth, _ = true_delta(scenario, params)
+        truth, truth_prime = true_delta(scenario, params)
         wang = wang_asymptotic_bound(rates, params)
         crude = hwang_bound(rates, params)
         finite = finite_bound(rates, params, budget, settings)
         for report in (crude, wang, finite):
             if report.delta_upper < truth - 1e-12:
                 violations += 1
+            delta_prime = delta_prime_bound(report.delta_upper, rates, params)
+            if delta_prime < truth_prime - 1e-12:
+                prime_violations += 1
+            worst_prime_margin = min(worst_prime_margin, delta_prime - truth_prime)
         worst_margin = min(worst_margin, wang.delta_upper - truth)
     elapsed = time.perf_counter() - t0
     _check(
         8,
         "soundness vs arbitrary yields",
-        violations == 0 and elapsed < 30.0,
+        violations == 0 and prime_violations == 0 and elapsed < 30.0,
         f"{checked} strategies, crude/asymptotic/finite (N=1e10) bounds, "
-        f"{violations} violations, worst asymptotic margin {worst_margin:+.2e}, "
+        f"{violations} violations, worst asymptotic margin {worst_margin:+.2e}; "
+        f"their delta' {prime_violations} violations, worst margin {worst_prime_margin:+.2e}; "
         f"{elapsed:.2f} s",
     )
 

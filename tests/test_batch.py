@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from decoyqkd import (
+    BoundReport,
     ConvergenceError,
     DecompositionCoefficients,
     DomainError,
@@ -28,7 +29,6 @@ from decoyqkd import (
     PulseBudget,
     YieldTable,
     batch,
-    bounds,
     decompose,
     delta_prime_bound,
     expected_rates,
@@ -58,6 +58,30 @@ def outcome(compute):
     return [tuple(map(exact, row)) for row in rows]
 
 
+def scalar_row(report, rates, params, qber):
+    """A scalar report's fields, method included, then its delta' and key rate."""
+    delta = report.delta_upper
+    key = None if qber is None else gllp_rate(KeyRateInput(delta, qber))
+    return (*astuple(report), delta_prime_bound(delta, rates, params), key)
+
+
+def lane_reports(report):
+    """A lane report's lanes, each its own scalar BoundReport."""
+    assert isinstance(report, BoundReport)
+    columns = [getattr(report, field.name) for field in fields(report)]
+    columns = [c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c) for c in columns]
+    return [BoundReport(*lane) for lane in zip(*columns)]
+
+
+def lane_rows(report, delta_prime, key_rate):
+    """scalar_row of each lane."""
+    key = itertools.repeat(None) if key_rate is None else key_rate.tolist()
+    return [
+        (*astuple(lane), prime, k)
+        for lane, prime, k in zip(lane_reports(report), delta_prime.tolist(), key)
+    ]
+
+
 def scalar_lanes(lanes, n, fluct, qber, max_iter):
     rows = []
     for mu, mu_prime, eta, s0 in lanes:
@@ -67,17 +91,7 @@ def scalar_lanes(lanes, n, fluct, qber, max_iter):
             report = wang_asymptotic_bound(rates, params)
         else:
             report = finite_bound(rates, params, PulseBudget(n, n), fluct, max_iter)
-        rows.append(
-            (
-                report.delta_upper,
-                report.s1_lower,
-                report.sc_upper,
-                delta_prime_bound(report.delta_upper, rates, params),
-                None if qber is None else gllp_rate(KeyRateInput(report.delta_upper, qber)),
-                report.clamped,
-                report.vacuous,
-            )
-        )
+        rows.append(scalar_row(report, rates, params, qber))
     return rows
 
 
@@ -106,28 +120,21 @@ def batch_lanes(lanes, n, fluct, qber, max_iter):
         np.array([getattr(r, name) for r in observed], float) for name in batch.Rates._fields
     )
     if n is None:
-        bounds = batch.wang_asymptotic_bound(rates, pairs)
+        report = batch.wang_asymptotic_bound(rates, pairs)
     else:
         # The scalar rows size each fluctuation by the smaller class; with n
         # pulses in each class the lanes' weak-class sizes must equal it.
-        bounds = batch.finite_bound(rates, pairs, n, fluct.confidence_exponent, max_iter)
-    if qber is None:
-        key = [None] * len(lanes)
-    else:
-        key = batch.gllp_rate(bounds.delta_upper, qber).tolist()
-    return zip(
-        bounds.delta_upper.tolist(),
-        bounds.s1_lower.tolist(),
-        bounds.sc_upper.tolist(),
-        batch.delta_prime_bound(bounds.delta_upper, rates, pairs).tolist(),
-        key,
-        bounds.clamped.tolist(),
-        bounds.vacuous.tolist(),
-    )
+        report = batch.finite_bound(rates, pairs, n, fluct.confidence_exponent, max_iter)
+    delta = report.delta_upper
+    key = None if qber is None else batch.gllp_rate(delta, qber)
+    return lane_rows(report, batch.delta_prime_bound(delta, rates, pairs), key)
 
 
 def assert_lanes_match(lanes, n=None, fluct=DEFAULTS, qber=None, max_iter=DEFAULT_MAX_ITER):
-    """The layers return the scalar rows, or raise _Replay where the solver runs out."""
+    """Each lane's report, method included, delta' and key rate are the scalar ones.
+
+    Or the layers raise _Replay where the scalar solver runs out of evaluations.
+    """
     args = (lanes, n, fluct, qber, max_iter)
     expected = outcome(lambda: scalar_lanes(*args))
     try:
@@ -151,26 +158,12 @@ def scalar_sweep(pairs, etas, s0, n, fluct, qber):
             else:
                 budget = PulseBudget(n_mu=n, n_mu_prime=n)
                 report = finite_bound(rates, params, budget, fluct)
-            delta_prime = delta_prime_bound(report.delta_upper, rates, params)
-            key = None if qber is None else gllp_rate(KeyRateInput(report.delta_upper, qber))
-            rows.append((
-                report.delta_upper, delta_prime, report.s1_lower, key,
-                report.clamped, report.vacuous,
-            ))
+            rows.append(scalar_row(report, rates, params, qber))
     return rows
 
 
 def batch_sweep(pairs, *args):
-    rows = batch.sweep(*sweep_arguments(pairs), *args)
-    key = [None] * rows.vacuous.size if rows.key_rate is None else rows.key_rate.tolist()
-    return zip(
-        rows.delta_upper.tolist(),
-        rows.delta_prime_upper.tolist(),
-        rows.s1_lower.tolist(),
-        key,
-        rows.clamped.tolist(),
-        rows.vacuous.tolist(),
-    )
+    return lane_rows(*batch.sweep(*sweep_arguments(pairs), *args))
 
 
 def assert_sweep_matches(pairs, etas, s0=1e-6, n=None, fluct=DEFAULTS, qber=None):
@@ -350,7 +343,7 @@ def test_floor_exit_with_s1_near_k1_squared_is_vacuous():
     # test_finite_stats' floor exit with s1 = 0.61 k1^2, beside two lanes
     # that stay informative.
     rows = assert_sweep_matches([(0.29, 0.472)], [9.7e-5, 1e-3, 1e-2], s0=7.6e-5, n=33_000_000)
-    assert [row[-1] for row in rows] == [True, False, False]
+    assert [row[5] for row in rows] == [True, False, False]
 
 
 def test_overflowed_fluctuation_lanes_are_vacuous():
@@ -358,7 +351,7 @@ def test_overflowed_fluctuation_lanes_are_vacuous():
     fluct = FluctuationSettings(confidence_exponent=1e308)
     for n in (1, 10**6):
         rows = assert_lanes_match(drawn, n, fluct)
-        assert all(row[-1] for row in rows)
+        assert all(row[5] for row in rows)
 
 
 def test_near_diagonal_pairs():
@@ -412,13 +405,10 @@ def batch_finite_outcome(cases, n, max_iter):
         np.array([getattr(r, name) for _, r in cases], float) for name in batch.Rates._fields
     )
     try:
-        lanes = batch.finite_bound(rates, lane_pairs(mu, mu_prime), n, 25.0, max_iter)
+        report = batch.finite_bound(rates, lane_pairs(mu, mu_prime), n, 25.0, max_iter)
     except batch._Replay:
         return batch._Replay
-    return [
-        tuple(map(exact, (delta, s1, sc, bounds.METHOD_WANG_FINITE, clamped, vacuous)))
-        for delta, s1, sc, clamped, vacuous in zip(*(a.tolist() for a in lanes))
-    ]
+    return [tuple(map(exact, astuple(lane))) for lane in lane_reports(report)]
 
 
 @pytest.mark.parametrize("n", [10**6, 10**10, 10**14])

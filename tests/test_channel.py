@@ -15,6 +15,7 @@ from decoyqkd import (
     ProtocolParams,
     PulseBudget,
     YieldTable,
+    delta_prime_bound,
     expected_rates,
     finite_bound,
     multi_photon_fraction,
@@ -252,6 +253,37 @@ def test_sampled_finite_bound_without_vacuum_class_is_sound():
             obs = sample_observation(scenario, params, budget, seed)
             if finite_bound(obs.rates, params, budget).delta_upper < truth:
                 below.append((seed, n_vacuum, scenario, params))
+    assert below == []
+
+
+def test_sampled_finite_delta_prime_is_sound():
+    # Both classes share one single-photon yield, so the strong class's
+    # single-photon share is f = (mu'/mu)(S_mu/S_mu') times what the paper's
+    # transfer assumes, and yield tables can give f < 1.  Taking f = 1 put 17
+    # of these sampled finite delta', all on yield tables, below the truth.
+    rng = random.Random(20050101)
+    below = []
+    for seed in range(1000):
+        mu = rng.uniform(0.05, 0.6)
+        params = ProtocolParams(mu, rng.uniform(mu * 1.05, min(mu * 3.0, 1.0)))
+        s0 = rng.choice((0.0, 10.0 ** rng.uniform(-7.0, -4.0)))
+        kind = rng.random()
+        if kind < 0.6:
+            size = rng.randint(2, 12)
+            scenario = YieldTable(s0=s0, yields=tuple(rng.random() for _ in range(size)))
+        elif kind < 0.8:
+            scenario = PnsAttack(q=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
+        else:
+            scenario = NoEve(eta=10.0 ** rng.uniform(-4.0, -1.0), s0=s0)
+        n = int(10.0 ** rng.uniform(5.0, 10.0))
+        budget = PulseBudget(n, n)
+        _, truth_prime = true_delta(scenario, params)
+        rates = sample_observation(scenario, params, budget, seed).rates
+        if rates.s_mu == 0.0:
+            continue  # no weak-class click, so no fraction to bound
+        delta = finite_bound(rates, params, budget).delta_upper
+        if delta_prime_bound(delta, rates, params) < truth_prime:
+            below.append((seed, scenario, params))
     assert below == []
 
 

@@ -81,6 +81,21 @@ def test_bound_vacuous_exit_code(capsys):
     assert payload["asymptotic"]["vacuous"] is True
 
 
+def test_bound_strong_class_fraction_not_below_truth(capsys):
+    # S_x / x grows with x on this table, so the paper's delta' transfer
+    # printed 74.15 % (crude) and 61.22 % (asymptotic), and a strong key rate
+    # of 0.24, against a true strong-class tagged fraction of 9/13 = 69.23 %.
+    code, payload = run_json(
+        capsys,
+        "bound", "--mu", "0.1", "--mu-prime", "0.3", "--scenario", "yields",
+        "--yields", "0.01,0.1,0.5", "--s0", "0", "--qber", "0.01",
+    )
+    assert code == 0
+    assert payload["hwang"]["delta_prime_upper"] == pytest.approx(11 / 13, rel=1e-12)
+    assert payload["asymptotic"]["delta_prime_upper"] == pytest.approx(10 / 13, rel=1e-12)
+    assert payload["key_rate"]["strong"] == pytest.approx(0.09058255421408277, rel=1e-12)
+
+
 def test_bound_degenerate_strong_class(capsys):
     code, payload = run_json(
         capsys,
