@@ -14,21 +14,21 @@ runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
-the same bits.  numpy's vectorized exp, expm1, log2 and power are not: they
+the same bits.  numpy's vectorized exp, expm1 and log2 are not: they
 differ from the C library's in the last place on a few percent of inputs.
-Every such call therefore goes through ``math`` on Python floats, and so
-does every ``x ** 2``, which Python computes with the C library's pow
-rather than as x * x.  Each call runs once per value it depends on: a
-sweep forms e^{-x} and x e^{-x} once per grid intensity (``Weights``), c
-once per mu and S_mu once per (eta, mu), and only e^{mu-mu'}, the
-multi-photon ratio and S_mu' per pair or lane.  The vacuum rate needs no
-call at all, since expm1 returns the signed zero -eta * 0.0 unchanged.
-The binary entropy of the key rate is -x log2 x - (1-x) log2(1-x) in
-numpy on the lanes with 0 < x < 1, each log2 through ``math``, and 0 on
-the others, which is the scalar function's arithmetic in its order.  Clamps use np.where, since
-Python's max(x, 0.0) keeps x = -0.0 where np.maximum returns 0.0.  The
-constraint system is not copied: both engines form it with
-bounds._constraints, take every s1 from it with bounds._s1 and the
+Every such call therefore goes through ``math`` on Python floats.  Neither
+engine squares with ``x ** 2``, which Python computes with the C library's
+pow: both write x * x, correctly rounded in each.  Each call runs once per
+value it depends on: a sweep forms e^{-x} and x e^{-x} once per grid
+intensity (``Weights``), c once per mu and S_mu once per (eta, mu), and
+only e^{mu-mu'} and S_mu' per pair or lane.  The vacuum rate needs no call
+at all, since expm1 returns the signed zero -eta * 0.0 unchanged.  The
+binary entropy of the key rate is -x log2 x - (1-x) log2(1-x) in numpy on
+the lanes with 0 < x < 1, each log2 through ``math``, and 0 on the others,
+which is the scalar function's arithmetic in its order.  Clamps use
+np.where, since Python's max(x, 0.0) keeps x = -0.0 where np.maximum
+returns 0.0.  The constraint system is not copied: both engines form it
+with bounds._constraints, take every s1 from it with bounds._s1 and the
 closed form from bounds._closed_form, on floats or on lanes.
 
 Errors come from the scalar functions alone.  A layer raises the private
@@ -43,7 +43,6 @@ before it runs the lanes.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -59,10 +58,9 @@ from .photon_stats import MIN_INTENSITY, ProtocolParams, _multi_ratio, multi_pho
 _quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _libm(fn: Callable[..., float], *args: np.ndarray | repeat) -> np.ndarray:
+def _libm(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
     """fn applied with the C library, element by element, as the scalar code does."""
-    lists = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
-    return np.fromiter(map(fn, *lists), float, count=args[0].size)
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, count=args[0].size)
 
 
 def _floor0(x: np.ndarray) -> np.ndarray:
@@ -123,10 +121,9 @@ class Pairs(NamedTuple):
         c[valid] = _libm(multi_photon_weight, mu.x[valid])
         x, x_prime = mu.x[i], mu_prime.x[j]
         exp_gap = _libm(math.exp, x - x_prime)
-        multi_ratio = _libm(_multi_ratio, x, x_prime, exp_gap)
         return cls(
             x, x_prime, mu.p0[i], mu.p1[i], mu_prime.p0[j], mu_prime.p1[j], exp_gap, c[i],
-            multi_ratio,
+            _multi_ratio(x, x_prime, exp_gap),
         )
 
     def repeat(self, count: int) -> Pairs:
@@ -177,7 +174,8 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
     room = _floor0(a * (strong - p1_mu_prime * (y - k1) * y))
     disc = np.sqrt(kc * kc + 4.0 * room / c)
     slope = np.where(room != 0.0, (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c, 0.0)
-    f = 0.25 * _libm(math.pow, kc + disc, repeat(2.0))
+    root = kc + disc
+    f = 0.25 * (root * root)
     return f - sc, 2.0 * p1_mu * y / c - slope, f
 
 
@@ -260,8 +258,11 @@ def finite_bound(
     # A vacuous seed, or a k that overflows to inf (a fluctuation far beyond 1).
     blown = (delta >= 1.0) | np.isinf(k1) | np.isinf(kc)
     live = np.flatnonzero(~blown)
-    sc = delta * rates.s_mu / c
-    sc[live] = _solve_sc(np.stack(system)[:, live], sc[live], max_iter)
+    seed = delta * rates.s_mu / c
+    sc = seed.copy()
+    sc[live] = _solve_sc(np.stack(system)[:, live], seed[live], max_iter)
+    # max(sc, seed), as the scalar function floors the solved sc.
+    sc = np.where(seed > sc, seed, sc)
     s1 = bounds._s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     vacuous = blown | (s1 <= k1 * k1) | (delta_raw >= 1.0)

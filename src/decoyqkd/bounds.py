@@ -154,7 +154,8 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
         room = max(a * (strong - p1_mu_prime * (y - k1) * y), 0.0)
         disc = math.sqrt(kc * kc + 4.0 * room / c)
         slope = (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c if room else 0.0
-        f = 0.25 * (kc + disc) ** 2
+        root = kc + disc
+        f = 0.25 * (root * root)
         return f - sc, 2.0 * p1_mu * y / c - slope, f
 
     s1_lo = _s1(system, sc_lo)

@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import ObservedRates
 from .errors import ParameterError, check_probability
 from .finite_stats import PulseBudget
-from .photon_stats import ProtocolParams, multi_photon_weight, poisson_mixture
+from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisson_mixture
 
 # Largest class size numpy's exact binomial sampler accepts (int64).
 MAX_SAMPLED_PULSES = 2**63 - 1
@@ -89,9 +89,12 @@ class YieldTable:
             raise ParameterError(
                 f"yields table needs entries for n=1 and n=2 at least, got {len(self.yields)}"
             )
-        object.__setattr__(self, "yields", tuple(float(y) for y in self.yields))
-        for n, y in enumerate(self.yields, start=1):
-            check_probability(f"yields[{n}]", y)
+        yields = tuple(map(float, self.yields))
+        object.__setattr__(self, "yields", yields)
+        for n, y in enumerate(yields, start=1):
+            # Fails for NaN and both infinities too; only then is the name formed.
+            if not 0.0 <= y <= 1.0:
+                check_probability(f"yields[{n}]", y)
 
     def photon_yield(self, n: int) -> float:
         if n == 0:
@@ -101,19 +104,51 @@ class YieldTable:
         return 0.0
 
     def class_rate(self, intensity: float) -> float:
-        return poisson_mixture(intensity, self.s0, self.yields)
+        # A click probability: an all-ones table's sum can round past 1.
+        return min(poisson_mixture(intensity, self.s0, self.yields), 1.0)
 
 
 ChannelScenario = Union[NoEve, PnsAttack, YieldTable]
 
 
+# The last (scenario, params) pair and its class rates; see _class_rates.
+_last: tuple = (None, None, None)
+
+
+def _class_rates(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float, float, float]:
+    """S_0, S_mu and S_mu' of the scenario: class_rate at 0, mu and mu'.
+
+    expected_rates, true_delta and sample_observation each read all of them
+    for one strategy, so the last pair's rates are kept in one entry, keyed
+    by the identity of scenario and params.  The entry holds both, so
+    neither id can be reused while it lives, and it is replaced as one
+    tuple, so a concurrent caller can only miss, never read another pair's
+    rates.
+    """
+    global _last
+    last_scenario, last_params, rates = _last
+    if last_scenario is scenario and last_params is params:
+        return rates
+    rates = (
+        scenario.class_rate(0.0),
+        scenario.class_rate(params.mu),
+        scenario.class_rate(params.mu_prime),
+    )
+    _last = (scenario, params, rates)
+    return rates
+
+
 def expected_rates(scenario: ChannelScenario, params: ProtocolParams) -> ObservedRates:
     """Exact per-pulse counting rates the scenario induces on the three classes."""
-    return ObservedRates(
-        s0=scenario.class_rate(0.0),
-        s_mu=scenario.class_rate(params.mu),
-        s_mu_prime=scenario.class_rate(params.mu_prime),
-    )
+    return ObservedRates(*_class_rates(scenario, params))
+
+
+def _fraction(scenario: ChannelScenario, total: float, p0: float, p1: float) -> float:
+    """The n >= 2 share of a class rate total, from its Poisson weights p0 and p1."""
+    if total <= 0.0:
+        return 0.0
+    multi = total - p0 * scenario.photon_yield(0) - p1 * scenario.photon_yield(1)
+    return min(max(multi / total, 0.0), 1.0)
 
 
 def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
@@ -126,15 +161,20 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     if total <= 0.0:
         return 0.0
     p0 = math.exp(-intensity)
-    multi = total - p0 * scenario.photon_yield(0) - intensity * p0 * scenario.photon_yield(1)
-    return min(max(multi / total, 0.0), 1.0)
+    return _fraction(scenario, total, p0, intensity * p0)
 
 
 def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float, float]:
-    """Ground-truth multi-photon fractions (weak class, strong class)."""
+    """Ground-truth multi-photon fractions (weak class, strong class).
+
+    Each is multi_photon_fraction at that class's intensity, on the shared
+    class rates and decompose(params)'s weights.
+    """
+    _, s_mu, s_mu_prime = _class_rates(scenario, params)
+    coeffs = decompose(params)
     return (
-        multi_photon_fraction(scenario, params.mu),
-        multi_photon_fraction(scenario, params.mu_prime),
+        _fraction(scenario, s_mu, coeffs.p0_mu, coeffs.p1_mu),
+        _fraction(scenario, s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime),
     )
 
 
@@ -175,10 +215,10 @@ def sample_observation(
     for name in ("n_mu", "n_mu_prime", "n_vacuum"):
         if getattr(budget, name) > MAX_SAMPLED_PULSES:
             raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
+    s0, s_mu, s_mu_prime = _class_rates(scenario, params)
     rng = np.random.default_rng(seed)
-    clicks_mu = int(rng.binomial(budget.n_mu, scenario.class_rate(params.mu)))
-    clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, scenario.class_rate(params.mu_prime)))
-    s0 = scenario.class_rate(0.0)
+    clicks_mu = int(rng.binomial(budget.n_mu, s_mu))
+    clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, s_mu_prime))
     clicks_vacuum = int(rng.binomial(budget.n_vacuum, s0))
     rates = ObservedRates(
         s0=s0,

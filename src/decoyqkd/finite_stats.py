@@ -99,9 +99,11 @@ def finite_bound(
     adversarially by its relative fluctuation (singles down-weighted
     against the multi-photon term, the multi-photon rate itself
     under-observed; s0 exact).  Each shift only widens the consistent
-    yields, so the shared solver searches above the asymptotic solution
-    and the bound is never below it; max_iter caps its constraint
-    evaluations.  Any fluctuation reaching 1 makes the bound vacuous.
+    yields, so the shared solver searches above the asymptotic solution;
+    its sc is floored at the asymptotic sc, so sc is never below it in
+    floating point either, and delta_upper is never negative.  max_iter
+    caps the solver's constraint evaluations.  Any fluctuation reaching 1
+    makes the bound vacuous.
 
     Each sub-population (single photons, multi-photons) is compared across
     both signal classes, so its fluctuation is sized by the class holding
@@ -129,7 +131,9 @@ def finite_bound(
     if delta >= 1.0 or math.isinf(k1) or math.isinf(kc):
         return _vacuous_report(rates, c)
     system = _constraints(rates, coeffs, k1, kc)
-    sc = _solve_sc(system, delta * rates.s_mu / c, max_iter)
+    seed = delta * rates.s_mu / c
+    # The solver may land a rounding step below its seed; floor it there.
+    sc = max(_solve_sc(system, seed, max_iter), seed)
     s1 = _s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.

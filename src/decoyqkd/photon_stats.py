@@ -146,9 +146,10 @@ class ProtocolParams:
         object.__setattr__(self, "_coefficients", coefficients)
 
 
-def _multi_ratio(mu: float, mu_prime: float, exp_gap: float) -> float:
-    """(mu'/mu)^2 e^{mu-mu'} from exp_gap = e^{mu-mu'}."""
-    return (mu_prime / mu) ** 2 * exp_gap
+def _multi_ratio(mu, mu_prime, exp_gap):
+    """(mu'/mu)^2 e^{mu-mu'} from exp_gap = e^{mu-mu'}, on floats or on lanes."""
+    ratio = mu_prime / mu
+    return ratio * ratio * exp_gap
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,23 @@ def test_finite_seed_is_the_clamped_closed_form_in_both_engines(n):
         assert exact(report.sc_upper) == exact(_solve_sc(system, seed.sc_upper))
 
 
+def test_finite_sc_is_floored_at_the_seed_in_both_engines():
+    # The solver landed a rounding step below the clamped seed sc = 0 here,
+    # and both engines returned delta_upper -1.19e-16.
+    params = ProtocolParams(0.019184350094736843, 0.9480957022500398)
+    rates = ObservedRates(6.2428761270174016e-09, 0.11631410064078987, 6.616781629119358e-05)
+    n, exponent = 10**18, 4.654601437947795
+    scalar = finite_bound(rates, params, PulseBudget(n, n), FluctuationSettings(exponent))
+    assert scalar.delta_upper == 0.0 and scalar.sc_upper == 0.0 and not scalar.vacuous
+    lanes = batch.finite_bound(
+        batch.Rates._make(np.array([v]) for v in astuple(rates)),
+        lane_pairs([params.mu], [params.mu_prime]), n, exponent,
+    )
+    assert [tuple(map(exact, astuple(lane))) for lane in lane_reports(lanes)] == [
+        tuple(map(exact, astuple(scalar)))
+    ]
+
+
 def test_key_rate_at_the_entropy_edges():
     # Lanes whose renormalized error x = qber / (1 - delta) is 0, exactly
     # 1/2 or subnormal, beside random deltas and deltas that leave no key.

@@ -2,9 +2,13 @@ import itertools
 import math
 import random
 import struct
+import sys
+import threading
+from dataclasses import astuple
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decoyqkd import (
     DomainError,
@@ -83,7 +87,8 @@ def _two_pass_class_rate(s0, yields, intensity):
     rate = probs[0] * s0
     for n, y in enumerate(yields, start=1):
         rate += probs[n] * y
-    return rate
+    # A click probability, capped at 1 as YieldTable.class_rate caps it.
+    return min(rate, 1.0)
 
 
 def _bits_or_error(rate):
@@ -156,6 +161,32 @@ def test_class_rate_is_the_photon_yield_mixture(scenario):
         assert scenario.class_rate(intensity) == pytest.approx(mixture, rel=1e-9)
 
 
+def test_all_ones_yield_table_rate_is_capped_at_1():
+    # The Poisson sum rounds to 1.0000000000000002 here, which no sampler or
+    # ObservedRates accepts.
+    table = YieldTable(1.0, (1.0,) * 32)
+    assert table.class_rate(1.1840552396430415) == 1.0
+    assert expected_rates(table, ProtocolParams(0.6, 1.1840552396430415)).s_mu_prime == 1.0
+
+
+SCENARIOS = st.one_of(
+    st.builds(NoEve, WEIGHTS, WEIGHTS),
+    st.builds(PnsAttack, WEIGHTS, WEIGHTS),
+    st.builds(YieldTable, WEIGHTS, st.lists(WEIGHTS, min_size=2, max_size=60).map(tuple)),
+)
+
+
+@settings(max_examples=300)
+@given(SCENARIOS, INTENSITIES)
+@example(YieldTable(1.0, (1.0,) * 32), 1.1840552396430415)
+def test_every_class_rate_is_a_probability(scenario, intensity):
+    try:
+        rate = scenario.class_rate(intensity)
+    except DomainError:
+        return  # a Poisson prefix sum past 1, as in the test above
+    assert 0.0 <= rate <= 1.0, (scenario, intensity)
+
+
 def test_yield_table_class_rate_signed_zeros():
     # Every sign pattern of an all-zero table at both zero intensities: the
     # sum's sign then hangs on each term's sign.
@@ -199,6 +230,82 @@ def test_multi_photon_fraction_dead_class():
 def test_multi_photon_fraction_in_unit_interval(intensity, eta):
     frac = multi_photon_fraction(NoEve(eta=eta, s0=1e-6), intensity)
     assert 0.0 <= frac <= 1.0
+
+
+def _uncached(scenario, params, budget, seed):
+    """Rates, true fractions and sampled clicks, each class rate evaluated afresh."""
+    s0, s_mu, s_mu_prime = (scenario.class_rate(x) for x in (0.0, params.mu, params.mu_prime))
+    rng = np.random.default_rng(seed)
+    clicks = tuple(
+        int(rng.binomial(n, rate))
+        for n, rate in ((budget.n_mu, s_mu), (budget.n_mu_prime, s_mu_prime), (budget.n_vacuum, s0))
+    )
+    truth = (multi_photon_fraction(scenario, params.mu),
+             multi_photon_fraction(scenario, params.mu_prime))
+    return [x.hex() for x in (s0, s_mu, s_mu_prime, *truth)] + list(clicks)
+
+
+def test_one_class_rate_evaluation_per_strategy(monkeypatch):
+    budget = PulseBudget(10**6, 10**6, 10**6)
+    tables = [YieldTable(1e-5, (0.2, 0.4, 0.6)), YieldTable(0.0, (0.9, 0.1, 0.3, 0.7))]
+    # Two equal-valued but distinct params, and one other pair.
+    params = [ProtocolParams(0.3, 0.45), ProtocolParams(0.3, 0.45), ProtocolParams(0.1, 0.5)]
+    cases = [(t, p) for p in params for t in tables]
+    expected = [_uncached(t, p, budget, 7) for t, p in cases]
+    calls = []
+    rate = YieldTable.class_rate
+    monkeypatch.setattr(YieldTable, "class_rate", lambda self, x: calls.append(x) or rate(self, x))
+    # One strategy reads S_0, S_mu and S_mu' once: 8 evaluations before.
+    table, pair = cases[-1]
+    rates, truth = expected_rates(table, pair), true_delta(table, pair)
+    obs = sample_observation(table, pair, budget, 7)
+    assert calls == [0.0, 0.1, 0.5]
+    assert [x.hex() for x in (*astuple(rates), *truth)] == expected[-1][:5]
+    assert [obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum] == expected[-1][5:]
+    # Interleaved, every call meets another pair, so each evaluates its own.
+    calls.clear()
+    got = [[] for _ in cases]
+    for step in (lambda t, p: astuple(expected_rates(t, p)), true_delta):
+        for values, (t, p) in zip(got, cases):
+            values.extend(x.hex() for x in step(t, p))
+    assert len(calls) == 2 * 3 * len(cases)
+    assert got == [values[:5] for values in expected]
+    for (t, p), values in zip(cases, expected):
+        obs = sample_observation(t, p, budget, 7)
+        assert [obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum] == values[5:]
+    assert len(calls) == 3 * 3 * len(cases)
+
+
+def test_shared_class_rates_under_threads():
+    # Threads replace the one kept entry under each other; a thread may only
+    # miss it, never read another thread's pair.
+    pairs = [
+        (YieldTable(1e-6 * k, tuple(0.01 * ((k + n) % 100) for n in range(40))),
+         ProtocolParams(0.1 + 0.05 * k, 0.6 + 0.05 * k))
+        for k in range(6)
+    ]
+    expected = [_uncached(t, p, PulseBudget(1, 1), 0)[:5] for t, p in pairs]
+    wrong = []
+
+    def work(k):
+        t, p = pairs[k]
+        for _ in range(3000):
+            got = [x.hex() for x in (*astuple(expected_rates(t, p)), *true_delta(t, p))]
+            if got != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(pairs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_sample_observation_deterministic():

@@ -108,6 +108,22 @@ def test_bound_degenerate_strong_class(capsys):
     assert payload["asymptotic"]["clamped"] is True
 
 
+def test_bound_finite_delta_never_negative(capsys):
+    # The finite solver landed a rounding step below its clamped seed sc = 0,
+    # so delta_upper was -1.19e-16 and its delta' exited 2 with "delta must
+    # lie in [0, 1]".
+    code, payload = run_json(
+        capsys,
+        "bound", "--mu", "0.019184350094736843", "--mu-prime", "0.9480957022500398",
+        "--rates", "6.2428761270174016e-09,0.11631410064078987,6.616781629119358e-05",
+        "--n", "1e18", "--confidence-exponent", "4.654601437947795",
+    )
+    assert code == 0
+    finite = payload["finite"]
+    assert finite["delta_upper"] == 0.0 and finite["sc_upper"] == 0.0
+    assert finite["delta_prime_upper"] == payload["asymptotic"]["delta_prime_upper"]
+
+
 def test_bound_missing_params_is_config_error(capsys):
     code, _, err = run(capsys, "bound", "--rates", "0,1e-4,1.5e-4")
     assert code == 2
@@ -442,6 +458,23 @@ def test_simulate_pns_detected(capsys):
     assert code == 3
     assert payload["sampled"]["asymptotic"]["vacuous"] is True
     assert payload["expected"]["asymptotic"]["vacuous"] is True
+
+
+ALL_ONES = ("--scenario", "yields", "--yields", ",".join(["1"] * 32), "--s0", "1")
+
+
+def test_all_ones_yield_table_is_bounded_and_sampled(capsys):
+    # Its strong-class rate rounded to 1.0000000000000002: bound exited 2 with
+    # "s_mu_prime must lie in [0, 1]", and simulate crashed in numpy's sampler.
+    pair = ("--mu", "0.6", "--mu-prime", "1.1840552396430415")
+    code, payload = run_json(capsys, "bound", *pair, *ALL_ONES)
+    assert code == 0
+    assert payload["asymptotic"]["vacuous"] is False
+    code, payload = run_json(capsys, "simulate", *pair, *ALL_ONES, "--n", "1e6", "--seed", "1")
+    assert code == 0
+    assert payload["expected_rates"]["s_mu_prime"] == 1.0
+    observation = payload["observation"]
+    assert observation["clicks_mu"] == observation["clicks_mu_prime"] == 10**6
 
 
 def test_simulate_deterministic_and_accurate(tmp_path, capsys):

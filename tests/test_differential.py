@@ -11,7 +11,7 @@ import hashlib
 import differential
 
 SEED, DRAWS = 26, 700
-DIGEST = "2882bb563aae89bbf3ccb398679f685770dd78b782de3dbe893d1c5d9ea801de"
+DIGEST = "4477ffc60dbff0473d67cb85c6844efed67861a517c5ff9b7e5092d2ecec4083"
 
 
 def test_small_differential_run_is_pinned(capsys):
