@@ -9,9 +9,8 @@ given photon number identically regardless of which class emitted it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, ParameterError, check_probability
+from .errors import ConvergenceError, DomainError, ParameterError, _frozen, check_probability
 from .photon_stats import DecompositionCoefficients, ProtocolParams, decompose
 
 METHOD_HWANG = "hwang_crude"
@@ -24,7 +23,7 @@ TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
+@_frozen
 class ObservedRates:
     """Per-pulse counting rates for the vacuum, weak, and strong classes.
 
@@ -37,12 +36,16 @@ class ObservedRates:
     s_mu_prime: float
 
     def __post_init__(self) -> None:
-        check_probability("s0", self.s0)
-        check_probability("s_mu", self.s_mu)
-        check_probability("s_mu_prime", self.s_mu_prime)
+        # Fails for NaN and both infinities too; only then is the message formed.
+        if not 0.0 <= self.s0 <= 1.0:
+            check_probability("s0", self.s0)
+        if not 0.0 <= self.s_mu <= 1.0:
+            check_probability("s_mu", self.s_mu)
+        if not 0.0 <= self.s_mu_prime <= 1.0:
+            check_probability("s_mu_prime", self.s_mu_prime)
 
 
-@dataclass(frozen=True)
+@_frozen
 class BoundReport:
     """Result of a multi-photon bound evaluation.
 

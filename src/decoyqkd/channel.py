@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .bounds import ObservedRates
-from .errors import ParameterError, check_probability
+from .errors import ParameterError, _frozen, check_probability
 from .finite_stats import PulseBudget
 from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisson_mixture
 
@@ -25,7 +24,7 @@ from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisso
 MAX_SAMPLED_PULSES = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@_frozen
 class NoEve:
     """Lossy channel with transmittance eta and independent dark counts.
 
@@ -37,8 +36,10 @@ class NoEve:
     s0: float = 0.0
 
     def __post_init__(self) -> None:
-        check_probability("eta", self.eta)
-        check_probability("s0", self.s0)
+        if not 0.0 <= self.eta <= 1.0:
+            check_probability("eta", self.eta)
+        if not 0.0 <= self.s0 <= 1.0:
+            check_probability("s0", self.s0)
 
     def photon_yield(self, n: int) -> float:
         return 1.0 - (1.0 - self.s0) * (1.0 - self.eta) ** n
@@ -50,7 +51,7 @@ class NoEve:
         return self.s0 - (1.0 - self.s0) * math.expm1(-self.eta * intensity)
 
 
-@dataclass(frozen=True)
+@_frozen
 class PnsAttack:
     """Photon-number-splitting attacker.
 
@@ -62,8 +63,10 @@ class PnsAttack:
     s0: float = 0.0
 
     def __post_init__(self) -> None:
-        check_probability("q", self.q)
-        check_probability("s0", self.s0)
+        if not 0.0 <= self.q <= 1.0:
+            check_probability("q", self.q)
+        if not 0.0 <= self.s0 <= 1.0:
+            check_probability("s0", self.s0)
 
     def photon_yield(self, n: int) -> float:
         if n == 0:
@@ -76,7 +79,7 @@ class PnsAttack:
         return math.exp(-intensity) * self.s0 + self.q * multi_photon_weight(intensity)
 
 
-@dataclass(frozen=True)
+@_frozen
 class YieldTable:
     """Arbitrary per-photon-number yields s_1..s_n_max; zero beyond the table."""
 
@@ -84,13 +87,14 @@ class YieldTable:
     yields: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_probability("s0", self.s0)
+        if not 0.0 <= self.s0 <= 1.0:
+            check_probability("s0", self.s0)
         if len(self.yields) < 2:
             raise ParameterError(
                 f"yields table needs entries for n=1 and n=2 at least, got {len(self.yields)}"
             )
         yields = tuple(map(float, self.yields))
-        object.__setattr__(self, "yields", yields)
+        self.__dict__["yields"] = yields
         for n, y in enumerate(yields, start=1):
             # Fails for NaN and both infinities too; only then is the name formed.
             if not 0.0 <= y <= 1.0:
@@ -178,7 +182,7 @@ def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimulatedObservation:
     """Sampled click counts and the rates they imply.
 
@@ -216,7 +220,8 @@ def sample_observation(
         if getattr(budget, name) > MAX_SAMPLED_PULSES:
             raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
     s0, s_mu, s_mu_prime = _class_rates(scenario, params)
-    rng = np.random.default_rng(seed)
+    # What default_rng(seed) builds for an int seed, without its dispatch.
+    rng = np.random.Generator(np.random.PCG64(seed))
     clicks_mu = int(rng.binomial(budget.n_mu, s_mu))
     clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, s_mu_prime))
     clicks_vacuum = int(rng.binomial(budget.n_vacuum, s0))

@@ -275,12 +275,26 @@ def _resolve_rate_source(
         if missing:
             raise ConfigError(f"[rates] section is missing {sorted(missing)}")
         observed = ObservedRates(**_given(inputs, "rates"))
-        vacuum = decompose(params).p0_mu * observed.s0
+        coeffs = decompose(params)
+        vacuum = coeffs.p0_mu * observed.s0
         if observed.s_mu < vacuum:
             raise ConfigError(
                 f"{direct}: S_mu {observed.s_mu} is below its vacuum part e^{{-mu}} s0 = {vacuum},"
                 " which no photon-number yields produce"
             )
+        # A class clicks at most as often as yields of 1 above the vacuum make it:
+        # 1 - e^{-x} (1 - s0), which is exactly 1 at s0 = 1.
+        for label, intensity, rate, p0 in (
+            ("S_mu", "mu", observed.s_mu, coeffs.p0_mu),
+            ("S_mu'", "mu'", observed.s_mu_prime, coeffs.p0_mu_prime),
+        ):
+            ceiling = 1.0 - p0 * (1.0 - observed.s0)
+            if rate > ceiling:
+                raise ConfigError(
+                    f"{direct}: {label} {rate} is above its yield ceiling"
+                    f" 1 - e^{{-{intensity}}} (1 - s0) = {ceiling},"
+                    " which no photon-number yields reach"
+                )
         return observed, None
     if scenario is not None:
         built, echo = _build_scenario(inputs)

@@ -9,14 +9,13 @@ impractical.  This module quantifies that trade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _frozen
 
 SECONDS_PER_DAY = 86_400.0
 
 
-@dataclass(frozen=True)
+@_frozen
 class WeakDecoySetup:
     """Channel, dark rate, decoy intensity, and source speed under study."""
 
@@ -80,8 +79,10 @@ def required_pulses(setup: WeakDecoySetup, rel_dark_fluct_target: float = 1e-3) 
     return n_pulses
 
 
-@dataclass(frozen=True)
+@_frozen
 class AcquisitionTime:
+    """Wall-clock time to emit a pulse count, in seconds and in days."""
+
     seconds: float
     days: float
 
@@ -104,7 +105,7 @@ def acquisition_time(n_pulses: float, rep_rate: float) -> AcquisitionTime:
     return AcquisitionTime(seconds=seconds, days=seconds / SECONDS_PER_DAY)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FeasibilityReport:
     """Everything needed to judge the very-weak-decoy idea at one setup.
 

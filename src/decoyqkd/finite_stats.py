@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .bounds import (
     DEFAULT_MAX_ITER,
@@ -26,11 +25,11 @@ from .bounds import (
     # Not called here; a benchmark hook (tests/test_public_api.py BENCHMARK_HOOKS).
     wang_asymptotic_bound,  # noqa: F401
 )
-from .errors import ParameterError
+from .errors import ParameterError, _frozen
 from .photon_stats import ProtocolParams, decompose
 
 
-@dataclass(frozen=True)
+@_frozen
 class PulseBudget:
     """Number of pulses emitted in each intensity class."""
 
@@ -39,8 +38,9 @@ class PulseBudget:
     n_vacuum: int = 0
 
     def __post_init__(self) -> None:
+        counts = self.__dict__
         for name in ("n_mu", "n_mu_prime", "n_vacuum"):
-            value = getattr(self, name)
+            value = counts[name]
             try:
                 as_int = operator.index(value)
             except TypeError:
@@ -49,14 +49,14 @@ class PulseBudget:
                 float(as_int)
             except OverflowError:
                 raise ParameterError(f"{name} is too large to convert to a float") from None
-            object.__setattr__(self, name, as_int)
+            counts[name] = as_int
         if self.n_mu < 1 or self.n_mu_prime < 1:
             raise ParameterError("signal-class pulse counts must be at least 1")
         if self.n_vacuum < 0:
             raise ParameterError(f"n_vacuum must be non-negative, got {self.n_vacuum}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class FluctuationSettings:
     """Statistical treatment of rate fluctuations.
 

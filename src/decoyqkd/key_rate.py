@@ -8,12 +8,11 @@ error rate renormalized to the untagged sub-population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, check_probability
+from .errors import DomainError, ParameterError, _frozen, check_probability
 
 
-@dataclass(frozen=True)
+@_frozen
 class KeyRateInput:
     """delta: tagged fraction in [0, 1]; qber: detected flip rate in [0, 0.5]."""
 
@@ -21,7 +20,8 @@ class KeyRateInput:
     qber: float
 
     def __post_init__(self) -> None:
-        check_probability("delta", self.delta)
+        if not 0.0 <= self.delta <= 1.0:
+            check_probability("delta", self.delta)
         if not (math.isfinite(self.qber) and 0.0 <= self.qber <= 0.5):
             raise ParameterError(f"qber must lie in [0, 0.5], got {self.qber}")
 

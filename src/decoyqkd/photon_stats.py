@@ -11,9 +11,8 @@ admissible pair and read by no bound, so it is not computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _frozen
 
 # Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
 SUM_TOL = 1e-12
@@ -71,7 +70,7 @@ def multi_photon_weight(mu: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
-@dataclass(frozen=True)
+@_frozen
 class PairValidity:
     """Outcome of an intensity-pair admissibility check."""
 
@@ -120,7 +119,7 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     return _VALID
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProtocolParams:
     """Admissible two-intensity protocol parameters.
 
@@ -143,7 +142,7 @@ class ProtocolParams:
             multi_photon_weight(mu), _multi_ratio(mu, mu_prime, exp_gap),
         )
         # decompose(self), formed once here; not a dataclass field.
-        object.__setattr__(self, "_coefficients", coefficients)
+        self.__dict__["_coefficients"] = coefficients
 
 
 def _multi_ratio(mu, mu_prime, exp_gap):
@@ -152,7 +151,7 @@ def _multi_ratio(mu, mu_prime, exp_gap):
     return ratio * ratio * exp_gap
 
 
-@dataclass(frozen=True)
+@_frozen
 class DecompositionCoefficients:
     """Every Poisson weight of the two-class photon-number decomposition.
 

@@ -13,10 +13,10 @@ not under the independent-OR dark model used by the channel scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import ObservedRates, delta_prime_bound, hwang_optimized
 from .channel import NoEve, multi_photon_fraction
+from .errors import _frozen
 from .finite_stats import FluctuationSettings, PulseBudget, finite_bound
 from .photon_stats import ProtocolParams
 
@@ -106,7 +106,7 @@ def true_fraction(intensity: float, eta: float = TRUE_FRACTION_ETA) -> float:
     return multi_photon_fraction(NoEve(eta=eta, s0=0.0), intensity)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Table1Row:
     """One computed cell beside its frozen reference value."""
 

@@ -458,6 +458,11 @@ def test_finite_sc_is_floored_at_the_seed_in_both_engines():
     n, exponent = 10**18, 4.654601437947795
     scalar = finite_bound(rates, params, PulseBudget(n, n), FluctuationSettings(exponent))
     assert scalar.delta_upper == 0.0 and scalar.sc_upper == 0.0 and not scalar.vacuous
+    # So delta' takes it, and equals the asymptotic bound's delta'.
+    asymptotic = wang_asymptotic_bound(rates, params).delta_upper
+    assert delta_prime_bound(scalar.delta_upper, rates, params) == delta_prime_bound(
+        asymptotic, rates, params
+    )
     lanes = batch.finite_bound(
         batch.Rates._make(np.array([v]) for v in astuple(rates)),
         lane_pairs([params.mu], [params.mu_prime]), n, exponent,

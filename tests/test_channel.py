@@ -318,6 +318,26 @@ def test_sample_observation_deterministic():
     assert c != a
 
 
+def test_sample_observation_keeps_default_rng_stream():
+    # The sampler builds its PCG64 directly; its clicks must stay the weak,
+    # strong and vacuum binomial draws of default_rng(seed), in that order.
+    budget = PulseBudget(10**6, 3 * 10**5, 10**5)
+    scenario = NoEve(eta=5e-2, s0=1e-3)
+    s0, s_mu, s_mu_prime = astuple(expected_rates(scenario, PARAMS))
+    family = random.Random(28)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    seeds += [family.randrange(2 ** family.choice((8, 32, 64, 128))) for _ in range(200)]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expected = (
+            int(rng.binomial(budget.n_mu, s_mu)),
+            int(rng.binomial(budget.n_mu_prime, s_mu_prime)),
+            int(rng.binomial(budget.n_vacuum, s0)),
+        )
+        obs = sample_observation(scenario, PARAMS, budget, seed)
+        assert (obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum) == expected, seed
+
+
 def test_sample_observation_rejects_negative_seed():
     budget = PulseBudget(10**6, 10**6)
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings as hyp_settings, strateg
 from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
 from decoyqkd.errors import ConfigError, ConvergenceError
-from decoyqkd.photon_stats import MIN_INTENSITY, validate_pair
+from decoyqkd.photon_stats import MIN_INTENSITY, ProtocolParams, decompose, validate_pair
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -109,19 +109,19 @@ def test_bound_degenerate_strong_class(capsys):
 
 
 def test_bound_finite_delta_never_negative(capsys):
-    # The finite solver landed a rounding step below its clamped seed sc = 0,
-    # so delta_upper was -1.19e-16 and its delta' exited 2 with "delta must
-    # lie in [0, 1]".
-    code, payload = run_json(
+    # The finite solver landed a rounding step below its clamped seed sc = 0
+    # on these rates, so delta_upper was -1.19e-16 and its delta' exited 2
+    # with "delta must lie in [0, 1]".  No yields give their S_mu, which is
+    # above its ceiling, so the CLI now refuses them; both engines still
+    # floor sc on them (test_batch.py).
+    code, out, err = run(
         capsys,
         "bound", "--mu", "0.019184350094736843", "--mu-prime", "0.9480957022500398",
         "--rates", "6.2428761270174016e-09,0.11631410064078987,6.616781629119358e-05",
-        "--n", "1e18", "--confidence-exponent", "4.654601437947795",
+        "--n", "1e18", "--confidence-exponent", "4.654601437947795", "--format", "json",
     )
-    assert code == 0
-    finite = payload["finite"]
-    assert finite["delta_upper"] == 0.0 and finite["sc_upper"] == 0.0
-    assert finite["delta_prime_upper"] == payload["asymptotic"]["delta_prime_upper"]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --rates: S_mu 0.11631410064078987 is above its yield ceiling")
 
 
 def test_bound_missing_params_is_config_error(capsys):
@@ -228,6 +228,42 @@ def test_bound_refuses_rates_below_their_vacuum_part(tmp_path, capsys, source):
     # S_mu at its vacuum part is not refused.
     vacuum = math.exp(-0.3) * 1e-3
     code, _, err = run(capsys, *argv[:5], "--rates", f"1e-3,{vacuum!r},1e-3")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("source", ["--rates", "[rates]"])
+@pytest.mark.parametrize("cls, index", [("S_mu", 1), ("S_mu'", 2)])
+def test_bound_refuses_rates_above_their_yield_ceiling(tmp_path, capsys, source, cls, index):
+    # No photon-number yields give S_x > 1 - e^{-x} (1 - s0).  S_mu = 0.5 at
+    # mu = 0.1 exited 0 with an asymptotic s1_lower of 5.53 and a hwang
+    # sc_upper of 7.65.
+    params = ProtocolParams(0.1, 0.5)
+    coeffs = decompose(params)
+    s0 = 0.25
+    ceilings = [1.0 - coeffs.p0_mu * (1.0 - s0), 1.0 - coeffs.p0_mu_prime * (1.0 - s0)]
+    rates = [s0, *ceilings]
+    rates[index] = math.nextafter(ceilings[index - 1], 1.0)
+    argv = ["bound", "--mu", "0.1", "--mu-prime", "0.5"]
+
+    def refusal(values):
+        if source == "--rates":
+            return run(capsys, *argv, "--rates", ",".join(map(repr, values)))
+        keys = ("s0", "s_mu", "s_mu_prime")
+        body = "".join(f"{key} = {value!r}\n" for key, value in zip(keys, values))
+        (tmp_path / "r.ini").write_text("[rates]\n" + body)
+        return run(capsys, *argv, "--config", str(tmp_path / "r.ini"))
+
+    intensity = "mu" if cls == "S_mu" else "mu'"
+    assert refusal(rates) == (
+        2, "", f"error: {source}: {cls} {rates[index]!r} is above its yield ceiling "
+        f"1 - e^{{-{intensity}}} (1 - s0) = {ceilings[index - 1]!r}, "
+        "which no photon-number yields reach\n",
+    )
+    # A rate at its ceiling still runs; at s0 = 1 that ceiling is exactly 1.
+    rates[index] = ceilings[index - 1]
+    code, _, err = refusal(rates)
+    assert (code, err) == (0, "")
+    code, _, err = refusal([1.0, 1.0, 1.0])
     assert (code, err) == (0, "")
 
 

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import decoyqkd
 from decoyqkd.bounds import DEFAULT_MAX_ITER
@@ -94,3 +96,38 @@ def test_benchmark_hooks_resolve():
     # The one-shot CLI workload checks the feasibility verdict against report.time.days.
     report = build_report(WeakDecoySetup(eta=1e-4, s0=1e-6, mu_v=1e-4), 1e-3)
     assert isinstance(report.time.days, float)
+
+
+def _dotted(node):
+    """The dotted name an expression spells, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id, *reversed(parts)])
+    return None
+
+
+def test_value_classes_use_the_frozen_decorator():
+    # errors._frozen gives every value class an __init__ that sets its
+    # instance dict in one call; a class built by dataclass(...) itself, or
+    # a field stored through object.__setattr__, falls back to one call per
+    # field.
+    offences = []
+    for path in sorted(Path(decoyqkd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                targets = [node.func]
+            elif isinstance(node, ast.ClassDef):
+                # A called decorator is an ast.Call of its own.
+                targets = [d for d in node.decorator_list if not isinstance(d, ast.Call)]
+            else:
+                continue
+            for target in targets:
+                name = _dotted(target)
+                if name == "object.__setattr__":
+                    offences.append(f"{path.name}:{node.lineno} calls object.__setattr__")
+                elif name in ("dataclass", "dataclasses.dataclass") and path.name != "errors.py":
+                    offences.append(f"{path.name}:{node.lineno} applies {name} directly")
+    assert offences == []

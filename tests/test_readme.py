@@ -92,7 +92,7 @@ def test_readme_cited_names_exist():
     # Each bullet opens with its module, "- `bounds.py`: ...", and may cite
     # that module's own names beside the package's.
     bullets = re.findall(r"^- `(\w+)\.py`:(.*?)(?=^- |\Z)", layout, flags=re.M | re.S)
-    assert len(bullets) == 9, layout
+    assert len(bullets) == 10, layout
     for module_name, text in bullets:
         module = importlib.import_module(f"decoyqkd.{module_name}")
         for cite in name.findall(text):
