@@ -8,9 +8,10 @@ every lane.  Each function takes numpy arrays with one entry per lane and
 returns, lane by lane, exactly what the scalar function of the same name
 returns: the same bits and flags, the bounds in the same BoundReport with
 one array per field, and for the finite solver the same steps and
-evaluation count.  The scalar functions stay the reference that
-single bounds, simulation, Table 1 and the tests use; ``decoyqkd sweep``
-runs on this module.
+evaluation count (one mask of live lanes takes the scalar solver's exits,
+in as many passes as the slowest lane's evaluations).  The scalar
+functions stay the reference that single bounds, simulation, Table 1 and
+the tests use; ``decoyqkd sweep`` runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
@@ -168,9 +169,9 @@ def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> BoundReport:
     return BoundReport(delta, s1, sc_upper, METHOD_WANG_ASYMPTOTIC, raw != delta, delta >= 1.0)
 
 
-def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
-    """The scalar solver's excess(y, sc) on the lanes' constants."""
-    _, strong, c, a, p1_mu, p1_mu_prime, k1, kc = lanes
+def _excess(system: tuple, y: np.ndarray, sc: np.ndarray):
+    """The scalar solver's excess(y, sc) on a bounds._constraints record of lanes."""
+    _, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
     room = _floor0(a * (strong - p1_mu_prime * (y - k1) * y))
     disc = np.sqrt(kc * kc + 4.0 * room / c)
     slope = np.where(room != 0.0, (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c, 0.0)
@@ -179,61 +180,58 @@ def _excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
     return f - sc, 2.0 * p1_mu * y / c - slope, f
 
 
-def _solve_sc(lanes: np.ndarray, sc_lo: np.ndarray, max_iter: int) -> np.ndarray:
-    """sc of bounds._solve_sc on every lane, stepping all unfinished lanes together.
+def _solve_sc(system: tuple, sc_lo: np.ndarray, live: np.ndarray, max_iter: int) -> np.ndarray:
+    """sc of bounds._solve_sc on each live lane of a bounds._constraints record of lanes.
 
-    ``lanes`` stacks a bounds._constraints record of lanes.  Every lane
-    evaluates the excess exactly as often as the scalar solver does, and no
-    evaluation runs on zero lanes, so _Replay is raised once a lane needs
-    more than max_iter evaluations, as the scalar solver then raises
-    ConvergenceError.
+    Mirrors the scalar solver exit for exit: the live lanes that take one of
+    its returns get its value and leave ``live``.  Every excess pass covers
+    all lanes, the others computing throwaway values, and runs only while a
+    lane is live; so the passes number the slowest lane's scalar
+    evaluations, and _Replay is raised once a lane needs more than max_iter,
+    where the scalar solver raises ConvergenceError.  Other lanes keep sc_lo.
     """
+    weak, _, c, _, p1_mu, _, k1, _ = system
     evals = 0
+    sc_out = sc_lo
 
-    def excess(lanes: np.ndarray, y: np.ndarray, sc: np.ndarray):
+    def excess(y: np.ndarray, sc: np.ndarray):
         nonlocal evals
         if evals == max_iter:
             raise _Replay
         evals += 1
-        return _excess(lanes, y, sc)
+        return _excess(system, y, sc)
 
-    if not sc_lo.size:
-        return sc_lo
-    weak, _, c, _, p1_mu, _, k1, _ = lanes
-    g_floor, _, sc_out = excess(lanes, k1, (weak - p1_mu * k1 * k1) / c)
-    s1_lo = bounds._s1(lanes, sc_lo)
-    # Lanes with s1_lo <= k1^2 keep the floor value.
-    idx = np.flatnonzero(~(s1_lo <= k1 * k1))
-    if not idx.size:
+    def settle(taken: np.ndarray, value: np.ndarray) -> bool:
+        """Give value to the live lanes that take an exit; whether any lane is left live."""
+        nonlocal sc_out, live
+        taken = live & taken
+        sc_out = np.where(taken, value, sc_out)
+        live = live & ~taken
+        return live.any()
+
+    if not live.any():
         return sc_out
-    lanes, sc, g_floor = lanes[:, idx], sc_lo[idx], g_floor[idx]
-    y = np.sqrt(s1_lo[idx])
-    g, dg, _ = excess(lanes, y, sc)
-    below = g <= 0.0
-    sc_out[idx[below]] = sc[below]
-    # Of the rest, those with g_floor >= 0 keep the floor value too.
-    keep = np.flatnonzero(~below & ~(g_floor >= 0.0))
-    idx, lanes, y, sc, g, dg = (v[..., keep] for v in (idx, lanes, y, sc, g, dg))
-    weak, _, c, _, p1_mu, _, lo, _ = lanes
-    hi = y
-    while idx.size:
+    s1_lo = bounds._s1(system, sc_lo)
+    g_floor, _, f_floor = excess(k1, (weak - p1_mu * k1 * k1) / c)
+    if not settle(s1_lo <= k1 * k1, f_floor):
+        return sc_out
+    y = hi = np.sqrt(s1_lo)
+    g, dg, _ = excess(y, sc_lo)
+    if not (settle(g <= 0.0, sc_lo) and settle(g_floor >= 0.0, f_floor)):
+        return sc_out
+    lo, sc = k1, sc_lo
+    while True:
         y_next = np.where(dg > 0.0, y - g / dg, 0.5 * (lo + hi))
         y_next = np.where((y_next != y) & ~((lo < y_next) & (y_next < hi)), 0.5 * (lo + hi), y_next)
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
         stop = (abs(sc_next - sc) <= TOL * sc_next) | ~((lo < y_next) & (y_next < hi))
+        if not settle(stop, sc_next):
+            return sc_out
         y, sc = y_next, sc_next
-        if stop.any():
-            sc_out[idx[stop]] = sc[stop]
-            keep = np.flatnonzero(~stop)
-            if not keep.size:
-                break
-            idx, lanes, y, sc, lo, hi = (v[..., keep] for v in (idx, lanes, y, sc, lo, hi))
-            weak, _, c, _, p1_mu, _, _, _ = lanes
-        g, dg, _ = excess(lanes, y, sc)
+        g, dg, _ = excess(y, sc)
         up = g > 0.0
         hi, lo = np.where(up, y, hi), np.where(up, lo, y)
-    return sc_out
 
 
 @_quiet
@@ -257,10 +255,8 @@ def finite_bound(
     system = bounds._constraints(rates, pairs, k1, kc)
     # A vacuous seed, or a k that overflows to inf (a fluctuation far beyond 1).
     blown = (delta >= 1.0) | np.isinf(k1) | np.isinf(kc)
-    live = np.flatnonzero(~blown)
     seed = delta * rates.s_mu / c
-    sc = seed.copy()
-    sc[live] = _solve_sc(np.stack(system)[:, live], seed[live], max_iter)
+    sc = _solve_sc(system, seed, ~blown, max_iter)
     # max(sc, seed), as the scalar function floors the solved sc.
     sc = np.where(seed > sc, seed, sc)
     s1 = bounds._s1(system, sc)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -46,12 +45,14 @@ def _frozen(cls: type) -> type:
     into ``self.__dict__`` one by one builds as fast, but that dict shares
     its keys with the class, and CPython 3.11 does not specialise attribute
     reads on such a dict: every later read of the record would be slower.
-    The signature (field names in order, defaults, annotations), the
-    docstring of an undocumented class, frozen assignment, eq, hash, repr,
-    ``fields``, ``replace``, copy and pickle are the dataclass ones.  Only
-    plain positional fields are supported.
+    The signature (field names in order, defaults, annotations), frozen
+    assignment, eq, hash, repr, ``fields``, ``replace``, copy and pickle are
+    the dataclass ones.  Only plain positional fields are supported, and
+    only documented classes: dataclass would give an undocumented class a
+    docstring formed from ``object.__init__``, as this one is not yet set.
     """
-    documented = bool(cls.__doc__)
+    if not cls.__doc__:
+        raise TypeError(f"{cls.__name__}: a record needs a docstring of its own")
     cls = dataclass(frozen=True, init=False)(cls)
     params = fields(cls)
     if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in params):
@@ -69,7 +70,4 @@ def _frozen(cls: type) -> type:
     init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
-    if not documented:
-        # dataclass wrote this signature docstring before the __init__ existed.
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls

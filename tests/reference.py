@@ -1,10 +1,12 @@
-"""Plain-formula references that only the tests need."""
+"""Plain-formula references, and the scalar solver's evaluation count, that only the tests need."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from decoyqkd import (
+    ConvergenceError,
     DomainError,
     FluctuationSettings,
     NoEve,
@@ -12,8 +14,10 @@ from decoyqkd import (
     PulseBudget,
     expected_rates,
     finite_bound,
+    finite_stats,
     table1,
 )
+from decoyqkd.bounds import _solve_sc
 
 
 def poisson_pmf(n: int, mu: float) -> float:
@@ -52,3 +56,29 @@ def dark_rate_sensitivity(
         expected_rates(NoEve(eta=eta, s0=factor * s0), params), params, budget, settings
     )
     return abs(bumped.delta_upper - base.delta_upper)
+
+
+def solver_evaluations(system: tuple, sc_lo: float) -> int:
+    """How many excess evaluations bounds._solve_sc makes: the least max_iter it returns with."""
+    for max_iter in itertools.count(1):
+        try:
+            _solve_sc(system, sc_lo, max_iter)
+        except ConvergenceError:
+            continue
+        return max_iter
+
+
+def record_solver_evaluations(monkeypatch) -> list[int]:
+    """Make finite_stats.finite_bound append each solver call's evaluation count to the list returned.
+
+    A bound that exits before its solver appends nothing.
+    """
+    counts: list[int] = []
+    solve = finite_stats._solve_sc
+
+    def recording(system: tuple, sc_lo: float, max_iter: int) -> float:
+        counts.append(solver_evaluations(system, sc_lo))
+        return solve(system, sc_lo, max_iter)
+
+    monkeypatch.setattr(finite_stats, "_solve_sc", recording)
+    return counts

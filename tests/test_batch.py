@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import sys
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -41,6 +42,7 @@ from decoyqkd import (
 from decoyqkd.bounds import DEFAULT_MAX_ITER, _closed_form, _constraints, _solve_sc
 from decoyqkd.cli import parse_grid
 from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION
+from reference import record_solver_evaluations
 
 DEFAULTS = FluctuationSettings()
 
@@ -366,6 +368,103 @@ def test_seed_exit_lanes():
         assert isinstance(assert_lanes_match([lane], 10**exponent), list)
 
 
+def scalar_exit(rates, params, n, fluct):
+    """Which exit finite_bound takes.
+
+    Before the solver: "vacuous_seed" or "k_overflow".  The solver's returns
+    are told apart by the locals they leave: "floor_s1" (s1 at sc_lo <=
+    k1^2), "seed" (g <= 0 at sc_lo), "floor_excess" (g_floor >= 0), and from
+    the loop "root" (a step within TOL) or "bracket" (no float left strictly
+    inside the bracket).
+    """
+    exits = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not _solve_sc.__code__:
+            return None
+        if event == "return":
+            names = frame.f_locals
+            if "y_next" in names:
+                inside = names["lo"] < names["y_next"] < names["hi"]
+                exits.append("root" if inside else "bracket")
+            elif "g" in names:
+                exits.append("seed" if names["g"] <= 0.0 else "floor_excess")
+            else:
+                exits.append("floor_s1")
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        finite_bound(rates, params, PulseBudget(n, n), fluct)
+    finally:
+        sys.settrace(previous)
+    if exits:
+        return exits[0]
+    return "vacuous_seed" if wang_asymptotic_bound(rates, params).vacuous else "k_overflow"
+
+
+# Lanes (mu, mu', s0, S_mu, S_mu') from a seeded search over direct rates, by
+# the exit they take at n = 1e36 pulses and E = 1.  floor_excess needs S_mu'
+# within a few ulps of delta below the crude bound's vacuous edge.
+EXIT_LANES = [
+    ("vacuous_seed", (0.32761809638667666, 1.2362307328233795, 1.8178183817936496e-05,
+                      0.13498136493534676, 0.8236711264686619)),
+    ("floor_s1", (0.08961921797879387, 0.3508271412568363, 1e-06,
+                  5.860880033137174e-06, 6.365211557701234e-05)),
+    ("seed", (0.09676175578035703, 0.2887170929218613, 0.0,
+              0.0001613273886170638, 0.0007622720947644455)),
+    ("floor_excess", (0.3030023584481554, 1.1361518262203294, 0.0,
+                      8.502200248095653e-06, 5.196127954398984e-05)),
+    ("root", (0.16328295057541878, 0.5820362725068247, 0.0,
+              1.7891506995647674e-06, 8.61937447747854e-06)),
+    ("bracket", (0.03030166756787762, 0.11421651902533302, 8.753369914125631e-08,
+                 4.0390372060394635e-06, 9.155913247841737e-06)),
+]
+# A k overflows only where E / n puts every other lane's s1 at most k1^2, so
+# the overflow gets a call of its own: kc is inf at mu = 1e-150, n = 1 and
+# E = 1e9, where the other lanes above take the floor exit.
+OVERFLOW_LANES = [
+    ("k_overflow", (1e-150, 2e-150, 0.0, 1e-3, 2e-3)),
+    EXIT_LANES[0],
+    *(("floor_s1", lane) for _, lane in EXIT_LANES[1:]),
+]
+
+
+@pytest.mark.parametrize(
+    "lanes, n, exponent",
+    [(EXIT_LANES, 10**36, 1.0), (OVERFLOW_LANES, 1, 1e9)],
+    ids=["exits", "overflow"],
+)
+def test_every_solver_exit_in_one_call(monkeypatch, lanes, n, exponent):
+    fluct = FluctuationSettings(exponent)
+    cases = [
+        (ProtocolParams(mu, mu_prime), ObservedRates(*rates)) for _, (mu, mu_prime, *rates) in lanes
+    ]
+    assert [scalar_exit(rates, params, n, fluct) for params, rates in cases] == [
+        name for name, _ in lanes
+    ]
+    counts = record_solver_evaluations(monkeypatch)
+    expected = [
+        tuple(map(exact, astuple(finite_bound(rates, params, PulseBudget(n, n), fluct))))
+        for params, rates in cases
+    ]
+    passes = []
+    excess = batch._excess
+
+    def counting_excess(system, y, sc):
+        passes.append(y.size)
+        return excess(system, y, sc)
+
+    monkeypatch.setattr(batch, "_excess", counting_excess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert batch_finite_outcome(cases, n, DEFAULT_MAX_ITER, exponent) == expected
+    # Every pass covers all lanes, and they number the slowest lane's evaluations.
+    assert set(passes) == {len(cases)}
+    assert len(passes) == max(counts)
+
+
 def clamped_seed_cases():
     """(source, params, rates) whose closed-form raw delta is below 0, exactly 0 or at least 1.
 
@@ -398,14 +497,14 @@ def finite_outcome(params, rates, n, max_iter):
     )
 
 
-def batch_finite_outcome(cases, n, max_iter):
+def batch_finite_outcome(cases, n, max_iter, exponent=25.0):
     """batch.finite_bound on the cases' lanes, as finite_outcome rows, or _Replay."""
     mu, mu_prime = zip(*((params.mu, params.mu_prime) for params, _ in cases))
     rates = batch.Rates._make(
         np.array([getattr(r, name) for _, r in cases], float) for name in batch.Rates._fields
     )
     try:
-        report = batch.finite_bound(rates, lane_pairs(mu, mu_prime), n, 25.0, max_iter)
+        report = batch.finite_bound(rates, lane_pairs(mu, mu_prime), n, exponent, max_iter)
     except batch._Replay:
         return batch._Replay
     return [tuple(map(exact, astuple(lane))) for lane in lane_reports(report)]

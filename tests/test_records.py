@@ -145,17 +145,13 @@ def test_copies_round_trip(record):
         assert vars(clone) == vars(instance)
 
 
-def test_undocumented_record_gets_the_dataclass_docstring():
-    def build(decorate):
-        class Plain:
-            count: int
-            label: str = "x"
+def test_undocumented_record_is_refused():
+    class Plain:
+        count: int
+        label: str = "x"
 
-        return decorate(Plain)
-
-    expected = build(dataclasses.dataclass(frozen=True)).__doc__
-    assert expected == "Plain(count: int, label: str = 'x')"
-    assert build(_frozen).__doc__ == expected
+    with pytest.raises(TypeError, match="^Plain: a record needs a docstring of its own$"):
+        _frozen(Plain)
 
 
 def test_replace_runs_validation_again():
