@@ -170,7 +170,7 @@ def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> BoundReport:
 
 
 def _excess(system: tuple, y: np.ndarray, sc: np.ndarray):
-    """The scalar solver's excess(y, sc) on a bounds._constraints record of lanes."""
+    """F(sc) - sc at s1 = y^2, its slope in y and F(sc), formed as bounds._solve_sc does."""
     _, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
     room = _floor0(a * (strong - p1_mu_prime * (y - k1) * y))
     disc = np.sqrt(kc * kc + 4.0 * room / c)
@@ -183,12 +183,15 @@ def _excess(system: tuple, y: np.ndarray, sc: np.ndarray):
 def _solve_sc(system: tuple, sc_lo: np.ndarray, live: np.ndarray, max_iter: int) -> np.ndarray:
     """sc of bounds._solve_sc on each live lane of a bounds._constraints record of lanes.
 
-    Mirrors the scalar solver exit for exit: the live lanes that take one of
-    its returns get its value and leave ``live``.  Every excess pass covers
-    all lanes, the others computing throwaway values, and runs only while a
-    lane is live; so the passes number the slowest lane's scalar
-    evaluations, and _Replay is raised once a lane needs more than max_iter,
-    where the scalar solver raises ConvergenceError.  Other lanes keep sc_lo.
+    Mirrors the scalar solver exit for exit, in its order: the live lanes
+    that take one of its returns get its value and leave ``live``.  The
+    scalar solver's evaluation at the floor is one pass here, its pass at
+    sc_lo another, and each of its Newton evaluations one more.  Every
+    excess pass covers all lanes, the others computing throwaway values,
+    and runs only while a lane is live; so the passes number the slowest
+    lane's scalar evaluations, and _Replay is raised once a lane needs more
+    than max_iter, where the scalar solver raises ConvergenceError.  Other
+    lanes keep sc_lo.
     """
     weak, _, c, _, p1_mu, _, k1, _ = system
     evals = 0

@@ -141,38 +141,51 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
     an asymptotic sc_lo.  Newton steps in y fall back to bisection when
     they leave the bracket between y at sc_lo and the floor y = k1, where
     r1 = 1, and stop once the relative step in sc is at most TOL.  Returns
-    sc_lo when F(sc_lo) <= sc_lo, and F at the floor (s1 below it) if no
-    root is left.  Raises ConvergenceError when a root needs more than
-    max_iter evaluations of F.
+    F at the floor when s1 at sc_lo is at most k1^2, sc_lo when
+    F(sc_lo) <= sc_lo, and F at the floor when the excess there is not
+    negative, so no root is left in the bracket.
+
+    Evaluation 1 forms F at the floor alone, with no slope.  Every later
+    one, at sc_lo and then at each Newton iterate, is made at one site in
+    the loop: the excess F(sc) - sc, the exits, then the slope in y for the
+    next step; the pass at sc_lo takes the two sc_lo exits.  Before
+    evaluation max_iter + 1 it raises ConvergenceError, which carries the
+    iterate (sc, y^2) that evaluation would have taken.
     """
     weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
-    evals = 0
-
-    def excess(y: float, sc: float) -> tuple[float, float, float]:
-        """F(sc) - sc at s1 = y^2, its derivative in y, and F(sc)."""
-        nonlocal evals
+    if max_iter == 0:
+        raise ConvergenceError(
+            "no sc/s1 root within 0 evaluations", sc=(weak - p1_mu * k1 * k1) / c, s1=k1 * k1
+        )
+    # At y = k1 the singles term p1_mu' (y - k1) y is exactly 0 (k1 is finite).
+    root = kc + math.sqrt(kc * kc + 4.0 * max(a * strong, 0.0) / c)
+    f_floor = 0.25 * (root * root)
+    s1_lo = (weak - c * sc_lo) / p1_mu
+    if s1_lo <= k1 * k1:
+        return f_floor
+    y = hi = math.sqrt(s1_lo)
+    lo, sc = k1, sc_lo
+    evals = 1
+    while True:
         if evals == max_iter:
             raise ConvergenceError(f"no sc/s1 root within {max_iter} evaluations", sc=sc, s1=y * y)
         evals += 1
         room = max(a * (strong - p1_mu_prime * (y - k1) * y), 0.0)
         disc = math.sqrt(kc * kc + 4.0 * room / c)
-        slope = (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c if room else 0.0
         root = kc + disc
-        f = 0.25 * (root * root)
-        return f - sc, 2.0 * p1_mu * y / c - slope, f
-
-    s1_lo = _s1(system, sc_lo)
-    g_floor, _, f_floor = excess(k1, (weak - p1_mu * k1 * k1) / c)
-    if s1_lo <= k1 * k1:
-        return f_floor
-    y = hi = math.sqrt(s1_lo)
-    g, dg, _ = excess(y, sc_lo)
-    if g <= 0.0:
-        return sc_lo
-    if g_floor >= 0.0:
-        return f_floor
-    lo, sc = k1, sc_lo
-    while True:
+        g = 0.25 * (root * root) - sc
+        if evals == 2:
+            # The pass at sc_lo, where the bracket is [k1, y] already.
+            if g <= 0.0:
+                return sc_lo
+            if f_floor - (weak - p1_mu * k1 * k1) / c >= 0.0:
+                return f_floor
+        elif g > 0.0:
+            hi = y
+        else:
+            lo = y
+        slope = (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c if room else 0.0
+        dg = 2.0 * p1_mu * y / c - slope
         y_next = y - g / dg if dg > 0.0 else 0.5 * (lo + hi)
         if y_next != y and not lo < y_next < hi:
             y_next = 0.5 * (lo + hi)
@@ -181,11 +194,6 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
         if abs(sc_next - sc) <= TOL * sc_next or not lo < y_next < hi:
             return sc_next
         y, sc = y_next, sc_next
-        g, dg, _ = excess(y, sc)
-        if g > 0.0:
-            hi = y
-        else:
-            lo = y
 
 
 def _raw_delta(

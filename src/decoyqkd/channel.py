@@ -216,23 +216,16 @@ def sample_observation(
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
-    for name in ("n_mu", "n_mu_prime", "n_vacuum"):
-        if getattr(budget, name) > MAX_SAMPLED_PULSES:
-            raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
+    n_mu, n_mu_prime, n_vacuum = budget.n_mu, budget.n_mu_prime, budget.n_vacuum
+    if max(n_mu, n_mu_prime, n_vacuum) > MAX_SAMPLED_PULSES:
+        counts = {"n_mu": n_mu, "n_mu_prime": n_mu_prime, "n_vacuum": n_vacuum}
+        name = next(name for name, count in counts.items() if count > MAX_SAMPLED_PULSES)
+        raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
     s0, s_mu, s_mu_prime = _class_rates(scenario, params)
     # What default_rng(seed) builds for an int seed, without its dispatch.
-    rng = np.random.Generator(np.random.PCG64(seed))
-    clicks_mu = int(rng.binomial(budget.n_mu, s_mu))
-    clicks_mu_prime = int(rng.binomial(budget.n_mu_prime, s_mu_prime))
-    clicks_vacuum = int(rng.binomial(budget.n_vacuum, s0))
-    rates = ObservedRates(
-        s0=s0,
-        s_mu=clicks_mu / budget.n_mu,
-        s_mu_prime=clicks_mu_prime / budget.n_mu_prime,
-    )
-    return SimulatedObservation(
-        rates=rates,
-        clicks_mu=clicks_mu,
-        clicks_mu_prime=clicks_mu_prime,
-        clicks_vacuum=clicks_vacuum,
-    )
+    binomial = np.random.Generator(np.random.PCG64(seed)).binomial
+    clicks_mu = int(binomial(n_mu, s_mu))
+    clicks_mu_prime = int(binomial(n_mu_prime, s_mu_prime))
+    clicks_vacuum = int(binomial(n_vacuum, s0))
+    rates = ObservedRates(s0, clicks_mu / n_mu, clicks_mu_prime / n_mu_prime)
+    return SimulatedObservation(rates, clicks_mu, clicks_mu_prime, clicks_vacuum)

@@ -1,8 +1,10 @@
 """Command-line surface: bound verification, simulation, benchmarks, sweeps.
 
 Every command is deterministic given its config (plus seed where sampling
-is involved): no timestamps, no locale formatting, machine formats carry
-full precision (17 significant digits), human tables 4 significant digits.
+is involved): no timestamps, no locale formatting.  Machine formats carry
+full precision: CSV prints each float as %.17g, JSON as the shortest repr
+that reads back to it, and both read back to the same float.  Human tables
+carry 4 significant digits.
 Exit codes: 0 ok, 2 config/parameter problem, 3 vacuous bound, 4 solver
 used up its evaluation cap, 5 impractical feasibility verdict.
 """

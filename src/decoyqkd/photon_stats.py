@@ -92,8 +92,16 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     ``mu >= MIN_INTENSITY``, ``mu_prime > mu``,
     ``mu_prime >= mu * (1 + MIN_SEPARATION)``, and
     ``mu_prime * exp(-mu_prime) > mu * exp(-mu)`` so the single-photon weight
-    of the stronger class dominates.
+    of the stronger class dominates.  An admitted pair passes one chained
+    comparison; a refused one goes through the clauses one by one, and
+    the reason names the first that it fails.
     """
+    if (
+        MIN_INTENSITY <= mu < mu_prime < math.inf
+        and mu * (1.0 + MIN_SEPARATION) <= mu_prime
+        and mu * math.exp(-mu) < mu_prime * math.exp(-mu_prime)
+    ):
+        return _VALID
     for name, value in (("mu", mu), ("mu_prime", mu_prime)):
         if not math.isfinite(value):
             return PairValidity(False, f"{name} must be finite, got {value}")

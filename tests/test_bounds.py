@@ -171,10 +171,26 @@ def test_solver_clamps_s1_at_zero():
 
 
 def test_solver_non_convergence_carries_last_iterate():
-    with pytest.raises(ConvergenceError) as excinfo:
-        finite_bound(RATIO_RATES, PARAMS, PulseBudget(10**10, 10**10), max_iter=2)
-    assert excinfo.value.sc is not None and excinfo.value.sc > 0.0
-    assert excinfo.value.s1 is not None
+    # The iterate that evaluation max_iter + 1 would have taken, bit for bit:
+    # at max_iter = 1 the pass at the seed, (sc_lo, y^2) with y = sqrt(s1 at sc_lo).
+    frozen = {
+        1: ("0x1.cb6d62f916493p-11", "0x1.3f199117fdfb9p-12"),
+        2: ("0x1.fb0fc6f838544p-11", "0x1.2f443f8ec4935p-12"),
+        3: ("0x1.fba5615aa3034p-11", "0x1.2f12857aa9b0ep-12"),
+    }
+    for max_iter, (sc, s1) in frozen.items():
+        with pytest.raises(ConvergenceError) as excinfo:
+            finite_bound(RATIO_RATES, PARAMS, PulseBudget(10**10, 10**10), max_iter=max_iter)
+        assert str(excinfo.value) == f"no sc/s1 root within {max_iter} evaluations"
+        assert (excinfo.value.sc.hex(), excinfo.value.s1.hex()) == (sc, s1)
+
+
+def test_solver_builds_no_closure_per_call():
+    # The solver is called twice per soundness-scan strategy: its excess is
+    # formed inline, not by a function defined, and bound to cells, per call.
+    code = _solve_sc.__code__
+    assert not any(isinstance(const, type(code)) for const in code.co_consts)
+    assert code.co_cellvars == () and code.co_freevars == ()
 
 
 def test_delta_prime_trivial_forms():

@@ -447,6 +447,11 @@ def test_sampling_takes_up_to_int64_pulses_per_class():
         assert 0 < getattr(sample_observation(scenario, PARAMS, largest, seed=7), clicks)
         with pytest.raises(ParameterError, match=rf"^{name} exceeds 2\*\*63 - 1"):
             sample_observation(scenario, PARAMS, PulseBudget(**{**counts, name: 2**63}), seed=7)
+    # With more than one class over the limit, the first in draw order is named.
+    for budget, name in ((PulseBudget(2**63, 2**64, 2**63), "n_mu"),
+                         (PulseBudget(1, 2**64, 2**63), "n_mu_prime")):
+        with pytest.raises(ParameterError, match=rf"^{name} exceeds 2\*\*63 - 1"):
+            sample_observation(scenario, PARAMS, budget, seed=7)
 
 
 def test_expected_rates_feed_bound_types():

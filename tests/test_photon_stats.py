@@ -97,20 +97,11 @@ def test_validate_pair_accepts_table_values():
 
 
 def test_validate_pair_rejections():
-    assert not validate_pair(0.45, 0.3)
-    assert not validate_pair(0.3, 0.3)
-    assert not validate_pair(0.0, 0.45)
-    assert not validate_pair(-0.1, 0.45)
-    assert not validate_pair(0.3, math.inf)
     # Below MIN_INTENSITY the decomposition's weights leave the normal floats.
     assert validate_pair(MIN_INTENSITY, 0.45)
     check = validate_pair(math.nextafter(MIN_INTENSITY, 0.0), 0.45)
     assert not check
     assert check.reason.startswith("mu must be at least 1e-150, got 9.99999999999999")
-    # mu_prime past the mode of x e^{-x}: single-photon weight no longer dominates
-    check = validate_pair(0.3, 3.0)
-    assert not check
-    assert "dominate" in check.reason
     # Below mu' = mu (1 + 1e-6) the closed form divides rounding noise by mu' - mu.
     floor = 0.3 * (1.0 + MIN_SEPARATION)
     assert validate_pair(0.3, floor)
@@ -120,6 +111,40 @@ def test_validate_pair_rejections():
         assert check.reason == (
             f"mu_prime is below the admissibility floor mu*(1 + 1e-06) = {floor}, got {mu_prime}"
         )
+
+
+# The refusal texts that test_validate_pair_rejections does not pin, in
+# the order the clauses are checked: mu before mu_prime, finiteness before
+# sign, then order and dominance.  A pair failing two clauses gets the first.
+REFUSALS = [
+    ((math.nan, 0.45), "mu must be finite, got nan"),
+    ((math.inf, 0.45), "mu must be finite, got inf"),
+    ((-math.inf, 0.45), "mu must be finite, got -inf"),
+    ((0.0, 0.45), "mu must be positive, got 0.0"),
+    ((-0.1, 0.45), "mu must be positive, got -0.1"),
+    ((0.3, math.nan), "mu_prime must be finite, got nan"),
+    ((0.3, math.inf), "mu_prime must be finite, got inf"),
+    ((0.3, -math.inf), "mu_prime must be finite, got -inf"),
+    ((0.3, 0.0), "mu_prime must be positive, got 0.0"),
+    ((0.3, -0.1), "mu_prime must be positive, got -0.1"),
+    ((math.nan, math.nan), "mu must be finite, got nan"),
+    ((0.0, math.inf), "mu must be positive, got 0.0"),
+    ((-0.1, math.nan), "mu must be positive, got -0.1"),
+    ((0.3, 0.3), "mu_prime must exceed mu, got 0.3 >= 0.3"),
+    ((0.45, 0.3), "mu_prime must exceed mu, got 0.45 >= 0.3"),
+    # mu_prime past the mode of x e^{-x}: the single-photon weight no longer dominates.
+    ((0.3, 3.0),
+     "single-photon weight of mu_prime does not dominate: 3.0*exp(-3.0) <= 0.3*exp(-0.3)"),
+    ((1.0, 1.5),
+     "single-photon weight of mu_prime does not dominate: 1.5*exp(-1.5) <= 1.0*exp(-1.0)"),
+]
+
+
+@pytest.mark.parametrize("pair, reason", REFUSALS)
+def test_validate_pair_refusal_texts(pair, reason):
+    check = validate_pair(*pair)
+    assert not check.valid
+    assert check.reason == reason
 
 
 def test_protocol_params_guard():
