@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from typing import Union
 
 import numpy as np
@@ -22,6 +23,19 @@ from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisso
 
 # Largest class size numpy's exact binomial sampler accepts (int64).
 MAX_SAMPLED_PULSES = 2**63 - 1
+
+# A seed names a jump along PCG64's 2^128 period, so 2**128 would draw
+# seed 0's stream again.
+SEED_LIMIT = 2**128
+
+# numpy's PCG64.jumped step, (phi - 1) 2^128 rounded to odd.  An odd step
+# gives every seed below SEED_LIMIT its own start point; a shift such as
+# seed << 64 would give all streams the same low 64 state bits.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+# Per thread: a PCG64(0), its Generator's binomial and its starting state.
+# A generator is mutable, so threads sampling at once each move their own.
+_samplers = threading.local()
 
 
 @_frozen
@@ -205,25 +219,35 @@ def sample_observation(
 ) -> SimulatedObservation:
     """Draw per-class click counts exactly binomially; deterministic for a fixed seed.
 
-    Draw order is fixed (weak, strong, vacuum) so a given seed always maps
-    to the same observation; the rates report the exact s0.
-    The seed must be a non-negative integer, and no class may hold more
-    than MAX_SAMPLED_PULSES pulses.
+    Seed s draws the stream of ``np.random.PCG64(0).jumped(s)``, in a
+    fixed order (weak, strong, vacuum), so a given seed always maps to the
+    same observation; the rates report the exact s0.  The seed must be an
+    integer in [0, SEED_LIMIT), and no class may hold more than
+    MAX_SAMPLED_PULSES pulses.  Each thread keeps one generator and moves
+    it to the seed's start point: no SeedSequence hash per call.
     """
     try:
         seed = operator.index(seed)
     except TypeError:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= seed < SEED_LIMIT:
+        if seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+        raise ParameterError(f"seed must be below 2**128, got a {seed.bit_length()}-bit integer")
     n_mu, n_mu_prime, n_vacuum = budget.n_mu, budget.n_mu_prime, budget.n_vacuum
     if max(n_mu, n_mu_prime, n_vacuum) > MAX_SAMPLED_PULSES:
         counts = {"n_mu": n_mu, "n_mu_prime": n_mu_prime, "n_vacuum": n_vacuum}
         name = next(name for name, count in counts.items() if count > MAX_SAMPLED_PULSES)
         raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
     s0, s_mu, s_mu_prime = _class_rates(scenario, params)
-    # What default_rng(seed) builds for an int seed, without its dispatch.
-    binomial = np.random.Generator(np.random.PCG64(seed)).binomial
+    try:
+        bit, binomial, start = _samplers.sampler
+    except AttributeError:  # this thread's first call
+        bit = np.random.PCG64(0)
+        binomial, start = np.random.Generator(bit).binomial, bit.state
+        _samplers.sampler = bit, binomial, start
+    bit.state = start
+    bit.advance(seed * _JUMP)  # taken modulo 2^128, as jumped(seed) takes it
     clicks_mu = int(binomial(n_mu, s_mu))
     clicks_mu_prime = int(binomial(n_mu_prime, s_mu_prime))
     clicks_vacuum = int(binomial(n_vacuum, s0))

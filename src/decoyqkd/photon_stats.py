@@ -11,6 +11,7 @@ admissible pair and read by no bound, so it is not computed.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, ParameterError, _frozen
 
@@ -27,6 +28,10 @@ MIN_SEPARATION = 1e-6
 # as single-photon dominance caps mu' at 351.25, (mu'/mu)^2 <= 1.3e305 and
 # e^{mu-mu'} >= 2.8e-153 are finite and normal too.
 MIN_INTENSITY = 1e-150
+
+# An intensity above the largest float (inf, or an int past the float range)
+# is not finite.  Comparing with it converts nothing, so nothing overflows.
+_FLOAT_MAX = sys.float_info.max
 
 
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
@@ -85,25 +90,34 @@ class PairValidity:
 _VALID = PairValidity(True)
 
 
+def _pair_weights(mu: float, mu_prime: float) -> tuple[float, float] | None:
+    """(e^{-mu}, e^{-mu'}) if the pair is admissible, else None.
+
+    One chained comparison admits the pair; its dominance test forms the two
+    weights, and ProtocolParams keeps them.
+    """
+    if MIN_INTENSITY <= mu < mu_prime <= _FLOAT_MAX and mu * (1.0 + MIN_SEPARATION) <= mu_prime:
+        p0_mu, p0_mu_prime = math.exp(-mu), math.exp(-mu_prime)
+        if mu * p0_mu < mu_prime * p0_mu_prime:
+            return p0_mu, p0_mu_prime
+    return None
+
+
 def validate_pair(mu: float, mu_prime: float) -> PairValidity:
     """Check whether ``(mu, mu_prime)`` supports the decomposition.
 
-    Requirements: both intensities positive and finite,
-    ``mu >= MIN_INTENSITY``, ``mu_prime > mu``,
+    Requirements: both intensities positive and finite (an int past the
+    float range is not), ``mu >= MIN_INTENSITY``, ``mu_prime > mu``,
     ``mu_prime >= mu * (1 + MIN_SEPARATION)``, and
     ``mu_prime * exp(-mu_prime) > mu * exp(-mu)`` so the single-photon weight
     of the stronger class dominates.  An admitted pair passes one chained
     comparison; a refused one goes through the clauses one by one, and
     the reason names the first that it fails.
     """
-    if (
-        MIN_INTENSITY <= mu < mu_prime < math.inf
-        and mu * (1.0 + MIN_SEPARATION) <= mu_prime
-        and mu * math.exp(-mu) < mu_prime * math.exp(-mu_prime)
-    ):
+    if _pair_weights(mu, mu_prime) is not None:
         return _VALID
     for name, value in (("mu", mu), ("mu_prime", mu_prime)):
-        if not math.isfinite(value):
+        if not abs(value) <= _FLOAT_MAX:
             return PairValidity(False, f"{name} must be finite, got {value}")
         if value <= 0:
             return PairValidity(False, f"{name} must be positive, got {value}")
@@ -118,13 +132,11 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
             f"mu_prime is below the admissibility floor mu*(1 + {MIN_SEPARATION:g}) = {floor}, "
             f"got {mu_prime}",
         )
-    if mu_prime * math.exp(-mu_prime) <= mu * math.exp(-mu):
-        return PairValidity(
-            False,
-            "single-photon weight of mu_prime does not dominate: "
-            f"{mu_prime}*exp(-{mu_prime}) <= {mu}*exp(-{mu})",
-        )
-    return _VALID
+    return PairValidity(
+        False,
+        "single-photon weight of mu_prime does not dominate: "
+        f"{mu_prime}*exp(-{mu_prime}) <= {mu}*exp(-{mu})",
+    )
 
 
 @_frozen
@@ -140,11 +152,11 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         mu, mu_prime = self.mu, self.mu_prime
-        check = validate_pair(mu, mu_prime)
-        if not check:
-            raise ParameterError(check.reason)
+        weights = _pair_weights(mu, mu_prime)
+        if weights is None:
+            raise ParameterError(validate_pair(mu, mu_prime).reason)
+        p0_mu, p0_mu_prime = weights
         exp_gap = math.exp(mu - mu_prime)
-        p0_mu, p0_mu_prime = math.exp(-mu), math.exp(-mu_prime)
         coefficients = DecompositionCoefficients(
             p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap,
             multi_photon_weight(mu), _multi_ratio(mu, mu_prime, exp_gap),

@@ -232,14 +232,20 @@ def test_multi_photon_fraction_in_unit_interval(intensity, eta):
     assert 0.0 <= frac <= 1.0
 
 
+def _jumped_clicks(budget, seed, s0, s_mu, s_mu_prime):
+    """The weak, strong and vacuum draws of Generator(PCG64(0).jumped(seed))."""
+    binomial = np.random.Generator(np.random.PCG64(0).jumped(seed)).binomial
+    return (
+        int(binomial(budget.n_mu, s_mu)),
+        int(binomial(budget.n_mu_prime, s_mu_prime)),
+        int(binomial(budget.n_vacuum, s0)),
+    )
+
+
 def _uncached(scenario, params, budget, seed):
     """Rates, true fractions and sampled clicks, each class rate evaluated afresh."""
     s0, s_mu, s_mu_prime = (scenario.class_rate(x) for x in (0.0, params.mu, params.mu_prime))
-    rng = np.random.default_rng(seed)
-    clicks = tuple(
-        int(rng.binomial(n, rate))
-        for n, rate in ((budget.n_mu, s_mu), (budget.n_mu_prime, s_mu_prime), (budget.n_vacuum, s0))
-    )
+    clicks = _jumped_clicks(budget, seed, s0, s_mu, s_mu_prime)
     truth = (multi_photon_fraction(scenario, params.mu),
              multi_photon_fraction(scenario, params.mu_prime))
     return [x.hex() for x in (s0, s_mu, s_mu_prime, *truth)] + list(clicks)
@@ -318,24 +324,98 @@ def test_sample_observation_deterministic():
     assert c != a
 
 
-def test_sample_observation_keeps_default_rng_stream():
-    # The sampler builds its PCG64 directly; its clicks must stay the weak,
-    # strong and vacuum binomial draws of default_rng(seed), in that order.
+def _clicks(obs):
+    return obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum
+
+
+def test_sample_observation_draws_the_jumped_stream():
+    # Seed s draws the weak, strong and vacuum binomials of
+    # PCG64(0).jumped(s), in that order, for every s in [0, 2**128).
     budget = PulseBudget(10**6, 3 * 10**5, 10**5)
     scenario = NoEve(eta=5e-2, s0=1e-3)
-    s0, s_mu, s_mu_prime = astuple(expected_rates(scenario, PARAMS))
-    family = random.Random(28)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    rates = astuple(expected_rates(scenario, PARAMS))
+    family = random.Random(31)
+    seeds = [0, 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1]
     seeds += [family.randrange(2 ** family.choice((8, 32, 64, 128))) for _ in range(200)]
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        expected = (
-            int(rng.binomial(budget.n_mu, s_mu)),
-            int(rng.binomial(budget.n_mu_prime, s_mu_prime)),
-            int(rng.binomial(budget.n_vacuum, s0)),
-        )
         obs = sample_observation(scenario, PARAMS, budget, seed)
-        assert (obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum) == expected, seed
+        assert _clicks(obs) == _jumped_clicks(budget, seed, *rates), seed
+    # Consecutive seeds start far apart: their weak-class counts scatter.
+    weak = {sample_observation(scenario, PARAMS, budget, seed).clicks_mu for seed in range(50)}
+    assert len(weak) > 40
+
+
+def test_sample_observation_rejects_seed_past_the_period():
+    # jumped(2**128) is PCG64(0) itself: seed 2**128 would repeat seed 0.
+    budget = PulseBudget(10**6, 10**6)
+    for seed, bits in ((2**128, 129), (2**200 + 5, 201)):
+        message = f"^seed must be below 2\\*\\*128, got a {bits}-bit integer$"
+        with pytest.raises(ParameterError, match=message):
+            sample_observation(NoEve(eta=1e-2), PARAMS, budget, seed=seed)
+
+
+def test_per_thread_generators_under_threads():
+    # Each thread moves its own generator: interleaved calls on six threads
+    # still draw each seed's own stream.
+    budget = PulseBudget(10**7, 10**7, 10**5)
+    cases = [(NoEve(eta=1e-2 * (k + 1), s0=1e-4), ProtocolParams(0.1 + 0.05 * k, 0.6 + 0.05 * k))
+             for k in range(6)]
+    seeds = [[k * 1000 + i for i in range(8)] for k in range(6)]
+    expected = [
+        [_jumped_clicks(budget, seed, *astuple(expected_rates(t, p))) for seed in seeds[k]]
+        for k, (t, p) in enumerate(cases)
+    ]
+    wrong = []
+
+    def work(k):
+        t, p = cases[k]
+        for _ in range(300):
+            for seed, clicks in zip(seeds[k], expected[k]):
+                if _clicks(sample_observation(t, p, budget, seed)) != clicks:
+                    wrong.append((k, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_sample_observation_builds_no_generator_per_call(monkeypatch):
+    # A thread builds its PCG64 once.  Every Python route to a seeded
+    # generator is counted; numpy's own SeedSequence, inside PCG64(seed),
+    # is not patchable, and the PCG64 count stands for it.
+    built = []
+
+    def counted(name):
+        make = getattr(np.random, name)
+        return lambda *args, **kwargs: built.append(name) or make(*args, **kwargs)
+
+    for name in ("PCG64", "SeedSequence", "Generator", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(name))
+    budget = PulseBudget(10**6, 10**6, 10**3)
+    scenario = NoEve(eta=1e-2, s0=1e-5)
+    done = []
+
+    def work():
+        for seed in range(1000):
+            sample_observation(scenario, PARAMS, budget, seed)
+        done.append(True)
+
+    # A fresh thread, so its first call builds its generator.
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert done == [True]
+    assert built.count("PCG64") <= 1 and built.count("SeedSequence") == 0
+    assert built.count("Generator") <= 1 and "default_rng" not in built
 
 
 def test_sample_observation_rejects_negative_seed():

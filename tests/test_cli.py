@@ -456,6 +456,17 @@ def test_simulate_negative_seed_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
 
 
+def test_simulate_seed_past_the_generator_period_exit_2(capsys):
+    # Seed s draws PCG64(0).jumped(s), and jumped(2**128) is PCG64(0) again.
+    argv = ("simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "1e9")
+    for seed, bits in ((str(2**128), 129), ("1e40", (10**40).bit_length())):
+        message = f"error: seed must be below 2**128, got a {bits}-bit integer\n"
+        assert run(capsys, *argv, "--seed", seed) == (2, "", message)
+    # The largest seed runs, and runs the same twice.
+    last = run(capsys, *argv, "--seed", str(2**128 - 1), "--format", "csv")
+    assert last[0] == 0 and last == run(capsys, *argv, "--seed", str(2**128 - 1), "--format", "csv")
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [

@@ -11,7 +11,7 @@ import hashlib
 import differential
 
 SEED, DRAWS = 26, 700
-DIGEST = "4477ffc60dbff0473d67cb85c6844efed67861a517c5ff9b7e5092d2ecec4083"
+DIGEST = "31a206e040b854610747ad88b6854585d9025f32851c37874a6191194be64d76"
 
 
 def test_small_differential_run_is_pinned(capsys):

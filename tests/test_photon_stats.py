@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from dataclasses import asdict, astuple, replace
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 from decoyqkd import (
     DomainError,
+    PairValidity,
     ParameterError,
     ProtocolParams,
     decompose,
@@ -145,6 +147,28 @@ def test_validate_pair_refusal_texts(pair, reason):
     check = validate_pair(*pair)
     assert not check.valid
     assert check.reason == reason
+
+
+def test_int_intensities_past_the_float_range_are_not_finite():
+    # Such an int overflowed in the pair check's float arithmetic, and both
+    # validate_pair and ProtocolParams raised a bare OverflowError.
+    big = 10**400
+    cases = [
+        ((0.3, big), f"mu_prime must be finite, got {big}"),
+        ((big, 10 * big), f"mu must be finite, got {big}"),
+        ((big, 0.45), f"mu must be finite, got {big}"),
+        ((-big, 0.45), f"mu must be finite, got {-big}"),
+        ((0.0, big), "mu must be positive, got 0.0"),
+    ]
+    for pair, reason in cases:
+        assert validate_pair(*pair) == PairValidity(False, reason)
+        with pytest.raises(ParameterError) as refused:
+            ProtocolParams(*pair)
+        assert str(refused.value) == reason
+    # An int inside the float range is checked and decomposed as its float.
+    assert decompose(ProtocolParams(0.3, 1)) == decompose(ProtocolParams(0.3, 1.0))
+    largest = int(sys.float_info.max)
+    assert validate_pair(0.3, largest).reason.startswith("single-photon weight of mu_prime")
 
 
 def test_protocol_params_guard():
