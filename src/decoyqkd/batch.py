@@ -8,10 +8,11 @@ every lane.  Each function takes numpy arrays with one entry per lane and
 returns, lane by lane, exactly what the scalar function of the same name
 returns: the same bits and flags, the bounds in the same BoundReport with
 one array per field, and for the finite solver the same steps and
-evaluation count (one mask of live lanes takes the scalar solver's exits,
-in as many passes as the slowest lane's evaluations).  The scalar
-functions stay the reference that single bounds, simulation, Table 1 and
-the tests use; ``decoyqkd sweep`` runs on this module.
+evaluation count (it is the scalar solver's text on lanes: F at the floor
+formed directly, one pass per later evaluation, each return a _settle of
+the live lanes that take it).  The scalar functions stay the reference
+that single bounds, simulation, Table 1 and the tests use;
+``decoyqkd sweep`` runs on this module.
 
 Bit identity rests on one rule.  numpy's + - * / and sqrt are correctly
 rounded, so the scalar code's operations in the scalar code's order give
@@ -169,72 +170,57 @@ def wang_asymptotic_bound(rates: Rates, pairs: Pairs) -> BoundReport:
     return BoundReport(delta, s1, sc_upper, METHOD_WANG_ASYMPTOTIC, raw != delta, delta >= 1.0)
 
 
-def _excess(system: tuple, y: np.ndarray, sc: np.ndarray):
-    """F(sc) - sc at s1 = y^2, its slope in y and F(sc), formed as bounds._solve_sc does."""
-    _, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
-    room = _floor0(a * (strong - p1_mu_prime * (y - k1) * y))
-    disc = np.sqrt(kc * kc + 4.0 * room / c)
-    slope = np.where(room != 0.0, (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c, 0.0)
-    root = kc + disc
-    f = 0.25 * (root * root)
-    return f - sc, 2.0 * p1_mu * y / c - slope, f
+def _settle(out: np.ndarray, live: np.ndarray, cond: np.ndarray, value: np.ndarray):
+    """A scalar ``if cond: return value`` on lanes: live lanes with cond take value and leave."""
+    taken = live & cond
+    return np.where(taken, value, out), live & ~taken
 
 
 def _solve_sc(system: tuple, sc_lo: np.ndarray, live: np.ndarray, max_iter: int) -> np.ndarray:
-    """sc of bounds._solve_sc on each live lane of a bounds._constraints record of lanes.
+    """bounds._solve_sc on each live lane of a bounds._constraints record of lanes.
 
-    Mirrors the scalar solver exit for exit, in its order: the live lanes
-    that take one of its returns get its value and leave ``live``.  The
-    scalar solver's evaluation at the floor is one pass here, its pass at
-    sc_lo another, and each of its Newton evaluations one more.  Every
-    excess pass covers all lanes, the others computing throwaway values,
-    and runs only while a lane is live; so the passes number the slowest
-    lane's scalar evaluations, and _Replay is raised once a lane needs more
-    than max_iter, where the scalar solver raises ConvergenceError.  Other
-    lanes keep sc_lo.
+    The scalar solver's text in its order, on lanes: F at the floor formed
+    directly, one loop pass per later evaluation, and each of its returns a
+    _settle of the live lanes that take it.  Each pass covers all lanes, the
+    others computing throwaway values, and runs only while a lane is live;
+    so evals ends at the slowest lane's scalar evaluation count, and a pass
+    that a lane would make past max_iter (at least 1) raises _Replay, where
+    the scalar solver raises ConvergenceError.  Other lanes keep sc_lo.
     """
-    weak, _, c, _, p1_mu, _, k1, _ = system
-    evals = 0
-    sc_out = sc_lo
-
-    def excess(y: np.ndarray, sc: np.ndarray):
-        nonlocal evals
-        if evals == max_iter:
+    weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
+    # At y = k1 the singles term p1_mu' (y - k1) y is exactly 0 (k1 is finite).
+    root = kc + np.sqrt(kc * kc + 4.0 * _floor0(a * strong) / c)
+    f_floor = 0.25 * (root * root)
+    s1_lo = (weak - c * sc_lo) / p1_mu
+    out, live = _settle(sc_lo, live, s1_lo <= k1 * k1, f_floor)
+    y = hi = np.sqrt(s1_lo)
+    lo, sc = k1, sc_lo
+    evals = 1
+    while live.any():
+        if evals >= max_iter:
             raise _Replay
         evals += 1
-        return _excess(system, y, sc)
-
-    def settle(taken: np.ndarray, value: np.ndarray) -> bool:
-        """Give value to the live lanes that take an exit; whether any lane is left live."""
-        nonlocal sc_out, live
-        taken = live & taken
-        sc_out = np.where(taken, value, sc_out)
-        live = live & ~taken
-        return live.any()
-
-    if not live.any():
-        return sc_out
-    s1_lo = bounds._s1(system, sc_lo)
-    g_floor, _, f_floor = excess(k1, (weak - p1_mu * k1 * k1) / c)
-    if not settle(s1_lo <= k1 * k1, f_floor):
-        return sc_out
-    y = hi = np.sqrt(s1_lo)
-    g, dg, _ = excess(y, sc_lo)
-    if not (settle(g <= 0.0, sc_lo) and settle(g_floor >= 0.0, f_floor)):
-        return sc_out
-    lo, sc = k1, sc_lo
-    while True:
+        room = _floor0(a * (strong - p1_mu_prime * (y - k1) * y))
+        disc = np.sqrt(kc * kc + 4.0 * room / c)
+        root = kc + disc
+        g = 0.25 * (root * root) - sc
+        if evals == 2:
+            # The pass at sc_lo, where the bracket is [k1, y] already.
+            out, live = _settle(out, live, g <= 0.0, sc_lo)
+            out, live = _settle(out, live, f_floor - (weak - p1_mu * k1 * k1) / c >= 0.0, f_floor)
+        else:
+            up = g > 0.0
+            hi, lo = np.where(up, y, hi), np.where(up, lo, y)
+        slope = (1.0 + kc / disc) * a * p1_mu_prime * (2.0 * y - k1) / c
+        dg = 2.0 * p1_mu * y / c - np.where(room != 0.0, slope, 0.0)
         y_next = np.where(dg > 0.0, y - g / dg, 0.5 * (lo + hi))
         y_next = np.where((y_next != y) & ~((lo < y_next) & (y_next < hi)), 0.5 * (lo + hi), y_next)
         sc_next = (weak - p1_mu * y_next * y_next) / c
         # Also stop once no float is left strictly inside the bracket.
         stop = (abs(sc_next - sc) <= TOL * sc_next) | ~((lo < y_next) & (y_next < hi))
-        if not settle(stop, sc_next):
-            return sc_out
+        out, live = _settle(out, live, stop, sc_next)
         y, sc = y_next, sc_next
-        g, dg, _ = excess(y, sc)
-        up = g > 0.0
-        hi, lo = np.where(up, y, hi), np.where(up, lo, y)
+    return out
 
 
 @_quiet

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, ParameterError, _frozen, check_probability
+from .errors import (
+    ConvergenceError, DomainError, ParameterError, _frozen, _shown, check_probability
+)
 from .photon_stats import DecompositionCoefficients, ProtocolParams, decompose
 
 METHOD_HWANG = "hwang_crude"
@@ -92,7 +94,7 @@ def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
 def hwang_optimized(mu: float) -> float:
     """Best-case crude bound mu * e^{1 - mu} at the optimal strong intensity 1."""
     if not 0.0 < mu < 1.0:
-        raise DomainError(f"optimized crude bound requires mu in (0, 1), got {mu}")
+        raise DomainError(f"optimized crude bound requires mu in (0, 1), got {_shown(mu)}")
     return mu * math.exp(1.0 - mu)
 
 
@@ -145,18 +147,15 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
     F(sc_lo) <= sc_lo, and F at the floor when the excess there is not
     negative, so no root is left in the bracket.
 
-    Evaluation 1 forms F at the floor alone, with no slope.  Every later
-    one, at sc_lo and then at each Newton iterate, is made at one site in
-    the loop: the excess F(sc) - sc, the exits, then the slope in y for the
-    next step; the pass at sc_lo takes the two sc_lo exits.  Before
-    evaluation max_iter + 1 it raises ConvergenceError, which carries the
-    iterate (sc, y^2) that evaluation would have taken.
+    Evaluation 1 forms F at the floor directly, with no slope.  Every later
+    one is one pass of the loop: the excess F(sc) - sc, the exits, then the
+    slope in y for the next step; pass 2, at sc_lo, takes the two sc_lo
+    exits, and later passes move the bracket.  With max_iter at least 1, a
+    pass that would make evaluation max_iter + 1 raises ConvergenceError,
+    carrying the iterate (sc, y^2) it would have taken.  batch._solve_sc is
+    this text on lanes.
     """
     weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
-    if max_iter == 0:
-        raise ConvergenceError(
-            "no sc/s1 root within 0 evaluations", sc=(weak - p1_mu * k1 * k1) / c, s1=k1 * k1
-        )
     # At y = k1 the singles term p1_mu' (y - k1) y is exactly 0 (k1 is finite).
     root = kc + math.sqrt(kc * kc + 4.0 * max(a * strong, 0.0) / c)
     f_floor = 0.25 * (root * root)
@@ -167,7 +166,7 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
     lo, sc = k1, sc_lo
     evals = 1
     while True:
-        if evals == max_iter:
+        if evals >= max_iter:
             raise ConvergenceError(f"no sc/s1 root within {max_iter} evaluations", sc=sc, s1=y * y)
         evals += 1
         room = max(a * (strong - p1_mu_prime * (y - k1) * y), 0.0)
@@ -249,7 +248,7 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
     NaN or 1.
     """
     if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
+        raise DomainError(f"delta must lie in [0, 1], got {_shown(delta)}")
     _require_weak_rate(rates)
     coeffs = decompose(params)
     weak_credit = coeffs.p0_mu * rates.s0 / rates.s_mu

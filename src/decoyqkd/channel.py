@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .bounds import ObservedRates
-from .errors import ParameterError, _frozen, check_probability
+from .errors import ParameterError, _frozen, _shown, check_probability
 from .finite_stats import PulseBudget
 from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisson_mixture
 
@@ -107,7 +107,10 @@ class YieldTable:
             raise ParameterError(
                 f"yields table needs entries for n=1 and n=2 at least, got {len(self.yields)}"
             )
-        yields = tuple(map(float, self.yields))
+        try:
+            yields = tuple(map(float, self.yields))
+        except OverflowError:  # an int past the float range, which the loop refuses
+            yields = self.yields
         self.__dict__["yields"] = yields
         for n, y in enumerate(yields, start=1):
             # Fails for NaN and both infinities too; only then is the name formed.
@@ -232,7 +235,7 @@ def sample_observation(
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
     if not 0 <= seed < SEED_LIMIT:
         if seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+            raise ParameterError(f"seed must be a non-negative integer, got {_shown(seed)}")
         raise ParameterError(f"seed must be below 2**128, got a {seed.bit_length()}-bit integer")
     n_mu, n_mu_prime, n_vacuum = budget.n_mu, budget.n_mu_prime, budget.n_vacuum
     if max(n_mu, n_mu_prime, n_vacuum) > MAX_SAMPLED_PULSES:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 
@@ -27,10 +27,23 @@ class ConfigError(ValueError):
     """A run configuration file or flag set is malformed."""
 
 
+# A value above the largest float (inf, or an int past the float range) is
+# not finite.  Comparing with it converts nothing, so nothing overflows.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _shown(value: object) -> str:
+    """value as a refusal prints it: an int too long for str() by its bit count."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+
+
 def check_probability(name: str, value: float) -> None:
     """Raise ParameterError unless value is a finite number in [0, 1]."""
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"{name} must lie in [0, 1], got {_shown(value)}")
 
 
 def _frozen(cls: type) -> type:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ParameterError, _frozen
+from .errors import _FLOAT_MAX, DomainError, ParameterError, _frozen, _shown
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -26,19 +26,19 @@ class WeakDecoySetup:
     confidence_exponent: float = 25.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and 0.0 < self.eta < 1.0):
-            raise ParameterError(f"eta must lie in (0, 1), got {self.eta}")
-        if not (math.isfinite(self.s0) and 0.0 <= self.s0 < 1.0):
-            raise ParameterError(f"s0 must lie in [0, 1), got {self.s0}")
-        if not (math.isfinite(self.mu_v) and 0.0 < self.mu_v <= self.eta):
+        if not 0.0 < self.eta < 1.0:
+            raise ParameterError(f"eta must lie in (0, 1), got {_shown(self.eta)}")
+        if not 0.0 <= self.s0 < 1.0:
+            raise ParameterError(f"s0 must lie in [0, 1), got {_shown(self.s0)}")
+        if not 0.0 < self.mu_v <= self.eta:
             raise ParameterError(
-                f"mu_v must lie in (0, eta], got mu_v={self.mu_v} with eta={self.eta}"
+                f"mu_v must lie in (0, eta], got mu_v={_shown(self.mu_v)} with eta={self.eta}"
             )
-        if not (math.isfinite(self.rep_rate) and self.rep_rate > 0.0):
-            raise ParameterError(f"rep_rate must be positive, got {self.rep_rate}")
-        if not (math.isfinite(self.confidence_exponent) and self.confidence_exponent > 0.0):
+        if not 0.0 < self.rep_rate <= _FLOAT_MAX:
+            raise ParameterError(f"rep_rate must be positive, got {_shown(self.rep_rate)}")
+        if not 0.0 < self.confidence_exponent <= _FLOAT_MAX:
             raise ParameterError(
-                f"confidence_exponent must be positive, got {self.confidence_exponent}"
+                f"confidence_exponent must be positive, got {_shown(self.confidence_exponent)}"
             )
 
 
@@ -61,7 +61,7 @@ def required_pulses(setup: WeakDecoySetup, rel_dark_fluct_target: float = 1e-3) 
     """
     if not 0.0 < rel_dark_fluct_target <= 1.0:
         raise DomainError(
-            f"relative fluctuation target must lie in (0, 1], got {rel_dark_fluct_target}"
+            f"relative fluctuation target must lie in (0, 1], got {_shown(rel_dark_fluct_target)}"
         )
     if setup.s0 == 0.0:
         raise DomainError("a zero dark rate admits no relative-fluctuation requirement")

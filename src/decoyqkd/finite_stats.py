@@ -25,7 +25,7 @@ from .bounds import (
     # Not called here; a benchmark hook (tests/test_public_api.py BENCHMARK_HOOKS).
     wang_asymptotic_bound,  # noqa: F401
 )
-from .errors import ParameterError, _frozen
+from .errors import _FLOAT_MAX, ParameterError, _frozen, _shown
 from .photon_stats import ProtocolParams, decompose
 
 
@@ -61,16 +61,16 @@ class FluctuationSettings:
     """Statistical treatment of rate fluctuations.
 
     confidence_exponent: exponent E; every worst-case shift is violated
-        with probability at most e^{-E}.  The vacuum rate has no shift:
-        the observed s0 counts as exact.
+        with probability at most e^{-E}.  The weak-class rate and the
+        vacuum rate have no shift: the observed S_mu and s0 count as exact.
     """
 
     confidence_exponent: float = 25.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.confidence_exponent) and self.confidence_exponent > 0):
+        if not 0 < self.confidence_exponent <= _FLOAT_MAX:
             raise ParameterError(
-                f"confidence_exponent must be positive, got {self.confidence_exponent}"
+                f"confidence_exponent must be positive, got {_shown(self.confidence_exponent)}"
             )
 
 

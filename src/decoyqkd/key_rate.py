@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ParameterError, _frozen, check_probability
+from .errors import DomainError, ParameterError, _frozen, _shown, check_probability
 
 
 @_frozen
@@ -22,14 +22,14 @@ class KeyRateInput:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             check_probability("delta", self.delta)
-        if not (math.isfinite(self.qber) and 0.0 <= self.qber <= 0.5):
-            raise ParameterError(f"qber must lie in [0, 0.5], got {self.qber}")
+        if not 0.0 <= self.qber <= 0.5:
+            raise ParameterError(f"qber must lie in [0, 0.5], got {_shown(self.qber)}")
 
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument must lie in [0, 1], got {x}")
+        raise DomainError(f"entropy argument must lie in [0, 1], got {_shown(x)}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)

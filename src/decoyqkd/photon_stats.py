@@ -11,9 +11,8 @@ admissible pair and read by no bound, so it is not computed.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import DomainError, ParameterError, _frozen
+from .errors import _FLOAT_MAX, DomainError, ParameterError, _frozen, _shown
 
 # Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
 SUM_TOL = 1e-12
@@ -29,10 +28,6 @@ MIN_SEPARATION = 1e-6
 # e^{mu-mu'} >= 2.8e-153 are finite and normal too.
 MIN_INTENSITY = 1e-150
 
-# An intensity above the largest float (inf, or an int past the float range)
-# is not finite.  Comparing with it converts nothing, so nothing overflows.
-_FLOAT_MAX = sys.float_info.max
-
 
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     """Return ``sum_n P_n(mu) y_n``, with ``y_0 = y0`` and ``y_n = yields[n - 1]``.
@@ -43,8 +38,8 @@ def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     vacuum is a signed zero, so a vacuum weight that is not -0.0 is the sum
     itself (the yields are finite).
     """
-    if mu < 0 or not math.isfinite(mu):
-        raise DomainError(f"intensity must be finite and non-negative, got {mu}")
+    if not 0 <= mu <= _FLOAT_MAX:
+        raise DomainError(f"intensity must be finite and non-negative, got {_shown(mu)}")
     if mu == 0.0 and math.copysign(1.0, y0) > 0.0:
         return y0
     p = total = math.exp(-mu)
@@ -66,8 +61,8 @@ def multi_photon_weight(mu: float) -> float:
     cancels down to ~ulp(mu), so a truncated alternating series (error
     below mu^5/420 relative) takes over there.
     """
-    if mu < 0 or not math.isfinite(mu):
-        raise DomainError(f"intensity must be finite and non-negative, got {mu}")
+    if not 0 <= mu <= _FLOAT_MAX:
+        raise DomainError(f"intensity must be finite and non-negative, got {_shown(mu)}")
     if mu < 1e-2:
         return mu * mu * (
             0.5 + mu * (-1.0 / 3.0 + mu * (0.125 + mu * (-1.0 / 30.0 + mu / 144.0)))
@@ -118,7 +113,7 @@ def validate_pair(mu: float, mu_prime: float) -> PairValidity:
         return _VALID
     for name, value in (("mu", mu), ("mu_prime", mu_prime)):
         if not abs(value) <= _FLOAT_MAX:
-            return PairValidity(False, f"{name} must be finite, got {value}")
+            return PairValidity(False, f"{name} must be finite, got {_shown(value)}")
         if value <= 0:
             return PairValidity(False, f"{name} must be positive, got {value}")
     if mu < MIN_INTENSITY:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from typing import Callable
 
 from decoyqkd import (
     ConvergenceError,
@@ -12,6 +14,7 @@ from decoyqkd import (
     NoEve,
     ProtocolParams,
     PulseBudget,
+    batch,
     expected_rates,
     finite_bound,
     finite_stats,
@@ -82,3 +85,24 @@ def record_solver_evaluations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(finite_stats, "_solve_sc", recording)
     return counts
+
+
+def lane_solver_evaluations(run: Callable[[], object]) -> tuple[object, list[int]]:
+    """run()'s result, and batch._solve_sc's evaluation count ``evals`` at each of its returns."""
+    evals: list[int] = []
+    code = batch._solve_sc.__code__
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "return":
+            evals.append(frame.f_locals["evals"])
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, evals

@@ -42,7 +42,7 @@ from decoyqkd import (
 from decoyqkd.bounds import DEFAULT_MAX_ITER, _closed_form, _constraints, _solve_sc
 from decoyqkd.cli import parse_grid
 from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION
-from reference import record_solver_evaluations
+from reference import lane_solver_evaluations, record_solver_evaluations
 
 DEFAULTS = FluctuationSettings()
 
@@ -449,20 +449,36 @@ def test_every_solver_exit_in_one_call(monkeypatch, lanes, n, exponent):
         tuple(map(exact, astuple(finite_bound(rates, params, PulseBudget(n, n), fluct))))
         for params, rates in cases
     ]
-    passes = []
-    excess = batch._excess
-
-    def counting_excess(system, y, sc):
-        passes.append(y.size)
-        return excess(system, y, sc)
-
-    monkeypatch.setattr(batch, "_excess", counting_excess)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert batch_finite_outcome(cases, n, DEFAULT_MAX_ITER, exponent) == expected
-    # Every pass covers all lanes, and they number the slowest lane's evaluations.
-    assert set(passes) == {len(cases)}
-    assert len(passes) == max(counts)
+        rows, evals = lane_solver_evaluations(
+            lambda: batch_finite_outcome(cases, n, DEFAULT_MAX_ITER, exponent)
+        )
+    assert rows == expected
+    # One lane solve, its passes numbering the slowest lane's evaluations.
+    assert evals == [max(counts)]
+
+
+def test_lane_solver_counts_each_lanes_scalar_evaluations(monkeypatch):
+    # One lane a call: the lane solver's evals is that lane's scalar count.
+    # A lane that ends before the solver leaves it at evals = 1, the floor.
+    rng = random.Random(20260125)
+    counts = record_solver_evaluations(monkeypatch)
+    seen = set()
+    for _ in range(400):
+        mu, mu_prime, eta, s0 = random_lane(rng)
+        params = ProtocolParams(mu, mu_prime)
+        rates = expected_rates(NoEve(eta, s0), params)
+        n, exponent = int(10.0 ** rng.uniform(3, 20)), rng.uniform(1.0, 50.0)
+        counts.clear()
+        finite_bound(rates, params, PulseBudget(n, n), FluctuationSettings(exponent))
+        _, evals = lane_solver_evaluations(
+            lambda: batch_finite_outcome([(params, rates)], n, DEFAULT_MAX_ITER, exponent)
+        )
+        assert evals == (counts or [1])
+        seen.update(evals)
+    # The floor exit, both exits at sc_lo, and up to five Newton evaluations.
+    assert seen == set(range(1, 8))
 
 
 def clamped_seed_cases():

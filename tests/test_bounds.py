@@ -18,6 +18,7 @@ from decoyqkd import (
     ProtocolParams,
     PulseBudget,
     YieldTable,
+    batch,
     decompose,
     delta_prime_bound,
     expected_rates,
@@ -186,11 +187,13 @@ def test_solver_non_convergence_carries_last_iterate():
 
 
 def test_solver_builds_no_closure_per_call():
-    # The solver is called twice per soundness-scan strategy: its excess is
-    # formed inline, not by a function defined, and bound to cells, per call.
-    code = _solve_sc.__code__
-    assert not any(isinstance(const, type(code)) for const in code.co_consts)
-    assert code.co_cellvars == () and code.co_freevars == ()
+    # The scalar solver is called twice per soundness-scan strategy: its
+    # excess is formed inline, not by a function defined, and bound to cells,
+    # per call.  The lane solver is the same text, so it defines none either.
+    for solver in (_solve_sc, batch._solve_sc):
+        code = solver.__code__
+        assert not any(isinstance(const, type(code)) for const in code.co_consts)
+        assert code.co_cellvars == () and code.co_freevars == ()
 
 
 def test_delta_prime_trivial_forms():

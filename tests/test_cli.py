@@ -19,7 +19,7 @@ from decoyqkd import cli
 from decoyqkd.cli import SWEEP_COLUMNS, main, parse_grid
 from decoyqkd.errors import ConfigError, ConvergenceError
 from decoyqkd.photon_stats import MIN_INTENSITY, ProtocolParams, decompose, validate_pair
-from reference import record_solver_evaluations
+from reference import lane_solver_evaluations, record_solver_evaluations
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1045,29 +1045,23 @@ def test_sweep_admits_exactly_the_pairs_validate_pair_admits(grid):
 
 
 def test_sweep_validates_only_rejected_pairs_and_skips_empty_solver_passes(capsys, monkeypatch):
-    from decoyqkd import batch
-
-    validated, passes = [], []
+    validated = []
 
     def counting_validate_pair(mu, mu_prime):
         validated.append((mu, mu_prime))
         return validate_pair(mu, mu_prime)
 
-    def counting_excess(system, y, sc):
-        passes.append(None)
-        return excess(system, y, sc)
-
-    excess = batch._excess
     monkeypatch.setattr(cli, "validate_pair", counting_validate_pair)
-    monkeypatch.setattr(batch, "_excess", counting_excess)
-    code, out, err = run(capsys, "sweep", *SWEEP_GRID, "--n", "8e10", "--format", "csv")
+    (code, out, err), evals = lane_solver_evaluations(
+        lambda: run(capsys, "sweep", *SWEEP_GRID, "--n", "8e10", "--format", "csv")
+    )
     counts = record_solver_evaluations(monkeypatch)
     notes, rows = scalar_sweep(SWEEP_VALUES, n=8 * 10**10)
     assert code == 0 and rows and notes
     assert len(validated) == len(notes) == err.count("\n")
-    # The lanes run as many passes as their slowest row's scalar solver makes
+    # One lane solve, whose passes number its slowest row's scalar
     # evaluations: none once every lane has left the solver.
-    assert len(passes) == max(counts)
+    assert evals == [max(counts)]
 
 
 # Floats with text of their own: both zeros, NaN, infinities and subnormals.

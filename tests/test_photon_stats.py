@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import sys
 from dataclasses import asdict, astuple, replace
 
@@ -11,11 +12,24 @@ from hypothesis import assume, given, strategies as st
 
 from decoyqkd import (
     DomainError,
+    FluctuationSettings,
+    KeyRateInput,
+    NoEve,
+    ObservedRates,
     PairValidity,
     ParameterError,
+    PnsAttack,
     ProtocolParams,
+    PulseBudget,
+    WeakDecoySetup,
+    YieldTable,
+    binary_entropy,
     decompose,
+    delta_prime_bound,
+    hwang_optimized,
     multi_photon_weight,
+    required_pulses,
+    sample_observation,
     validate_pair,
 )
 from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION, _multi_ratio, poisson_mixture
@@ -169,6 +183,82 @@ def test_int_intensities_past_the_float_range_are_not_finite():
     assert decompose(ProtocolParams(0.3, 1)) == decompose(ProtocolParams(0.3, 1.0))
     largest = int(sys.float_info.max)
     assert validate_pair(0.3, largest).reason.startswith("single-photon weight of mu_prime")
+
+
+def _refused_pair(mu, mu_prime):
+    """validate_pair's refusal of the pair, raised as ProtocolParams raises it."""
+    verdict = validate_pair(mu, mu_prime)
+    assert not verdict
+    raise ParameterError(verdict.reason)
+
+
+_PARAMS = ProtocolParams(0.3, 0.45)
+_SETUP = WeakDecoySetup(1e-3, 1e-6, 1e-4)
+
+# (field, site): each site is refused by the value given as that field.
+HUGE_INT_SITES = [
+    ("mu", lambda v: _refused_pair(v, 1)),
+    ("mu_prime", lambda v: _refused_pair(0.3, v)),
+    ("mu", lambda v: ProtocolParams(v, 0.45)),
+    ("mu_prime", lambda v: ProtocolParams(0.3, v)),
+    ("seed", lambda v: sample_observation(NoEve(1e-3), _PARAMS, PulseBudget(10, 10), v)),
+    ("s0", lambda v: ObservedRates(v, 0.0, 0.0)),
+    ("s_mu", lambda v: ObservedRates(0.0, v, 0.0)),
+    ("s_mu_prime", lambda v: ObservedRates(0.0, 0.0, v)),
+    ("eta", lambda v: NoEve(v)),
+    ("s0", lambda v: NoEve(1e-3, v)),
+    ("q", lambda v: PnsAttack(v)),
+    ("s0", lambda v: PnsAttack(0.1, v)),
+    ("s0", lambda v: YieldTable(v, (0.1, 0.1))),
+    ("yields[1]", lambda v: YieldTable(0.0, (v, 0.1))),
+    ("yields[2]", lambda v: YieldTable(0.0, (0.1, v))),
+    ("delta", lambda v: KeyRateInput(v, 0.0)),
+    ("qber", lambda v: KeyRateInput(0.0, v)),
+    ("confidence_exponent", lambda v: FluctuationSettings(v)),
+    ("n_mu", lambda v: PulseBudget(v, 1)),
+    ("eta", lambda v: WeakDecoySetup(v, 1e-6, 1e-4)),
+    ("s0", lambda v: WeakDecoySetup(1e-3, v, 1e-4)),
+    ("mu_v", lambda v: WeakDecoySetup(1e-3, 1e-6, v)),
+    ("rep_rate", lambda v: WeakDecoySetup(1e-3, 1e-6, 1e-4, v)),
+    ("confidence_exponent", lambda v: WeakDecoySetup(1e-3, 1e-6, 1e-4, 8e7, v)),
+    ("intensity", multi_photon_weight),
+    ("intensity", lambda v: poisson_mixture(v, 0.0, (0.1,))),
+    ("mu", hwang_optimized),
+    ("delta", lambda v: delta_prime_bound(v, ObservedRates(0.0, 1e-3, 2e-3), _PARAMS)),
+    ("entropy argument", binary_entropy),
+    ("relative fluctuation target", lambda v: required_pulses(_SETUP, v)),
+]
+
+# (value, its text in a refusal): str() prints at most 4 300 digits, so a
+# longer int is shown by its bit count.
+HUGE_INTS = [
+    (10**400, str(10**400)),
+    (-(10**400), str(-(10**400))),
+    (10**5000, "a 16610-bit integer"),
+    (-(10**5000), "a negative 16610-bit integer"),
+]
+
+
+@pytest.mark.parametrize("value, shown", HUGE_INTS, ids=["1e400", "-1e400", "1e5000", "-1e5000"])
+@pytest.mark.parametrize(
+    "name, site", HUGE_INT_SITES, ids=[f"{i}-{name}" for i, (name, _) in enumerate(HUGE_INT_SITES)]
+)
+def test_huge_ints_are_refused_by_type(name, site, value, shown):
+    # An int past the float range overflowed where a site converted it to a
+    # float, and one past str()'s digit limit raised a bare ValueError where
+    # its refusal printed it.  Each is refused by comparison, with the text
+    # of the site's own typed refusal, naming the field.
+    with pytest.raises((ParameterError, DomainError)) as refused:
+        site(value)
+    message = str(refused.value)
+    assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message)
+    if name == "n_mu":
+        assert message == "n_mu is too large to convert to a float"
+    elif name == "seed" and value > 0:
+        # A seed past the generator's period is shown by its bit count at any size.
+        assert message == f"seed must be below 2**128, got a {value.bit_length()}-bit integer"
+    else:
+        assert message.endswith(shown) or f"={shown} " in message
 
 
 def test_protocol_params_guard():
