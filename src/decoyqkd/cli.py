@@ -12,9 +12,7 @@ used up its evaluation cap, 5 impractical feasibility verdict.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
-import json
 import math
 import sys
 from collections import Counter
@@ -187,6 +185,9 @@ def load_config(path: str, sections: Collection[str]) -> Inputs:
     Every section and key must be known, but values are parsed only in the
     named sections; the others are left out.
     """
+    # Imported here, like json in _render, so runs without --config never load it.
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -412,7 +413,12 @@ def _render(
     csv and table give the output's lines, doc the value that json dumps.
     Only the requested format is built.
     """
-    lines = {"csv": csv, "json": lambda: [json.dumps(doc(), indent=2)], "table": table}[fmt]()
+    if fmt == "json":
+        import json
+
+        lines = [json.dumps(doc(), indent=2)]
+    else:
+        lines = {"csv": csv, "table": table}[fmt]()
     text = "\n".join(lines) + "\n"
     if out:
         try:

@@ -90,17 +90,20 @@ class AcquisitionTime:
 def acquisition_time(n_pulses: float, rep_rate: float) -> AcquisitionTime:
     """Wall-clock time to emit n_pulses at rep_rate pulses per second.
 
-    Raises DomainError when n_pulses / rep_rate is not finite.
+    Raises DomainError when n_pulses / rep_rate is not finite, or when
+    either lies past the float range, as inf or a huge int does.
     """
     if n_pulses < 0:
-        raise DomainError(f"pulse count must be non-negative, got {n_pulses}")
+        raise DomainError(f"n_pulses must be non-negative, got {_shown(n_pulses)}")
     if rep_rate <= 0:
-        raise DomainError(f"repetition rate must be positive, got {rep_rate}")
-    seconds = n_pulses / rep_rate
+        raise DomainError(f"rep_rate must be positive, got {_shown(rep_rate)}")
+    # Dividing by an int past the float range would overflow; it is not finite.
+    in_range = n_pulses <= _FLOAT_MAX and rep_rate <= _FLOAT_MAX
+    seconds = n_pulses / rep_rate if in_range else math.inf
     if not math.isfinite(seconds):
         raise DomainError(
             f"acquisition time n_pulses / rep_rate is not finite for "
-            f"n_pulses={n_pulses}, rep_rate={rep_rate}"
+            f"n_pulses={_shown(n_pulses)}, rep_rate={_shown(rep_rate)}"
         )
     return AcquisitionTime(seconds=seconds, days=seconds / SECONDS_PER_DAY)
 

@@ -23,6 +23,7 @@ from decoyqkd import (
     PulseBudget,
     WeakDecoySetup,
     YieldTable,
+    acquisition_time,
     binary_entropy,
     decompose,
     delta_prime_bound,
@@ -227,6 +228,8 @@ HUGE_INT_SITES = [
     ("delta", lambda v: delta_prime_bound(v, ObservedRates(0.0, 1e-3, 2e-3), _PARAMS)),
     ("entropy argument", binary_entropy),
     ("relative fluctuation target", lambda v: required_pulses(_SETUP, v)),
+    ("n_pulses", lambda v: acquisition_time(v, 1.0)),
+    ("rep_rate", lambda v: acquisition_time(1.0, v)),
 ]
 
 # (value, its text in a refusal): str() prints at most 4 300 digits, so a
@@ -254,6 +257,11 @@ def test_huge_ints_are_refused_by_type(name, site, value, shown):
     assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message)
     if name == "n_mu":
         assert message == "n_mu is too large to convert to a float"
+    elif name == "n_pulses" and value > 0:
+        # Past the float range, as inf is, the pulse count keeps inf's refusal.
+        assert message == (
+            f"acquisition time n_pulses / rep_rate is not finite for n_pulses={shown}, rep_rate=1.0"
+        )
     elif name == "seed" and value > 0:
         # A seed past the generator's period is shown by its bit count at any size.
         assert message == f"seed must be below 2**128, got a {value.bit_length()}-bit integer"

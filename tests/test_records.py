@@ -145,6 +145,29 @@ def test_copies_round_trip(record):
         assert vars(clone) == vars(instance)
 
 
+def test_records_share_the_methods_of_errors():
+    # _frozen installs one repr, eq, hash, setattr and delattr on every
+    # record, where dataclass would generate five methods per record.
+    for name in ("__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+        shared = {vars(cls)[name] for cls in RECORDS}
+        assert len(shared) == 1
+        assert shared.pop().__module__ == "decoyqkd.errors"
+    for cls in RECORDS:
+        instance = cls(*SAMPLES[cls.__qualname__])
+        first = dataclasses.fields(cls)[0].name
+        frozen = dataclasses.FrozenInstanceError
+        with pytest.raises(frozen, match=f"^cannot assign to field '{first}'$"):
+            setattr(instance, first, None)
+        with pytest.raises(frozen, match="^cannot delete field 'extra'$"):
+            del instance.extra
+        assert instance.__eq__(dataclasses.astuple(instance)) is NotImplemented
+    observation = decoyqkd.SimulatedObservation(RATES, 1000, 1500, 1)
+    assert repr(observation) == (
+        "SimulatedObservation(rates=ObservedRates(s0=1e-06, s_mu=0.001, s_mu_prime=0.0015), "
+        "clicks_mu=1000, clicks_mu_prime=1500, clicks_vacuum=1)"
+    )
+
+
 def test_undocumented_record_is_refused():
     class Plain:
         count: int
