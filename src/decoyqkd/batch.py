@@ -27,10 +27,12 @@ only e^{mu-mu'} and S_mu' per pair or lane.  The vacuum rate needs no call
 at all, since expm1 returns the signed zero -eta * 0.0 unchanged.  The
 binary entropy of the key rate is -x log2 x - (1-x) log2(1-x) in numpy on
 the lanes with 0 < x < 1, each log2 through ``math``, and 0 on the others,
-which is the scalar function's arithmetic in its order.  Clamps use
-np.where, since Python's max(x, 0.0) keeps x = -0.0 where np.maximum
-returns 0.0.  The constraint system is not copied: both engines form it
-with bounds._constraints, take every s1 from it with bounds._s1 and the
+which is the scalar function's arithmetic in its order.  Both engines
+write a clamp as the one comparison that Python's max(x, 0.0) makes,
+0.0 if 0.0 > x else x, the scalar engine inline and this one through
+np.where; it keeps x = -0.0, where np.maximum returns 0.0.  The
+constraint system is not copied: both engines form it with
+bounds._constraints, take every s1 from it with bounds._s1 and the
 closed form from bounds._closed_form, on floats or on lanes.
 
 Errors come from the scalar functions alone.  A layer raises the private
@@ -66,12 +68,12 @@ def _libm(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
 
 
 def _floor0(x: np.ndarray) -> np.ndarray:
-    """max(x, 0.0)."""
+    """max(x, 0.0): the scalar engine's inline 0.0 if 0.0 > x else x, on lanes."""
     return np.where(0.0 > x, 0.0, x)
 
 
 def _clamp01(x: np.ndarray) -> np.ndarray:
-    """min(max(x, 0.0), 1.0)."""
+    """min(max(x, 0.0), 1.0): the scalar engine's 0.0 if 0.0 > x else 1.0 if 1.0 < x else x."""
     x = _floor0(x)
     return np.where(1.0 < x, 1.0, x)
 
@@ -189,7 +191,8 @@ def _solve_sc(system: tuple, sc_lo: np.ndarray, live: np.ndarray, max_iter: int)
     """
     weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
     # At y = k1 the singles term p1_mu' (y - k1) y is exactly 0 (k1 is finite).
-    root = kc + np.sqrt(kc * kc + 4.0 * _floor0(a * strong) / c)
+    room = _floor0(a * strong)
+    root = kc + np.sqrt(kc * kc + 4.0 * room / c)
     f_floor = 0.25 * (root * root)
     s1_lo = (weak - c * sc_lo) / p1_mu
     out, live = _settle(sc_lo, live, s1_lo <= k1 * k1, f_floor)
@@ -246,7 +249,7 @@ def finite_bound(
     blown = (delta >= 1.0) | np.isinf(k1) | np.isinf(kc)
     seed = delta * rates.s_mu / c
     sc = _solve_sc(system, seed, ~blown, max_iter)
-    # max(sc, seed), as the scalar function floors the solved sc.
+    # seed if seed > sc else sc, as the scalar function floors the solved sc.
     sc = np.where(seed > sc, seed, sc)
     s1 = bounds._s1(system, sc)
     delta_raw = c * sc / rates.s_mu

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import (
-    ConvergenceError, DomainError, ParameterError, _frozen, _shown, check_probability
+    _FLOAT_MAX, ConvergenceError, DomainError, ParameterError, _frozen, _shown, check_probability
 )
 from .photon_stats import DecompositionCoefficients, ProtocolParams, decompose
 
@@ -80,14 +80,9 @@ def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
     _require_weak_rate(rates)
     coeffs = decompose(params)
     raw = rates.s_mu_prime / (coeffs.multi_ratio * rates.s_mu)
-    delta = min(raw, 1.0)
+    delta = 1.0 if 1.0 < raw else raw
     return BoundReport(
-        delta_upper=delta,
-        s1_lower=0.0,
-        sc_upper=delta * rates.s_mu / coeffs.c,
-        method=METHOD_HWANG,
-        clamped=raw > 1.0,
-        vacuous=delta >= 1.0,
+        delta, 0.0, delta * rates.s_mu / coeffs.c, METHOD_HWANG, raw > 1.0, delta >= 1.0
     )
 
 
@@ -157,7 +152,9 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
     """
     weak, strong, c, a, p1_mu, p1_mu_prime, k1, kc = system
     # At y = k1 the singles term p1_mu' (y - k1) y is exactly 0 (k1 is finite).
-    root = kc + math.sqrt(kc * kc + 4.0 * max(a * strong, 0.0) / c)
+    room = a * strong
+    room = 0.0 if 0.0 > room else room
+    root = kc + math.sqrt(kc * kc + 4.0 * room / c)
     f_floor = 0.25 * (root * root)
     s1_lo = (weak - c * sc_lo) / p1_mu
     if s1_lo <= k1 * k1:
@@ -169,7 +166,8 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
         if evals >= max_iter:
             raise ConvergenceError(f"no sc/s1 root within {max_iter} evaluations", sc=sc, s1=y * y)
         evals += 1
-        room = max(a * (strong - p1_mu_prime * (y - k1) * y), 0.0)
+        room = a * (strong - p1_mu_prime * (y - k1) * y)
+        room = 0.0 if 0.0 > room else room
         disc = math.sqrt(kc * kc + 4.0 * room / c)
         root = kc + disc
         g = 0.25 * (root * root) - sc
@@ -218,16 +216,11 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     _require_weak_rate(rates)
     coeffs = decompose(params)
     raw = _raw_delta(rates, params, coeffs)
-    delta = min(max(raw, 0.0), 1.0)
+    delta = 0.0 if 0.0 > raw else 1.0 if 1.0 < raw else raw
     sc_upper = delta * rates.s_mu / coeffs.c
-    return BoundReport(
-        delta_upper=delta,
-        s1_lower=max(_s1(_constraints(rates, coeffs), sc_upper), 0.0),
-        sc_upper=sc_upper,
-        method=METHOD_WANG_ASYMPTOTIC,
-        clamped=raw != delta,
-        vacuous=delta >= 1.0,
-    )
+    s1 = _s1(_constraints(rates, coeffs), sc_upper)
+    s1 = 0.0 if 0.0 > s1 else s1
+    return BoundReport(delta, s1, sc_upper, METHOD_WANG_ASYMPTOTIC, raw != delta, delta >= 1.0)
 
 
 def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams) -> float:
@@ -252,12 +245,13 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
     _require_weak_rate(rates)
     coeffs = decompose(params)
     weak_credit = coeffs.p0_mu * rates.s0 / rates.s_mu
-    if math.isinf(weak_credit):
+    if weak_credit > _FLOAT_MAX:
         raise DomainError(f"e^{{-mu}} s0 / S_mu overflows to inf ({rates})")
     vacuum_part = coeffs.p0_mu_prime * rates.s0
     strong = rates.s_mu_prime > 0.0
     credited = strong and rates.s_mu_prime >= vacuum_part
     dark_credit = vacuum_part / rates.s_mu_prime if credited else 0.0
     f = (params.mu_prime / params.mu) * (rates.s_mu / rates.s_mu_prime) if strong else 1.0
-    raw = 1.0 - min(f, 1.0) * (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
-    return min(max(raw, 0.0), 1.0)
+    f = 1.0 if 1.0 < f else f
+    raw = 1.0 - f * (1.0 - delta - weak_credit) * coeffs.exp_gap - dark_credit
+    return 0.0 if 0.0 > raw else 1.0 if 1.0 < raw else raw

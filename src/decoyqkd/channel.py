@@ -126,7 +126,8 @@ class YieldTable:
 
     def class_rate(self, intensity: float) -> float:
         # A click probability: an all-ones table's sum can round past 1.
-        return min(poisson_mixture(intensity, self.s0, self.yields), 1.0)
+        rate = poisson_mixture(intensity, self.s0, self.yields)
+        return 1.0 if 1.0 < rate else rate
 
 
 ChannelScenario = Union[NoEve, PnsAttack, YieldTable]
@@ -169,7 +170,8 @@ def _fraction(scenario: ChannelScenario, total: float, p0: float, p1: float) -> 
     if total <= 0.0:
         return 0.0
     multi = total - p0 * scenario.photon_yield(0) - p1 * scenario.photon_yield(1)
-    return min(max(multi / total, 0.0), 1.0)
+    share = multi / total
+    return 0.0 if 0.0 > share else 1.0 if 1.0 < share else share
 
 
 def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
@@ -238,9 +240,10 @@ def sample_observation(
             raise ParameterError(f"seed must be a non-negative integer, got {_shown(seed)}")
         raise ParameterError(f"seed must be below 2**128, got a {seed.bit_length()}-bit integer")
     n_mu, n_mu_prime, n_vacuum = budget.n_mu, budget.n_mu_prime, budget.n_vacuum
-    if max(n_mu, n_mu_prime, n_vacuum) > MAX_SAMPLED_PULSES:
+    cap = MAX_SAMPLED_PULSES
+    if n_mu > cap or n_mu_prime > cap or n_vacuum > cap:
         counts = {"n_mu": n_mu, "n_mu_prime": n_mu_prime, "n_vacuum": n_vacuum}
-        name = next(name for name, count in counts.items() if count > MAX_SAMPLED_PULSES)
+        name = next(name for name, count in counts.items() if count > cap)
         raise ParameterError(f"{name} exceeds 2**63 - 1, the most pulses a class can sample")
     s0, s_mu, s_mu_prime = _class_rates(scenario, params)
     try:
@@ -251,8 +254,9 @@ def sample_observation(
         _samplers.sampler = bit, binomial, start
     bit.state = start
     bit.advance(seed * _JUMP)  # taken modulo 2^128, as jumped(seed) takes it
-    clicks_mu = int(binomial(n_mu, s_mu))
-    clicks_mu_prime = int(binomial(n_mu_prime, s_mu_prime))
-    clicks_vacuum = int(binomial(n_vacuum, s0))
+    # A scalar draw is already a Python int.
+    clicks_mu = binomial(n_mu, s_mu)
+    clicks_mu_prime = binomial(n_mu_prime, s_mu_prime)
+    clicks_vacuum = binomial(n_vacuum, s0)
     rates = ObservedRates(s0, clicks_mu / n_mu, clicks_mu_prime / n_mu_prime)
     return SimulatedObservation(rates, clicks_mu, clicks_mu_prime, clicks_vacuum)

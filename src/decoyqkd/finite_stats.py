@@ -75,14 +75,7 @@ class FluctuationSettings:
 
 
 def _vacuous_report(rates: ObservedRates, c: float) -> BoundReport:
-    return BoundReport(
-        delta_upper=1.0,
-        s1_lower=0.0,
-        sc_upper=rates.s_mu / c,
-        method=METHOD_WANG_FINITE,
-        clamped=True,
-        vacuous=True,
-    )
+    return BoundReport(1.0, 0.0, rates.s_mu / c, METHOD_WANG_FINITE, True, True)
 
 
 def finite_bound(
@@ -118,32 +111,31 @@ def finite_bound(
 
     # validate_pair holds p1_mu' > p1_mu on the very floats decompose
     # returns, and its separation floor keeps multi_ratio well above 1: with
-    # n_mu' >= n_mu both mins return the weak-class size bit for bit.
-    n_singles = min(budget.n_mu * coeffs.p1_mu, budget.n_mu_prime * coeffs.p1_mu_prime)
-    n_multi = min(budget.n_mu * c, budget.n_mu_prime * c * coeffs.multi_ratio)
+    # n_mu' >= n_mu both comparisons keep the weak-class size bit for bit.
+    n_singles, strong_size = budget.n_mu * coeffs.p1_mu, budget.n_mu_prime * coeffs.p1_mu_prime
+    n_singles = strong_size if strong_size < n_singles else n_singles
+    n_multi, strong_size = budget.n_mu * c, budget.n_mu_prime * c * coeffs.multi_ratio
+    n_multi = strong_size if strong_size < n_multi else n_multi
     # r_x = 2 sqrt(E / (s_x n_x)) = k_x / sqrt(s_x) for a sub-population rate s_x.
     k1 = 2.0 * math.sqrt(settings.confidence_exponent / n_singles)
     kc = 2.0 * math.sqrt(settings.confidence_exponent / n_multi)
 
     # The asymptotic bound, clamped to [0, 1], seeds the solver.
-    delta = min(max(_raw_delta(rates, params, coeffs), 0.0), 1.0)
+    delta = _raw_delta(rates, params, coeffs)
+    delta = 0.0 if 0.0 > delta else 1.0 if 1.0 < delta else delta
     # A k that overflows to inf is a fluctuation far beyond 1.
-    if delta >= 1.0 or math.isinf(k1) or math.isinf(kc):
+    if delta >= 1.0 or k1 > _FLOAT_MAX or kc > _FLOAT_MAX:
         return _vacuous_report(rates, c)
     system = _constraints(rates, coeffs, k1, kc)
     seed = delta * rates.s_mu / c
     # The solver may land a rounding step below its seed; floor it there.
-    sc = max(_solve_sc(system, seed, max_iter), seed)
+    sc = _solve_sc(system, seed, max_iter)
+    sc = seed if seed > sc else sc
     s1 = _s1(system, sc)
     delta_raw = c * sc / rates.s_mu
     # r1 = k1 / sqrt(s1) reaching 1 leaves no certified single-photon rate.
     if s1 <= k1 * k1 or delta_raw >= 1.0:
         return _vacuous_report(rates, c)
-    return BoundReport(
-        delta_upper=delta_raw,
-        s1_lower=max(s1 - k1 * math.sqrt(s1), 0.0),
-        sc_upper=sc,
-        method=METHOD_WANG_FINITE,
-        clamped=False,
-        vacuous=False,
-    )
+    s1_lower = s1 - k1 * math.sqrt(s1)
+    s1_lower = 0.0 if 0.0 > s1_lower else s1_lower
+    return BoundReport(delta_raw, s1_lower, sc, METHOD_WANG_FINITE, False, False)

@@ -1,11 +1,14 @@
 import math
+import os
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import decoyqkd
 from decoyqkd import (
     METHOD_HWANG,
     METHOD_WANG_ASYMPTOTIC,
@@ -25,6 +28,7 @@ from decoyqkd import (
     finite_bound,
     hwang_bound,
     hwang_optimized,
+    sample_observation,
     true_delta,
     wang_asymptotic_bound,
 )
@@ -194,6 +198,51 @@ def test_solver_builds_no_closure_per_call():
         code = solver.__code__
         assert not any(isinstance(const, type(code)) for const in code.co_consts)
         assert code.co_cellvars == () and code.co_freevars == ()
+
+
+def test_scan_op_calls_no_builtin_clamp():
+    # ROADMAP item 19's guard: a clamp costs time on every op.  A builtin
+    # min(x, 1.0) took 152 ns on the host it was measured on, the comparison
+    # 1.0 if 1.0 < x else x 15 ns, and a soundness-scan op made about 31 such
+    # clamps plus 3.7 math.isinf calls.  One op of each scenario kind, on
+    # fresh objects so the class-rate cache misses, must call none of them
+    # from the package's own code (a first call may import stdlib modules).
+    banned = {min, max, math.isinf}
+    package = os.path.dirname(decoyqkd.__file__)
+    budget = PulseBudget(10**10, 10**10, 10**8)
+    scenarios = [
+        YieldTable(1e-5, (0.2, 0.4, 0.6, 0.3)),
+        PnsAttack(q=0.02, s0=1e-6),
+        NoEve(eta=1e-2, s0=1e-5),
+    ]
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and any(arg is fn for fn in banned):
+            if frame.f_code.co_filename.startswith(package):
+                called.append((arg.__name__, frame.f_code.co_name))
+
+    for scenario in scenarios:
+        reports = []
+        sys.setprofile(profile)
+        try:
+            params = ProtocolParams(0.3, 0.45)
+            rates = expected_rates(scenario, params)
+            truth, _ = true_delta(scenario, params)
+            reports += [
+                hwang_bound(rates, params),
+                wang_asymptotic_bound(rates, params),
+                finite_bound(rates, params, budget),
+            ]
+            observation = sample_observation(scenario, params, budget, 7)
+            reports.append(finite_bound(observation.rates, params, budget))
+        finally:
+            sys.setprofile(None)
+        assert called == [], type(scenario).__name__
+        assert all(report.delta_upper >= truth for report in reports[:3])
+        # Off the PNS attack, whose truth is 1, the finite bounds ran the
+        # solver, so its clamps were reached.
+        assert all(r.vacuous for r in reports[2:]) == isinstance(scenario, PnsAttack)
 
 
 def test_delta_prime_trivial_forms():

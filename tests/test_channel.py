@@ -26,6 +26,7 @@ from decoyqkd import (
     sample_observation,
     true_delta,
 )
+from decoyqkd.channel import MAX_SAMPLED_PULSES
 
 from reference import poisson_pmf
 
@@ -330,16 +331,24 @@ def _clicks(obs):
 
 def test_sample_observation_draws_the_jumped_stream():
     # Seed s draws the weak, strong and vacuum binomials of
-    # PCG64(0).jumped(s), in that order, for every s in [0, 2**128).
+    # PCG64(0).jumped(s), in that order, for every s in [0, 2**128).  Each
+    # count is the scalar draw itself, exactly an int with no int() around it,
+    # for an empty vacuum class and for classes at the sampling cap too.
     budget = PulseBudget(10**6, 3 * 10**5, 10**5)
     scenario = NoEve(eta=5e-2, s0=1e-3)
     rates = astuple(expected_rates(scenario, PARAMS))
     family = random.Random(31)
     seeds = [0, 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1]
     seeds += [family.randrange(2 ** family.choice((8, 32, 64, 128))) for _ in range(200)]
-    for seed in seeds:
+    cases = [(budget, seed) for seed in seeds]
+    cases += [
+        (PulseBudget(10**6, 3 * 10**5, 0), 5),
+        (PulseBudget(MAX_SAMPLED_PULSES, MAX_SAMPLED_PULSES, MAX_SAMPLED_PULSES), 2**64 + 3),
+    ]
+    for budget, seed in cases:
         obs = sample_observation(scenario, PARAMS, budget, seed)
         assert _clicks(obs) == _jumped_clicks(budget, seed, *rates), seed
+        assert [type(count) for count in _clicks(obs)] == [int, int, int], seed
     # Consecutive seeds start far apart: their weak-class counts scatter.
     weak = {sample_observation(scenario, PARAMS, budget, seed).clicks_mu for seed in range(50)}
     assert len(weak) > 40
