@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
-from decimal import MAX_PREC, Context, Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 from .bounds import (
@@ -122,13 +123,20 @@ def parse_grid(text: str, where: str) -> list[float]:
             raise ConfigError(f"{where}: grid step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"{where}: grid stop {stop} is below start {start}")
-        first, last, increment = (Decimal(repr(x)) for x in (start, stop, step))
-        # No sum rounds at this width; a non-terminating / would run to MAX_PREC digits.
-        with localcontext(Context(prec=MAX_PREC)):
-            count = (last - first) // increment + 1
-            if count > MAX_GRID_POINTS:
-                raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
-            values = [float(first + k * increment) for k in range(int(count))]
+        # Each of start, stop and step as the int n with n / 10**shift exactly the
+        # decimal its repr prints; int / int rounds each point once, correctly.
+        scaled = []
+        for x in (start, stop, step):
+            mantissa, _, exponent = repr(x).partition("e")
+            whole, _, fraction = mantissa.partition(".")
+            scaled.append((int(whole + fraction), int(exponent or 0) - len(fraction)))
+        shift = max(0, *(-e for _, e in scaled))
+        first, last, increment = (n * 10 ** (e + shift) for n, e in scaled)
+        count = (last - first) // increment + 1
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"{where}: grid {text!r} has more than {MAX_GRID_POINTS} points")
+        scale = 10**shift
+        values = [n / scale for n in range(first, last + 1, increment)]
     else:
         values = list(_as_floats(text, where))
         if not values:
@@ -825,5 +833,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NO_CONVERGENCE
 
 
+def launch() -> None:
+    """Run ``main`` as this process's one command and exit with its code.
+
+    The ``decoyqkd`` script and ``python -m decoyqkd.cli`` start here.  Once
+    ``main`` is done, or argparse exits, ``gc.freeze()`` moves every tracked
+    object to the collector's permanent generation, so the collections at
+    interpreter exit neither scan nor free numpy's or the package's objects
+    (about 16 of the 21 ms of CPU a launch spent after ``main``); the
+    operating system frees that memory.  The normal exit still flushes
+    stdout and stderr and runs ``atexit`` handlers.  ``main`` itself does not
+    freeze: in-process callers run it many times, and frozen objects are
+    never collected, cyclic garbage included.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

@@ -1,15 +1,17 @@
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import lzma
 import math
 import os
 import random
+import re
 import subprocess
 import sys
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -658,7 +660,7 @@ def test_module_entry_point_exits_with_main_code():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: mu and mu_prime are required (flags or [params] section)\n"
-    assert 'decoyqkd = "decoyqkd.cli:main"' in (SRC.parent / "pyproject.toml").read_text()
+    assert 'decoyqkd = "decoyqkd.cli:launch"' in (SRC.parent / "pyproject.toml").read_text()
 
 
 LAZY_MODULES = ("decoyqkd.batch", "decoyqkd.table1")
@@ -699,6 +701,99 @@ def test_one_shot_commands_skip_sweep_engine():
         "feasibility": [5, []],
         "table1": [0, ["decoyqkd.table1"]],
     }
+
+
+def launch(*argv):
+    """``python -m decoyqkd.cli argv`` in a fresh interpreter, its output as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "decoyqkd.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+
+
+def run_main(capsys, *argv):
+    """In-process ``main``, with argparse's exit taken as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *zip(ONE_SHOT_COMMANDS, (0, 0, 5, 0)),
+        (["bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "8e10",
+          "--qber", "0.015", "--format", "json"], 0),
+        (["--help"], 0),
+        (["bound", "--mu", "0.3", "--bogus"], 2),
+    ],
+    ids=["bound", "simulate", "feasibility", "table1", "bound-json", "help", "usage-error"],
+)
+def test_launch_prints_what_main_prints(capsys, argv, code):
+    # The launcher exits through the interpreter's own teardown, so every
+    # byte main writes, argparse's help and usage text included, arrives.
+    proc = launch(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *run_main(capsys, *argv)[1:])
+    assert run_main(capsys, *argv)[0] == code
+
+
+def test_launch_writes_the_out_file_main_writes(capsys, tmp_path):
+    argv = ("bound", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "8e10",
+            "--qber", "0.015", "--format", "json", "--out")
+    proc = launch(*argv, str(tmp_path / "launched.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(
+        capsys, *argv, str(tmp_path / "main.json")
+    )
+    written = (tmp_path / "launched.json").read_bytes()
+    assert written.startswith(b"{") and written == (tmp_path / "main.json").read_bytes()
+
+
+def test_launch_delivers_a_large_sweep_through_a_pipe(capsys):
+    argv = ("sweep", "--mu", "0.1:0.4:0.01", "--mu-prime", "0.1:1.0:0.005",
+            "--eta", "1e-4,1e-3,1e-2", "--format", "csv")
+    proc = launch(*argv)
+    assert len(proc.stdout) > 10**6
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(capsys, *argv)
+
+
+def test_launch_freezes_the_heap_after_main():
+    # A fresh interpreter runs the module as python -m does: it exits with
+    # main's code, and the launcher has frozen the heap for the exit.
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['decoyqkd', 'feasibility']\n"
+        "before = gc.get_freeze_count()\n"
+        "try:\n"
+        "    runpy.run_module('decoyqkd.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    print(repr([exit.code, before, gc.get_freeze_count() > 0]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+        check=True,
+    )
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [5, 0, True]
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # Frozen objects are never collected, so main, which a sweep benchmark or
+    # a library caller runs many times in one process, must not freeze.
+    before = gc.get_freeze_count()
+    for argv in (*ONE_SHOT_COMMANDS, ["sweep", *SWEEP_GRID]):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
 
 
 def test_launch_loads_configparser_and_json_only_where_read(tmp_path):
@@ -921,6 +1016,45 @@ def test_parse_grid_points_are_exact_decimal_sums(a, a_exp, b, b_exp, count, sho
     values = parse_grid(f"{start}:{stop}:{step}", "test")
     assert values == expected
     assert all(value <= float(stop) for value in values)
+
+
+def decimal_grid(text):
+    """A range's points summed exactly in Decimal and rounded once by float()."""
+    first, last, increment = (Decimal(repr(float(x))) for x in text.split(":"))
+    with localcontext(Context(prec=MAX_PREC)):
+        count = (last - first) // increment + 1
+        if count > cli.MAX_GRID_POINTS:
+            return None
+        return [float(first + k * increment) for k in range(int(count))]
+
+
+RANGE_NUMBER = r"-?[0-9.]+(?:e[-+]?[0-9]+)?"
+RANGE_TEXT = re.compile(rf"(?<![\w.:-]){RANGE_NUMBER}:{RANGE_NUMBER}:{RANGE_NUMBER}(?![\w.:])")
+
+
+def test_parse_grid_matches_decimal_sums_on_every_written_range():
+    # Every start:stop:step range written in the tests, the README and the
+    # benchmark gives the same floats, bit for bit, as Decimal sums would.
+    root = SRC.parent
+    files = [*root.glob("tests/**/*.py"), *root.glob("tests/data/*.json"), root / "README.md",
+             *root.glob("bench/**/*.py"), *root.glob("bench/*.md")]
+    ranges = {m for f in files for m in RANGE_TEXT.findall(f.read_text(encoding="utf-8"))}
+    assert {"0.1:1.0:0.005", "0.43:0.47:0.02", "0.4:0.5:0.05", "-1e308:1e308:1"} <= ranges
+    for text in sorted(ranges):
+        start, stop, step = map(float, text.split(":"))
+        if step <= 0 or stop < start:
+            with pytest.raises(ConfigError):
+                parse_grid(text, "test")
+            continue
+        expected = decimal_grid(text)
+        if expected is None:
+            with pytest.raises(ConfigError, match="points"):
+                parse_grid(text, "test")
+        elif len(set(expected)) < len(expected):
+            with pytest.raises(ConfigError, match="more than once"):
+                parse_grid(text, "test")
+        else:
+            assert [v.hex() for v in parse_grid(text, "test")] == [v.hex() for v in expected], text
 
 
 def test_parse_grid_point_limit(monkeypatch):
