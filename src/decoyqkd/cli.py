@@ -834,17 +834,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def launch() -> None:
-    """Run ``main`` as this process's one command and exit with its code.
+    """Run ``main`` as the process's one command, then exit with its code.
 
-    The ``decoyqkd`` script and ``python -m decoyqkd.cli`` start here.  Once
-    ``main`` is done, or argparse exits, ``gc.freeze()`` moves every tracked
-    object to the collector's permanent generation, so the collections at
-    interpreter exit neither scan nor free numpy's or the package's objects
-    (about 16 of the 21 ms of CPU a launch spent after ``main``); the
-    operating system frees that memory.  The normal exit still flushes
-    stdout and stderr and runs ``atexit`` handlers.  ``main`` itself does not
-    freeze: in-process callers run it many times, and frozen objects are
-    never collected, cyclic garbage included.
+    The ``decoyqkd`` script and ``python -m decoyqkd.cli`` start here.  The
+    heap is frozen before the interpreter exits, so the collections at exit
+    skip what the operating system frees anyway; the normal exit still
+    flushes stdout and stderr and runs ``atexit`` handlers.  ``main`` does
+    not freeze: in-process callers repeat it, and frozen objects are never
+    collected.
     """
     try:
         sys.exit(main())
