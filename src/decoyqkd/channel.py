@@ -19,7 +19,13 @@ import numpy as np
 from .bounds import ObservedRates
 from .errors import ParameterError, _frozen, _shown, check_probability
 from .finite_stats import PulseBudget
-from .photon_stats import ProtocolParams, decompose, multi_photon_weight, poisson_mixture
+from .photon_stats import (
+    ProtocolParams,
+    _poisson_mixtures,
+    decompose,
+    multi_photon_weight,
+    poisson_mixture,
+)
 
 # Largest class size numpy's exact binomial sampler accepts (int64).
 MAX_SAMPLED_PULSES = 2**63 - 1
@@ -145,17 +151,25 @@ def _class_rates(scenario: ChannelScenario, params: ProtocolParams) -> tuple[flo
     by the identity of scenario and params.  The entry holds both, so
     neither id can be reused while it lives, and it is replaced as one
     tuple, so a concurrent caller can only miss, never read another pair's
-    rates.
+    rates.  A yield table sums S_mu and S_mu' in one pass over its yields,
+    with class_rate's bits, errors and cap.
     """
     global _last
     last_scenario, last_params, rates = _last
     if last_scenario is scenario and last_params is params:
         return rates
-    rates = (
-        scenario.class_rate(0.0),
-        scenario.class_rate(params.mu),
-        scenario.class_rate(params.mu_prime),
-    )
+    if type(scenario) is YieldTable:
+        s0 = scenario.class_rate(0.0)
+        s_mu, s_mu_prime = _poisson_mixtures(
+            params.mu, params.mu_prime, scenario.s0, scenario.yields
+        )
+        rates = (s0, 1.0 if 1.0 < s_mu else s_mu, 1.0 if 1.0 < s_mu_prime else s_mu_prime)
+    else:
+        rates = (
+            scenario.class_rate(0.0),
+            scenario.class_rate(params.mu),
+            scenario.class_rate(params.mu_prime),
+        )
     _last = (scenario, params, rates)
     return rates
 
@@ -165,11 +179,11 @@ def expected_rates(scenario: ChannelScenario, params: ProtocolParams) -> Observe
     return ObservedRates(*_class_rates(scenario, params))
 
 
-def _fraction(scenario: ChannelScenario, total: float, p0: float, p1: float) -> float:
-    """The n >= 2 share of a class rate total, from its Poisson weights p0 and p1."""
+def _fraction(total: float, p0: float, p1: float, y0: float, y1: float) -> float:
+    """The n >= 2 share of a class rate total, from its weights p0, p1 and yields y0, y1."""
     if total <= 0.0:
         return 0.0
-    multi = total - p0 * scenario.photon_yield(0) - p1 * scenario.photon_yield(1)
+    multi = total - p0 * y0 - p1 * y1
     share = multi / total
     return 0.0 if 0.0 > share else 1.0 if 1.0 < share else share
 
@@ -184,20 +198,21 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     if total <= 0.0:
         return 0.0
     p0 = math.exp(-intensity)
-    return _fraction(scenario, total, p0, intensity * p0)
+    return _fraction(total, p0, intensity * p0, scenario.photon_yield(0), scenario.photon_yield(1))
 
 
 def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float, float]:
     """Ground-truth multi-photon fractions (weak class, strong class).
 
     Each is multi_photon_fraction at that class's intensity, on the shared
-    class rates and decompose(params)'s weights.
+    class rates and decompose(params)'s weights; y0 and y1 are read once.
     """
     _, s_mu, s_mu_prime = _class_rates(scenario, params)
     coeffs = decompose(params)
+    y0, y1 = scenario.photon_yield(0), scenario.photon_yield(1)
     return (
-        _fraction(scenario, s_mu, coeffs.p0_mu, coeffs.p1_mu),
-        _fraction(scenario, s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime),
+        _fraction(s_mu, coeffs.p0_mu, coeffs.p1_mu, y0, y1),
+        _fraction(s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime, y0, y1),
     )
 
 
@@ -254,9 +269,11 @@ def sample_observation(
         _samplers.sampler = bit, binomial, start
     bit.state = start
     bit.advance(seed * _JUMP)  # taken modulo 2^128, as jumped(seed) takes it
-    # A scalar draw is already a Python int.
-    clicks_mu = binomial(n_mu, s_mu)
-    clicks_mu_prime = binomial(n_mu_prime, s_mu_prime)
-    clicks_vacuum = binomial(n_vacuum, s0)
+    # A scalar draw is already a Python int.  numpy returns 0 for an empty
+    # class or a rate of 0 without moving the generator, so such a draw is
+    # skipped and the other classes still draw the same stream.
+    clicks_mu = binomial(n_mu, s_mu) if s_mu else 0
+    clicks_mu_prime = binomial(n_mu_prime, s_mu_prime) if s_mu_prime else 0
+    clicks_vacuum = binomial(n_vacuum, s0) if n_vacuum and s0 else 0
     rates = ObservedRates(s0, clicks_mu / n_mu, clicks_mu_prime / n_mu_prime)
     return SimulatedObservation(rates, clicks_mu, clicks_mu_prime, clicks_vacuum)

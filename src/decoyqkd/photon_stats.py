@@ -54,6 +54,32 @@ def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     return rate
 
 
+def _poisson_mixtures(
+    mu: float, mu_prime: float, y0: float, yields: tuple[float, ...]
+) -> tuple[float, float]:
+    """``poisson_mixture`` at mu and at mu', in one pass over the yields.
+
+    For an admitted pair: both intensities are positive and finite, so no
+    domain check or vacuum shortcut applies.  Each intensity keeps its own
+    recurrence, prefix sum and check, mu's first, so both sums, and any
+    error, have poisson_mixture's bits and text.
+    """
+    p = total = math.exp(-mu)
+    q = total_prime = math.exp(-mu_prime)
+    rate, rate_prime = p * y0, q * y0
+    for n, y in enumerate(yields, start=1):
+        p = p * mu / n
+        q = q * mu_prime / n
+        total += p
+        total_prime += q
+        rate += p * y
+        rate_prime += q * y
+    if total > 1.0 + SUM_TOL or total_prime > 1.0 + SUM_TOL:
+        x = mu if total > 1.0 + SUM_TOL else mu_prime
+        raise DomainError(f"prefix sum exceeds 1 for mu={x}, n_max={len(yields)}")
+    return rate, rate_prime
+
+
 def multi_photon_weight(mu: float) -> float:
     """Total probability of two or more photons, ``1 - P_0 - P_1``.
 

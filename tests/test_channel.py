@@ -8,10 +8,11 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from decoyqkd import (
     DomainError,
+    FluctuationSettings,
     NoEve,
     ObservedRates,
     ParameterError,
@@ -26,7 +27,9 @@ from decoyqkd import (
     sample_observation,
     true_delta,
 )
+from decoyqkd import channel
 from decoyqkd.channel import MAX_SAMPLED_PULSES
+from decoyqkd.photon_stats import MIN_INTENSITY, MIN_SEPARATION, _poisson_mixtures, validate_pair
 
 from reference import poisson_pmf
 
@@ -146,6 +149,84 @@ def test_yield_table_prefix_sum_overflow_is_a_domain_error():
     _assert_class_rate_bit_identical(0.0, (0.5,) * 2000, 730.0)
 
 
+def _admitted_pair(mu, share):
+    """(mu, mu'), mu' a share of the way from the separation floor to the
+    dominance edge, or None if that pair is not admitted."""
+    weak, low, high = mu * math.exp(-mu), 1.0, 800.0
+    for _ in range(80):  # x e^{-x} falls past x = 1: bisect for where it meets weak
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if mid * math.exp(-mid) > weak else (low, mid)
+    floor = mu * (1.0 + MIN_SEPARATION)
+    mu_prime = floor + share * (low - floor)
+    return (mu, mu_prime) if validate_pair(mu, mu_prime) else None
+
+
+def _hex_or_error(rates):
+    try:
+        return [x.hex() for x in rates()]
+    except DomainError as error:
+        return str(error)
+
+
+def _assert_one_pass_rates_bit_identical(s0, yields, pair):
+    table, params = YieldTable(s0=s0, yields=tuple(yields)), ProtocolParams(*pair)
+    assert _hex_or_error(lambda: astuple(expected_rates(table, params))) == _hex_or_error(
+        lambda: [table.class_rate(x) for x in (0.0, params.mu, params.mu_prime)]
+    ), (s0, yields, pair)
+
+
+# Admitted weak intensities from the floor up, and shares from the
+# separation floor (near the diagonal) to the edge (mu' up to 351.25).
+WEAK = st.sampled_from([MIN_INTENSITY, 1e-75, 1e-3, 0.5]) | st.floats(MIN_INTENSITY, 1.0)
+SHARES = st.sampled_from([0.0, 1e-12, 1e-6, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60)
+@given(WEIGHTS, st.lists(WEIGHTS, min_size=2, max_size=60), WEAK, SHARES)
+def test_expected_rates_of_a_yield_table_are_its_class_rates(s0, yields, mu, share):
+    # S_mu and S_mu' come from one pass over the yields: class_rate's bits.
+    pair = _admitted_pair(mu, share)
+    assume(pair is not None)
+    _assert_one_pass_rates_bit_identical(s0, yields, pair)
+
+
+def test_expected_rates_of_a_yield_table_are_its_class_rates_on_random_tables():
+    # The depth behind the hypothesis test above, from the same pools.
+    rng = random.Random(2004)
+
+    def weight():
+        return rng.choice((0.0, -0.0, 5e-324, 1.0, rng.random()))
+
+    weak = (
+        lambda: MIN_INTENSITY,
+        lambda: 10.0 ** rng.uniform(-150.0, 0.0),
+        lambda: rng.uniform(MIN_INTENSITY, 1.0),
+    )
+    share = (lambda: 0.0, lambda: rng.uniform(0.0, 1e-6), rng.random, lambda: 1.0)
+    checked = 0
+    while checked < 2000:
+        pair = _admitted_pair(rng.choice(weak)(), rng.choice(share)())
+        if pair is None:
+            continue
+        yields = [weight() for _ in range(rng.randint(2, 60))]
+        _assert_one_pass_rates_bit_identical(weight(), yields, pair)
+        checked += 1
+    # The dominance edge at the intensity floor.
+    assert 351.0 < _admitted_pair(MIN_INTENSITY, 1.0)[1] < 351.3
+
+
+def test_one_pass_mixtures_raise_class_rates_error():
+    # Past the admitted range the prefix sum can exceed 1: the one pass
+    # checks mu first, with class_rate's message.
+    table = YieldTable(0.0, (0.5,) * 2000)
+    with pytest.raises(DomainError, match="prefix sum exceeds 1 for mu=730.0, n_max=2000"):
+        _poisson_mixtures(0.3, 730.0, table.s0, table.yields)
+    for pair in ((0.3, 730.0), (730.0, 731.0), (731.0, 730.0), (0.3, 0.45)):
+        assert _hex_or_error(lambda: _poisson_mixtures(*pair, table.s0, table.yields)) == (
+            _hex_or_error(lambda: [table.class_rate(x) for x in pair])
+        ), pair
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -259,14 +340,24 @@ def test_one_class_rate_evaluation_per_strategy(monkeypatch):
     params = [ProtocolParams(0.3, 0.45), ProtocolParams(0.3, 0.45), ProtocolParams(0.1, 0.5)]
     cases = [(t, p) for p in params for t in tables]
     expected = [_uncached(t, p, budget, 7) for t, p in cases]
-    calls = []
-    rate = YieldTable.class_rate
+    # Every intensity a class rate is evaluated at: S_0 through class_rate,
+    # and S_mu with S_mu' through the one pass over the table's yields.
+    calls, passes = [], []
+    rate, mixtures = YieldTable.class_rate, channel._poisson_mixtures
+
+    def both(mu, mu_prime, y0, yields):
+        calls.extend((mu, mu_prime))
+        passes.append((mu, mu_prime))
+        return mixtures(mu, mu_prime, y0, yields)
+
     monkeypatch.setattr(YieldTable, "class_rate", lambda self, x: calls.append(x) or rate(self, x))
+    monkeypatch.setattr(channel, "_poisson_mixtures", both)
     # One strategy reads S_0, S_mu and S_mu' once: 8 evaluations before.
     table, pair = cases[-1]
     rates, truth = expected_rates(table, pair), true_delta(table, pair)
     obs = sample_observation(table, pair, budget, 7)
     assert calls == [0.0, 0.1, 0.5]
+    assert passes == [(0.1, 0.5)]
     assert [x.hex() for x in (*astuple(rates), *truth)] == expected[-1][:5]
     assert [obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum] == expected[-1][5:]
     # Interleaved, every call meets another pair, so each evaluates its own.
@@ -281,6 +372,7 @@ def test_one_class_rate_evaluation_per_strategy(monkeypatch):
         obs = sample_observation(t, p, budget, 7)
         assert [obs.clicks_mu, obs.clicks_mu_prime, obs.clicks_vacuum] == values[5:]
     assert len(calls) == 3 * 3 * len(cases)
+    assert len(passes) == 1 + 3 * len(cases)
 
 
 def test_shared_class_rates_under_threads():
@@ -352,6 +444,39 @@ def test_sample_observation_draws_the_jumped_stream():
     # Consecutive seeds start far apart: their weak-class counts scatter.
     weak = {sample_observation(scenario, PARAMS, budget, seed).clicks_mu for seed in range(50)}
     assert len(weak) > 40
+
+
+BUDGET = PulseBudget(10**6, 3 * 10**5, 10**5)
+
+
+@pytest.mark.parametrize(
+    "scenario, params, budget",
+    [
+        (NoEve(eta=5e-2, s0=0.0), PARAMS, BUDGET),
+        (NoEve(eta=5e-2, s0=1e-3), PARAMS, PulseBudget(10**6, 3 * 10**5, 0)),
+        (YieldTable(0.0, (0.0, 0.0)), PARAMS, BUDGET),
+        (YieldTable(-0.0, (-0.0, -0.0)), PARAMS, BUDGET),
+        (PnsAttack(q=0.0, s0=1e-3), PARAMS, BUDGET),
+        # P_3(1e-150) underflows: the weak class cannot click, the strong one can.
+        (YieldTable(0.0, (0.0, 0.0, 0.5)), ProtocolParams(MIN_INTENSITY, 0.5), BUDGET),
+    ],
+    ids=["no-dark-counts", "no-vacuum-pulses", "dead-table", "signed-zero-table", "dark-only",
+         "dead-weak-class"],
+)
+def test_sample_observation_skips_only_draws_that_cannot_click(scenario, params, budget):
+    # An empty class or a rate of 0 draws nothing, and every other class
+    # still draws what the three draws of PCG64(0).jumped(seed) give it.
+    rates = astuple(expected_rates(scenario, params))
+    family = random.Random(36)
+    seeds = [0, 1, 2**64, 2**128 - 2, 2**128 - 1]
+    seeds += [2**128 - 1 - family.randrange(2**32) for _ in range(45)]
+    seeds += [family.randrange(2 ** family.choice((8, 32, 64, 128))) for _ in range(150)]
+    for seed in seeds:
+        obs = sample_observation(scenario, params, budget, seed)
+        assert _clicks(obs) == _jumped_clicks(budget, seed, *rates), seed
+        assert [type(count) for count in _clicks(obs)] == [int, int, int], seed
+    if params.mu == MIN_INTENSITY:  # the strong class draws after a skipped weak draw
+        assert rates[1] == 0.0 < rates[2] and 0 < obs.clicks_mu_prime
 
 
 def test_sample_observation_rejects_seed_past_the_period():
@@ -501,6 +626,32 @@ def test_sampled_finite_delta_prime_is_sound():
         if delta_prime_bound(delta, rates, params) < truth_prime:
             below.append((seed, scenario, params))
     assert below == []
+
+
+def test_known_defect_dark_dominated_sampled_bound_falls_below_truth():
+    """Pins a known defect of the paper's finite model (ROADMAP items 18 and 21).
+
+    The model takes the weak class's rate as exact, but on this channel the
+    weak class's clicks are about 80 parts vacuum to 1 part other, and their
+    binomial noise alone moves S_mu - e^{-mu} s0 by about 8 %.  At the
+    default E = 25 the sampled finite bound falls below the true tagged
+    fraction in 1 305 of these 20 000 draws (6.5 %), where the claimed
+    2e^{-E} allows 2e^{-25} * 20 000 = 5.6e-7.  A sound model turns this
+    count into a gate: at most that allowance, so 0.  With no vacuum pulses
+    each draw also skips the vacuum class's draw, and the count is the one
+    the three-draw sampler gave.
+    """
+    table = YieldTable(1e-4, (1.1e-5, 5e-3, 5e-3))
+    params, budget = ProtocolParams(0.02, 0.026), PulseBudget(10**10, 10**10)
+    assert FluctuationSettings().confidence_exponent == 25.0
+    truth, _ = true_delta(table, params)
+    assert round(truth, 6) == 0.009945
+    below = sum(
+        finite_bound(sample_observation(table, params, budget, seed).rates, params, budget)
+        .delta_upper < truth
+        for seed in range(20000)
+    )
+    assert below == 1305
 
 
 def test_sample_observation_concentrates():
