@@ -179,11 +179,11 @@ def expected_rates(scenario: ChannelScenario, params: ProtocolParams) -> Observe
     return ObservedRates(*_class_rates(scenario, params))
 
 
-def _fraction(total: float, p0: float, p1: float, y0: float, y1: float) -> float:
-    """The n >= 2 share of a class rate total, from its weights p0, p1 and yields y0, y1."""
+def _fraction(scenario: ChannelScenario, total: float, p0: float, p1: float) -> float:
+    """The n >= 2 share of a class rate total, from its Poisson weights p0 and p1."""
     if total <= 0.0:
         return 0.0
-    multi = total - p0 * y0 - p1 * y1
+    multi = total - p0 * scenario.photon_yield(0) - p1 * scenario.photon_yield(1)
     share = multi / total
     return 0.0 if 0.0 > share else 1.0 if 1.0 < share else share
 
@@ -198,21 +198,20 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     if total <= 0.0:
         return 0.0
     p0 = math.exp(-intensity)
-    return _fraction(total, p0, intensity * p0, scenario.photon_yield(0), scenario.photon_yield(1))
+    return _fraction(scenario, total, p0, intensity * p0)
 
 
 def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float, float]:
     """Ground-truth multi-photon fractions (weak class, strong class).
 
     Each is multi_photon_fraction at that class's intensity, on the shared
-    class rates and decompose(params)'s weights; y0 and y1 are read once.
+    class rates and decompose(params)'s weights.
     """
     _, s_mu, s_mu_prime = _class_rates(scenario, params)
     coeffs = decompose(params)
-    y0, y1 = scenario.photon_yield(0), scenario.photon_yield(1)
     return (
-        _fraction(s_mu, coeffs.p0_mu, coeffs.p1_mu, y0, y1),
-        _fraction(s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime, y0, y1),
+        _fraction(scenario, s_mu, coeffs.p0_mu, coeffs.p1_mu),
+        _fraction(scenario, s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime),
     )
 
 
@@ -270,10 +269,10 @@ def sample_observation(
     bit.state = start
     bit.advance(seed * _JUMP)  # taken modulo 2^128, as jumped(seed) takes it
     # A scalar draw is already a Python int.  numpy returns 0 for an empty
-    # class or a rate of 0 without moving the generator, so such a draw is
-    # skipped and the other classes still draw the same stream.
-    clicks_mu = binomial(n_mu, s_mu) if s_mu else 0
-    clicks_mu_prime = binomial(n_mu_prime, s_mu_prime) if s_mu_prime else 0
+    # vacuum class or a dark rate of 0 without moving the generator, so that
+    # draw is skipped.
+    clicks_mu = binomial(n_mu, s_mu)
+    clicks_mu_prime = binomial(n_mu_prime, s_mu_prime)
     clicks_vacuum = binomial(n_vacuum, s0) if n_vacuum and s0 else 0
     rates = ObservedRates(s0, clicks_mu / n_mu, clicks_mu_prime / n_mu_prime)
     return SimulatedObservation(rates, clicks_mu, clicks_mu_prime, clicks_vacuum)

@@ -61,8 +61,8 @@ def _poisson_mixtures(
 
     For an admitted pair: both intensities are positive and finite, so no
     domain check or vacuum shortcut applies.  Each intensity keeps its own
-    recurrence, prefix sum and check, mu's first, so both sums, and any
-    error, have poisson_mixture's bits and text.
+    recurrence and prefix sum, so both sums have poisson_mixture's bits, and
+    a failed check raises through poisson_mixture, mu's first.
     """
     p = total = math.exp(-mu)
     q = total_prime = math.exp(-mu_prime)
@@ -75,8 +75,8 @@ def _poisson_mixtures(
         rate += p * y
         rate_prime += q * y
     if total > 1.0 + SUM_TOL or total_prime > 1.0 + SUM_TOL:
-        x = mu if total > 1.0 + SUM_TOL else mu_prime
-        raise DomainError(f"prefix sum exceeds 1 for mu={x}, n_max={len(yields)}")
+        poisson_mixture(mu, y0, yields)
+        poisson_mixture(mu_prime, y0, yields)
     return rate, rate_prime
 
 

@@ -464,8 +464,9 @@ BUDGET = PulseBudget(10**6, 3 * 10**5, 10**5)
          "dead-weak-class"],
 )
 def test_sample_observation_skips_only_draws_that_cannot_click(scenario, params, budget):
-    # An empty class or a rate of 0 draws nothing, and every other class
-    # still draws what the three draws of PCG64(0).jumped(seed) give it.
+    # An empty vacuum class or a dark rate of 0 draws nothing, and every
+    # class gets what the three draws of PCG64(0).jumped(seed) give it, a
+    # signal class at a rate of 0 too.
     rates = astuple(expected_rates(scenario, params))
     family = random.Random(36)
     seeds = [0, 1, 2**64, 2**128 - 2, 2**128 - 1]
@@ -475,7 +476,7 @@ def test_sample_observation_skips_only_draws_that_cannot_click(scenario, params,
         obs = sample_observation(scenario, params, budget, seed)
         assert _clicks(obs) == _jumped_clicks(budget, seed, *rates), seed
         assert [type(count) for count in _clicks(obs)] == [int, int, int], seed
-    if params.mu == MIN_INTENSITY:  # the strong class draws after a skipped weak draw
+    if params.mu == MIN_INTENSITY:  # the strong class draws after a weak draw at p = 0
         assert rates[1] == 0.0 < rates[2] and 0 < obs.clicks_mu_prime
 
 
