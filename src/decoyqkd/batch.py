@@ -156,7 +156,7 @@ def _vacuum_rate(eta: np.ndarray, s0: np.ndarray | float) -> np.ndarray:
 
 
 def _raw_delta(rates: Rates, pairs: Pairs) -> np.ndarray:
-    """bounds._raw_delta; raises _Replay where mu' e^{-mu'} S_mu is 0 (the scalar bounds raise)."""
+    """The scalar bounds' divisor test and _closed_form; raises _Replay where they raise."""
     if (pairs.p1_mu_prime * rates.s_mu == 0.0).any():
         raise _Replay
     return bounds._closed_form(rates, pairs, pairs)

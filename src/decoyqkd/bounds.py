@@ -13,7 +13,7 @@ import math
 from .errors import (
     _FLOAT_MAX, ConvergenceError, DomainError, ParameterError, _frozen, _shown, check_probability
 )
-from .photon_stats import DecompositionCoefficients, ProtocolParams, decompose
+from .photon_stats import DecompositionCoefficients, ProtocolParams
 
 METHOD_HWANG = "hwang_crude"
 METHOD_WANG_ASYMPTOTIC = "wang_asymptotic"
@@ -67,9 +67,10 @@ class BoundReport:
     vacuous: bool = False
 
 
-def _require_weak_rate(rates: ObservedRates) -> None:
-    if rates.s_mu <= 0.0:
-        raise ParameterError("weak-class rate s_mu must be positive to bound a fraction of it")
+# Every bound divides by S_mu and refuses S_mu <= 0 with this message.  They
+# test it inline and read params._coefficients, not decompose(params): each
+# call left out is one Python frame fewer on every soundness-scan op.
+_WEAK_RATE_REQUIRED = "weak-class rate s_mu must be positive to bound a fraction of it"
 
 
 def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
@@ -77,8 +78,9 @@ def hwang_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
 
     delta <= mu^2 e^{-mu} S_mu' / (mu'^2 e^{-mu'} S_mu), clamped to 1.
     """
-    _require_weak_rate(rates)
-    coeffs = decompose(params)
+    if rates.s_mu <= 0.0:
+        raise ParameterError(_WEAK_RATE_REQUIRED)
+    coeffs = params._coefficients
     raw = rates.s_mu_prime / (coeffs.multi_ratio * rates.s_mu)
     delta = 1.0 if 1.0 < raw else raw
     return BoundReport(
@@ -193,15 +195,11 @@ def _solve_sc(system: tuple, sc_lo: float, max_iter: int = DEFAULT_MAX_ITER) -> 
         y, sc = y_next, sc_next
 
 
-def _raw_delta(
-    rates: ObservedRates, params: ProtocolParams, coeffs: DecompositionCoefficients
-) -> float:
-    """_closed_form on floats; raises DomainError where mu' e^{-mu'} S_mu underflows to 0."""
-    if coeffs.p1_mu_prime * rates.s_mu == 0.0:
-        raise DomainError(
-            f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={params.mu_prime}, s_mu={rates.s_mu})"
-        )
-    return _closed_form(rates, coeffs, params)
+def _underflow(rates: ObservedRates, params: ProtocolParams) -> DomainError:
+    """The error each scalar bound raises where _closed_form's divisor mu' e^{-mu'} S_mu is 0."""
+    return DomainError(
+        f"mu' e^{{-mu'}} S_mu underflows to 0 (mu_prime={params.mu_prime}, s_mu={rates.s_mu})"
+    )
 
 
 def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> BoundReport:
@@ -213,9 +211,12 @@ def wang_asymptotic_bound(rates: ObservedRates, params: ProtocolParams) -> Bound
     Raises DomainError when mu' e^{-mu'} S_mu underflows to 0, since the
     bound divides by it.
     """
-    _require_weak_rate(rates)
-    coeffs = decompose(params)
-    raw = _raw_delta(rates, params, coeffs)
+    if rates.s_mu <= 0.0:
+        raise ParameterError(_WEAK_RATE_REQUIRED)
+    coeffs = params._coefficients
+    if coeffs.p1_mu_prime * rates.s_mu == 0.0:
+        raise _underflow(rates, params)
+    raw = _closed_form(rates, coeffs, params)
     delta = 0.0 if 0.0 > raw else 1.0 if 1.0 < raw else raw
     sc_upper = delta * rates.s_mu / coeffs.c
     s1 = _s1(_constraints(rates, coeffs), sc_upper)
@@ -242,8 +243,9 @@ def delta_prime_bound(delta: float, rates: ObservedRates, params: ProtocolParams
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {_shown(delta)}")
-    _require_weak_rate(rates)
-    coeffs = decompose(params)
+    if rates.s_mu <= 0.0:
+        raise ParameterError(_WEAK_RATE_REQUIRED)
+    coeffs = params._coefficients
     weak_credit = coeffs.p0_mu * rates.s0 / rates.s_mu
     if weak_credit > _FLOAT_MAX:
         raise DomainError(f"e^{{-mu}} s0 / S_mu overflows to inf ({rates})")

@@ -22,7 +22,6 @@ from .finite_stats import PulseBudget
 from .photon_stats import (
     ProtocolParams,
     _poisson_mixtures,
-    decompose,
     multi_photon_weight,
     poisson_mixture,
 )
@@ -179,11 +178,11 @@ def expected_rates(scenario: ChannelScenario, params: ProtocolParams) -> Observe
     return ObservedRates(*_class_rates(scenario, params))
 
 
-def _fraction(scenario: ChannelScenario, total: float, p0: float, p1: float) -> float:
-    """The n >= 2 share of a class rate total, from its Poisson weights p0 and p1."""
+def _fraction(total: float, p0: float, p1: float, y0: float, y1: float) -> float:
+    """The n >= 2 share of a class rate total, given P_0 = p0, P_1 = p1 and yields y0, y1."""
     if total <= 0.0:
         return 0.0
-    multi = total - p0 * scenario.photon_yield(0) - p1 * scenario.photon_yield(1)
+    multi = total - p0 * y0 - p1 * y1
     share = multi / total
     return 0.0 if 0.0 > share else 1.0 if 1.0 < share else share
 
@@ -198,20 +197,22 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     if total <= 0.0:
         return 0.0
     p0 = math.exp(-intensity)
-    return _fraction(scenario, total, p0, intensity * p0)
+    return _fraction(total, p0, intensity * p0, scenario.photon_yield(0), scenario.photon_yield(1))
 
 
 def true_delta(scenario: ChannelScenario, params: ProtocolParams) -> tuple[float, float]:
     """Ground-truth multi-photon fractions (weak class, strong class).
 
     Each is multi_photon_fraction at that class's intensity, on the shared
-    class rates and decompose(params)'s weights.
+    class rates and the pair's weights, read as params._coefficients like
+    the bounds read them; y_0 and y_1 are read once for both classes.
     """
     _, s_mu, s_mu_prime = _class_rates(scenario, params)
-    coeffs = decompose(params)
+    coeffs = params._coefficients
+    y0, y1 = scenario.photon_yield(0), scenario.photon_yield(1)
     return (
-        _fraction(scenario, s_mu, coeffs.p0_mu, coeffs.p1_mu),
-        _fraction(scenario, s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime),
+        _fraction(s_mu, coeffs.p0_mu, coeffs.p1_mu, y0, y1),
+        _fraction(s_mu_prime, coeffs.p0_mu_prime, coeffs.p1_mu_prime, y0, y1),
     )
 
 

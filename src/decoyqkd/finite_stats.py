@@ -15,18 +15,19 @@ import operator
 from .bounds import (
     DEFAULT_MAX_ITER,
     METHOD_WANG_FINITE,
+    _WEAK_RATE_REQUIRED,
     BoundReport,
     ObservedRates,
+    _closed_form,
     _constraints,
-    _raw_delta,
-    _require_weak_rate,
     _s1,
     _solve_sc,
+    _underflow,
     # Not called here; a benchmark hook (tests/test_public_api.py BENCHMARK_HOOKS).
     wang_asymptotic_bound,  # noqa: F401
 )
 from .errors import _FLOAT_MAX, ParameterError, _frozen, _shown
-from .photon_stats import ProtocolParams, decompose
+from .photon_stats import ProtocolParams
 
 
 @_frozen
@@ -103,10 +104,11 @@ def finite_bound(
     fewer of its pulses.  By admissibility that is the weak class unless the
     strong class has fewer pulses.
     """
-    _require_weak_rate(rates)
+    if rates.s_mu <= 0.0:
+        raise ParameterError(_WEAK_RATE_REQUIRED)
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    coeffs = decompose(params)
+    coeffs = params._coefficients
     c = coeffs.c
 
     # validate_pair holds p1_mu' > p1_mu on the very floats decompose
@@ -121,7 +123,9 @@ def finite_bound(
     kc = 2.0 * math.sqrt(settings.confidence_exponent / n_multi)
 
     # The asymptotic bound, clamped to [0, 1], seeds the solver.
-    delta = _raw_delta(rates, params, coeffs)
+    if coeffs.p1_mu_prime * rates.s_mu == 0.0:
+        raise _underflow(rates, params)
+    delta = _closed_form(rates, coeffs, params)
     delta = 0.0 if 0.0 > delta else 1.0 if 1.0 < delta else delta
     # A k that overflows to inf is a fluctuation far beyond 1.
     if delta >= 1.0 or k1 > _FLOAT_MAX or kc > _FLOAT_MAX:

@@ -182,7 +182,7 @@ class ProtocolParams:
             p0_mu, mu * p0_mu, p0_mu_prime, mu_prime * p0_mu_prime, exp_gap,
             multi_photon_weight(mu), _multi_ratio(mu, mu_prime, exp_gap),
         )
-        # decompose(self), formed once here; not a dataclass field.
+        # decompose(self), formed once, read directly by the bounds; not a dataclass field.
         self.__dict__["_coefficients"] = coefficients
 
 

@@ -87,6 +87,33 @@ def record_solver_evaluations(monkeypatch) -> list[int]:
     return counts
 
 
+def package_calls(op: Callable[[], object]) -> tuple[object, list]:
+    """op()'s result, and every call made in the package's frames while it ran, in order.
+
+    A frame is the package's when its globals are a decoyqkd module's: the
+    package's functions, and the record ``__init__`` that errors._frozen
+    generates for each value class.  A Python call into such a frame is
+    listed as its code object; a builtin that such a frame calls, as the
+    builtin itself.
+    """
+    calls: list = []
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if module == "decoyqkd" or module.startswith("decoyqkd."):
+            if event == "call":
+                calls.append(frame.f_code)
+            elif event == "c_call":
+                calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        result = op()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
 def lane_solver_evaluations(run: Callable[[], object]) -> tuple[object, list[int]]:
     """run()'s result, and batch._solve_sc's evaluation count ``evals`` at each of its returns."""
     evals: list[int] = []

@@ -1,14 +1,12 @@
 import math
-import os
 import random
 import re
-import sys
 from collections import Counter
+from types import CodeType
 
 import pytest
 from hypothesis import given, strategies as st
 
-import decoyqkd
 from decoyqkd import (
     METHOD_HWANG,
     METHOD_WANG_ASYMPTOTIC,
@@ -33,6 +31,8 @@ from decoyqkd import (
     wang_asymptotic_bound,
 )
 from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _constraints, _s1, _solve_sc
+
+from reference import package_calls
 
 PARAMS = ProtocolParams(0.3, 0.45)
 # Exact no-eavesdropper class-rate ratio S'/S = mu'/mu.
@@ -200,6 +200,37 @@ def test_solver_builds_no_closure_per_call():
         assert code.co_cellvars == () and code.co_freevars == ()
 
 
+SCAN_BUDGET = PulseBudget(10**10, 10**10, 10**8)
+
+
+def scan_scenarios():
+    """One new scenario of each kind, so the class-rate cache misses on each."""
+    return [
+        YieldTable(1e-5, (0.2, 0.4, 0.6, 0.3)),
+        PnsAttack(q=0.02, s0=1e-6),
+        NoEve(eta=1e-2, s0=1e-5),
+    ]
+
+
+def scan_op(scenario):
+    """One soundness-scan op on new params: the truth, and the four reports it checks.
+
+    Expected rates, true_delta and the three bounds, then the finite bound
+    on a sampled observation.
+    """
+    params = ProtocolParams(0.3, 0.45)
+    rates = expected_rates(scenario, params)
+    truth, _ = true_delta(scenario, params)
+    reports = [
+        hwang_bound(rates, params),
+        wang_asymptotic_bound(rates, params),
+        finite_bound(rates, params, SCAN_BUDGET),
+    ]
+    observation = sample_observation(scenario, params, SCAN_BUDGET, 7)
+    reports.append(finite_bound(observation.rates, params, SCAN_BUDGET))
+    return truth, reports
+
+
 def test_scan_op_calls_no_builtin_clamp():
     # ROADMAP item 19's guard: a clamp costs time on every op.  A builtin
     # min(x, 1.0) took 152 ns on the host it was measured on, the comparison
@@ -208,41 +239,31 @@ def test_scan_op_calls_no_builtin_clamp():
     # fresh objects so the class-rate cache misses, must call none of them
     # from the package's own code (a first call may import stdlib modules).
     banned = {min, max, math.isinf}
-    package = os.path.dirname(decoyqkd.__file__)
-    budget = PulseBudget(10**10, 10**10, 10**8)
-    scenarios = [
-        YieldTable(1e-5, (0.2, 0.4, 0.6, 0.3)),
-        PnsAttack(q=0.02, s0=1e-6),
-        NoEve(eta=1e-2, s0=1e-5),
-    ]
-    called = []
-
-    def profile(frame, event, arg):
-        if event == "c_call" and any(arg is fn for fn in banned):
-            if frame.f_code.co_filename.startswith(package):
-                called.append((arg.__name__, frame.f_code.co_name))
-
-    for scenario in scenarios:
-        reports = []
-        sys.setprofile(profile)
-        try:
-            params = ProtocolParams(0.3, 0.45)
-            rates = expected_rates(scenario, params)
-            truth, _ = true_delta(scenario, params)
-            reports += [
-                hwang_bound(rates, params),
-                wang_asymptotic_bound(rates, params),
-                finite_bound(rates, params, budget),
-            ]
-            observation = sample_observation(scenario, params, budget, 7)
-            reports.append(finite_bound(observation.rates, params, budget))
-        finally:
-            sys.setprofile(None)
+    for scenario in scan_scenarios():
+        (truth, reports), calls = package_calls(lambda: scan_op(scenario))
+        called = [call.__name__ for call in calls if any(call is fn for fn in banned)]
         assert called == [], type(scenario).__name__
         assert all(report.delta_upper >= truth for report in reports[:3])
         # Off the PNS attack, whose truth is 1, the finite bounds ran the
         # solver, so its clamps were reached.
         assert all(r.vacuous for r in reports[2:]) == isinstance(scenario, PnsAttack)
+
+
+def test_scan_op_stays_within_its_frame_budget():
+    # On the host it was measured on, a Python frame cost about 30-50 ns,
+    # and a scan op made 57 of them in the package (56 on a PNS attack).
+    # Reading each pair's weights as params._coefficients instead of through
+    # decompose (5 frames), the inline S_mu guard (4) and divisor test (3),
+    # and y_0 and y_1 read once in true_delta (2) leave 43.  Every frame of
+    # the package counts, record __init__s included; one op of each kind
+    # runs on fresh objects, after a warm-up op.
+    budgets = {"YieldTable": 43, "PnsAttack": 42, "NoEve": 43}
+    for warm, scenario in zip(scan_scenarios(), scan_scenarios()):
+        scan_op(warm)
+        _, calls = package_calls(lambda: scan_op(scenario))
+        frames = [call.co_name for call in calls if isinstance(call, CodeType)]
+        kind = type(scenario).__name__
+        assert len(frames) <= budgets[kind], (kind, Counter(frames))
 
 
 def test_delta_prime_trivial_forms():

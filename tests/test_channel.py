@@ -26,6 +26,7 @@ from decoyqkd import (
     multi_photon_fraction,
     sample_observation,
     true_delta,
+    wang_asymptotic_bound,
 )
 from decoyqkd import channel
 from decoyqkd.channel import MAX_SAMPLED_PULSES
@@ -653,6 +654,80 @@ def test_known_defect_dark_dominated_sampled_bound_falls_below_truth():
         for seed in range(20000)
     )
     assert below == 1305
+
+
+def draws_below_truth(scenario, params, n, seeds, exponents):
+    """Per E, each of seeds 0..seeds-1 whose sampled finite bound falls below the truth.
+
+    Each seed is drawn once, with n pulses per signal class and none in the
+    vacuum class, and its rates are bounded at every E.  A failing draw is
+    listed as whether its asymptotic seed, wang_asymptotic_bound on the
+    sampled rates, is clamped to 0 (item 17's defect).
+    """
+    budget = PulseBudget(n, n)
+    truth, _ = true_delta(scenario, params)
+    settings = [FluctuationSettings(exponent) for exponent in exponents]
+    below = {exponent: [] for exponent in exponents}
+    for seed in range(seeds):
+        rates = sample_observation(scenario, params, budget, seed).rates
+        for exponent, setting in zip(exponents, settings):
+            if finite_bound(rates, params, budget, setting).delta_upper < truth:
+                seed_report = wang_asymptotic_bound(rates, params)
+                below[exponent].append(seed_report.clamped and seed_report.delta_upper == 0.0)
+    return below
+
+
+@pytest.mark.parametrize(
+    "yields, mu, ratio, n, seeds, count",
+    [
+        ((1.66e-5, 3.85e-4, 5.01e-3), 0.0049, 1.042, 10**10, 2000, 860),
+        ((1.24e-5, 5.49e-4, 5.2e-3), 0.1132, 1.0097, 10**9, 20000, 2351),
+    ],
+    ids=["mu=0.0049", "mu=0.1132"],
+)
+def test_known_defect_clamped_seed_sampled_bound_falls_below_truth(
+    yields, mu, ratio, n, seeds, count
+):
+    """Pins a known defect of the finite solver (ROADMAP item 17).
+
+    On these low-yield, dark-dominated tables the sampled rates often put the
+    asymptotic closed form below 0.  The solver then returns the edge of the
+    piece near sc = 0 and never looks at the larger sc that both constraints
+    also admit.  At E = 8 the sampled finite bound falls below the true
+    tagged fraction in 860 of 2 000 draws (claim: 2e^{-8} * 2 000 = 1.3)
+    and in 2 351 of 20 000 (claim: 13.4), and every failing draw has its
+    asymptotic seed clamped to 0.  A sound solver turns each count into a
+    gate at the claim.
+    """
+    params = ProtocolParams(mu, mu * ratio)
+    below = draws_below_truth(YieldTable(1e-4, yields), params, n, seeds, [8.0])
+    assert below == {8.0: [True] * count}
+
+
+@pytest.mark.parametrize(
+    "scenario, ratio, n, counts, clamped",
+    [
+        (YieldTable(1e-4, (1e-4, 0.05, 0.05)), 1.004, 10**8, {8.0: 42, 10.0: 11, 12.0: 2}, True),
+        (PnsAttack(0.05, 1e-4), 1.02, 10**10, {8.0: 58, 10.0: 21}, False),
+    ],
+    ids=["yields", "pns"],
+)
+def test_known_defect_near_diagonal_sampled_bound_falls_below_truth(
+    scenario, ratio, n, counts, clamped
+):
+    """Pins a known defect of the paper's finite model near the diagonal (ROADMAP item 18).
+
+    The closed form multiplies the weak class's binomial noise by
+    mu / (mu' - mu), 250 at mu'/mu = 1.004 and 50 at 1.02, and the model
+    takes the weak rate as exact.  Over 20 000 draws the sampled finite
+    bound falls below the truth more often than 2e^{-E} * 20 000 allows
+    (13.4, 1.8 and 0.25 at E = 8, 10 and 12).  On the yield table every
+    failing draw has a clamped seed, so item 17's fix covers it; on the PNS
+    attack none has, so only a model that bounds the weak class does.
+    """
+    params = ProtocolParams(0.05, 0.05 * ratio)
+    below = draws_below_truth(scenario, params, n, 20000, list(counts))
+    assert below == {exponent: [clamped] * count for exponent, count in counts.items()}
 
 
 def test_sample_observation_concentrates():
