@@ -194,8 +194,6 @@ def multi_photon_fraction(scenario: ChannelScenario, intensity: float) -> float:
     without truncation error.  A dead class (S = 0) contributes fraction 0.
     """
     total = scenario.class_rate(intensity)
-    if total <= 0.0:
-        return 0.0
     p0 = math.exp(-intensity)
     return _fraction(total, p0, intensity * p0, scenario.photon_yield(0), scenario.photon_yield(1))
 

@@ -180,11 +180,11 @@ CONFIG_KEYS: dict[str, dict[str, Callable[[str, str], Any]]] = {
     },
 }
 
-# Section -> key -> (value, label) of one run: the config file's values, each
-# labelled "[section] key", overlaid by each given flag's values, labelled with
-# the flag.  Each text is parsed where it enters, so a malformed one fails even
-# if another layer overrides it.  Handlers read their inputs from this map alone.
-Inputs = dict[str, dict[str, tuple[Any, str]]]
+# Section -> key -> value of one run: the config file's values, overlaid by
+# each given flag's values.  Each text is parsed where it enters, so a
+# malformed one fails even if another layer overrides it.  Handlers read their
+# inputs from this map alone; a key left unset keeps its library default.
+Inputs = dict[str, dict[str, Any]]
 
 
 def load_config(path: str, sections: Collection[str]) -> Inputs:
@@ -214,20 +214,14 @@ def load_config(path: str, sections: Collection[str]) -> Inputs:
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
             if section in sections:
-                where = f"[{section}] {key}"
-                values[key] = (CONFIG_KEYS[section][key](text, where), where)
+                values[key] = CONFIG_KEYS[section][key](text, f"[{section}] {key}")
         if section in sections:
             inputs[section] = values
     return inputs
 
 
-def _given(inputs: Inputs, section: str) -> dict[str, Any]:
-    """The values set in section; unset keys keep library defaults."""
-    return {key: value for key, (value, _) in inputs.get(section, {}).items()}
-
-
 def _resolve_params(inputs: Inputs) -> ProtocolParams:
-    values = _given(inputs, "params")
+    values = inputs.get("params", {})
     if len(values) < 2:
         raise ConfigError("mu and mu_prime are required (flags or [params] section)")
     return ProtocolParams(**values)
@@ -243,7 +237,7 @@ SCENARIOS: dict[str, tuple[type, str]] = {
 
 
 def _build_scenario(inputs: Inputs) -> tuple[ChannelScenario, dict[str, Any]]:
-    values = _given(inputs, "scenario")
+    values = dict(inputs.get("scenario", {}))
     kind = values.pop("kind", None)
     given = [key for _, key in SCENARIOS.values() if key in values]
     if kind is None:
@@ -267,17 +261,20 @@ def _build_scenario(inputs: Inputs) -> tuple[ChannelScenario, dict[str, Any]]:
 
 
 def _resolve_rate_source(
-    inputs: Inputs, params: ProtocolParams
+    args: argparse.Namespace, inputs: Inputs, params: ProtocolParams
 ) -> tuple[ObservedRates, dict[str, Any] | None]:
     """Direct rates, or a scenario's rates and echo; a run may give only one."""
     rates, scenario = inputs.get("rates"), inputs.get("scenario")
-    # Each source is named by its flags if any of its keys came from one.
-    labels = {label for _, label in (rates or {}).values()}
-    direct = "--rates" if "--rates" in labels else "[rates]"
+    # Each source is named by its flags if any of them was given.
+    direct = "--rates" if args.rates is not None else "[rates]"
     if rates is not None and scenario is not None:
-        modelled = "[scenario]"
-        if any(label.startswith("--") for _, label in scenario.values()):
-            modelled = "scenario flags"
+        _, _, flags = COMMANDS[args.command]
+        flagged = any(
+            section == "scenario" and _flag_text(args, flag) is not None
+            for flag, keys in flags.items()
+            for section, _ in keys
+        )
+        modelled = "scenario flags" if flagged else "[scenario]"
         if (direct, modelled) == ("[rates]", "[scenario]"):
             raise ConfigError("config supplies both [rates] and [scenario]; keep exactly one")
         raise ConfigError(f"supply either {direct} or {modelled}, not both")
@@ -285,7 +282,7 @@ def _resolve_rate_source(
         missing = set(CONFIG_KEYS["rates"]) - set(rates)
         if missing:
             raise ConfigError(f"[rates] section is missing {sorted(missing)}")
-        observed = ObservedRates(**_given(inputs, "rates"))
+        observed = ObservedRates(**rates)
         coeffs = decompose(params)
         vacuum = coeffs.p0_mu * observed.s0
         if observed.s_mu < vacuum:
@@ -314,7 +311,7 @@ def _resolve_rate_source(
 
 
 def _resolve_budget(inputs: Inputs) -> PulseBudget | None:
-    counts = _given(inputs, "budget")
+    counts = inputs.get("budget", {})
     signal = {"n_mu", "n_mu_prime"} & counts.keys()
     if len(signal) == 1:
         raise ConfigError("a pulse budget needs both n_mu and n_mu_prime (or --n)")
@@ -322,7 +319,7 @@ def _resolve_budget(inputs: Inputs) -> PulseBudget | None:
 
 
 def _resolve_output(inputs: Inputs) -> tuple[str, str | None]:
-    output = _given(inputs, "output")
+    output = inputs.get("output", {})
     fmt = output.get("format", "table")
     if fmt not in ("table", "json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r} (expected table, json, or csv)")
@@ -485,10 +482,10 @@ def _method_records(sections: dict[str, Any]) -> list[dict[str, Any]]:
 
 def cmd_bound(args: argparse.Namespace, inputs: Inputs) -> int:
     params = _resolve_params(inputs)
-    rates, scenario_echo = _resolve_rate_source(inputs, params)
+    rates, scenario_echo = _resolve_rate_source(args, inputs, params)
     budget = _resolve_budget(inputs)
-    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
-    qber = _given(inputs, "key").get("qber")
+    settings = FluctuationSettings(**inputs.get("fluctuation", {}))
+    qber = inputs.get("key", {}).get("qber")
     fmt, out = _resolve_output(inputs)
 
     sections, final = _bound_pipeline(rates, params, budget, settings, qber)
@@ -531,8 +528,8 @@ def cmd_simulate(args: argparse.Namespace, inputs: Inputs) -> int:
     if args.seed is None:
         raise ConfigError("simulate requires --seed for reproducible sampling")
     seed = _as_count(args.seed, "--seed")
-    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
-    qber = _given(inputs, "key").get("qber")
+    settings = FluctuationSettings(**inputs.get("fluctuation", {}))
+    qber = inputs.get("key", {}).get("qber")
     fmt, out = _resolve_output(inputs)
 
     observation = sample_observation(scenario, params, budget, seed)
@@ -609,12 +606,12 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
     """
     from . import batch
 
-    given = _given(inputs, "sweep")
+    given = inputs.get("sweep", {})
     mu_grid, mu_prime_grid, eta_grid = given.get("mu"), given.get("mu_prime"), given.get("eta")
     if not mu_grid or not mu_prime_grid or not eta_grid:
         raise ConfigError("sweep needs mu, mu_prime, and eta grids")
     s0, n_pulses, qber = given.get("s0", 1e-6), given.get("n_pulses"), given.get("qber")
-    settings = FluctuationSettings(**_given(inputs, "fluctuation"))
+    settings = FluctuationSettings(**inputs.get("fluctuation", {}))
     fmt, out = _resolve_output(inputs)
 
     size = len(mu_grid) * len(mu_prime_grid) * len(eta_grid)
@@ -694,7 +691,7 @@ def cmd_sweep(args: argparse.Namespace, inputs: Inputs) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace, inputs: Inputs) -> int:
-    given = {"eta": 1e-4, "s0": 1e-6, **_given(inputs, "feasibility")}
+    given = {"eta": 1e-4, "s0": 1e-6, **inputs.get("feasibility", {})}
     target = {"rel_dark_fluct_target": given.pop("target")} if "target" in given else {}
     setup = WeakDecoySetup(**{"mu_v": given["eta"], **given})
     report = build_report(setup, **target)
@@ -796,6 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_text(args: argparse.Namespace, flag: str) -> str | None:
+    """The text given for flag, or None."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _inputs(args: argparse.Namespace) -> Inputs:
     """The config's values, then each given flag's values over the keys it sets.
 
@@ -808,7 +810,7 @@ def _inputs(args: argparse.Namespace) -> Inputs:
         sections = {section for keys in flags.values() for section, _ in keys}
         inputs = load_config(args.config, sections | {"rates"})
     for flag, keys in flags.items():
-        text = getattr(args, flag[2:].replace("-", "_"))
+        text = _flag_text(args, flag)
         if text is None:
             continue
         texts = [text] * len(keys)
@@ -817,7 +819,7 @@ def _inputs(args: argparse.Namespace) -> Inputs:
             if len(texts) != 3:
                 raise ConfigError("--rates expects three values: s0,s_mu,s_mu_prime")
         for (section, key), part in zip(keys, texts):
-            inputs.setdefault(section, {})[key] = (CONFIG_KEYS[section][key](part, flag), flag)
+            inputs.setdefault(section, {})[key] = CONFIG_KEYS[section][key](part, flag)
     return inputs
 
 

@@ -14,7 +14,7 @@ import math
 
 from .errors import _FLOAT_MAX, DomainError, ParameterError, _frozen, _shown
 
-# Tolerance for the Poisson prefix-sum sanity check in poisson_mixture.
+# Tolerance for the Poisson prefix-sum sanity check in _poisson_mixtures.
 SUM_TOL = 1e-12
 
 # Smallest admissible relative separation mu'/mu - 1.  Below it the closed
@@ -32,26 +32,15 @@ MIN_INTENSITY = 1e-150
 def poisson_mixture(mu: float, y0: float, yields: tuple[float, ...]) -> float:
     """Return ``sum_n P_n(mu) y_n``, with ``y_0 = y0`` and ``y_n = yields[n - 1]``.
 
-    Each ``P_n`` comes from the upward recurrence
-    ``P_n = P_{n-1} * mu / n``, which is exact in the relative sense, and
-    is weighted as soon as it is formed.  At ``mu = 0`` every term past the
-    vacuum is a signed zero, so a vacuum weight that is not -0.0 is the sum
-    itself (the yields are finite).
+    At ``mu = 0`` every term past the vacuum is a signed zero, so a vacuum
+    weight that is not -0.0 is the sum itself (the yields are finite).  Any
+    other intensity goes through _poisson_mixtures' recurrence.
     """
     if not 0 <= mu <= _FLOAT_MAX:
         raise DomainError(f"intensity must be finite and non-negative, got {_shown(mu)}")
     if mu == 0.0 and math.copysign(1.0, y0) > 0.0:
         return y0
-    p = total = math.exp(-mu)
-    rate = p * y0
-    for n, y in enumerate(yields, start=1):
-        p = p * mu / n
-        total += p
-        rate += p * y
-    # Partial sums may not exceed 1 by more than rounding noise.
-    if total > 1.0 + SUM_TOL:
-        raise DomainError(f"prefix sum exceeds 1 for mu={mu}, n_max={len(yields)}")
-    return rate
+    return _poisson_mixtures(mu, mu, y0, yields)[0]
 
 
 def _poisson_mixtures(
@@ -59,10 +48,12 @@ def _poisson_mixtures(
 ) -> tuple[float, float]:
     """``poisson_mixture`` at mu and at mu', in one pass over the yields.
 
-    For an admitted pair: both intensities are positive and finite, so no
-    domain check or vacuum shortcut applies.  Each intensity keeps its own
-    recurrence and prefix sum, so both sums have poisson_mixture's bits, and
-    a failed check raises through poisson_mixture, mu's first.
+    Both intensities must be finite and non-negative, which it does not
+    check, and there is no vacuum shortcut.  Each ``P_n`` comes from the
+    upward recurrence ``P_n = P_{n-1} * mu / n``, which is exact in the
+    relative sense, and is weighted as soon as it is formed.  Each intensity
+    keeps its own recurrence and prefix sum; a failed prefix-sum check
+    raises, mu's first.
     """
     p = total = math.exp(-mu)
     q = total_prime = math.exp(-mu_prime)
@@ -74,9 +65,10 @@ def _poisson_mixtures(
         total_prime += q
         rate += p * y
         rate_prime += q * y
+    # Partial sums may not exceed 1 by more than rounding noise.
     if total > 1.0 + SUM_TOL or total_prime > 1.0 + SUM_TOL:
-        poisson_mixture(mu, y0, yields)
-        poisson_mixture(mu_prime, y0, yields)
+        x = mu if total > 1.0 + SUM_TOL else mu_prime
+        raise DomainError(f"prefix sum exceeds 1 for mu={x}, n_max={len(yields)}")
     return rate, rate_prime
 
 

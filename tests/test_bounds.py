@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import astuple
 from types import CodeType
 
 import pytest
@@ -28,6 +29,7 @@ from decoyqkd import (
     hwang_optimized,
     sample_observation,
     true_delta,
+    validate_pair,
     wang_asymptotic_bound,
 )
 from decoyqkd.bounds import DEFAULT_MAX_ITER, TOL, _constraints, _s1, _solve_sc
@@ -444,3 +446,42 @@ def test_near_diagonal_family_is_sound_or_rejected():
     for decade in range(-16, -6):
         assert outcomes[decade, "rejected"] == 150
     assert outcomes[-6, "bounded"] == outcomes[-5, "bounded"] == 150
+
+
+def test_bounds_dominate_the_exact_lp_optimum():
+    # The LP over yields in [0, 1] is the largest tagged fraction any
+    # eavesdropper can produce from these rates (ROADMAP item 4 (a)).  The
+    # asymptotic bound meets it to within the LP's tolerance, so the slack
+    # is 1e-9, and every bound and its delta' must reach it.
+    pytest.importorskip("scipy")
+    from lp_oracle import lp_fraction
+
+    rng = random.Random(2005)
+    budget = PulseBudget(10**10, 10**10)
+    margins = {"hwang": 1.0, "wang": 1.0, "finite": 1.0, "delta'": 1.0}
+    checked = 0
+    while checked < 200:
+        mu = rng.uniform(0.05, 0.5)
+        mu_prime = rng.uniform(mu * (1.0 + 1e-3), 1.0)
+        if not validate_pair(mu, mu_prime):
+            continue
+        s0 = rng.choice([0.0, rng.uniform(0.0, 1e-4)])
+        if checked % 2:
+            scenario = NoEve(eta=10.0 ** rng.uniform(-4.0, 0.0), s0=s0)
+        else:
+            scenario = YieldTable(s0=s0, yields=tuple(rng.random() for _ in range(20)))
+        params = ProtocolParams(mu, mu_prime)
+        rates = expected_rates(scenario, params)
+        lp = {x: lp_fraction(*astuple(rates), mu, mu_prime, at=x) for x in (mu, mu_prime)}
+        reports = {
+            "hwang": hwang_bound(rates, params),
+            "wang": wang_asymptotic_bound(rates, params),
+            "finite": finite_bound(rates, params, budget),
+        }
+        for name, report in reports.items():
+            margins[name] = min(margins[name], report.delta_upper - lp[mu])
+            delta_prime = delta_prime_bound(report.delta_upper, rates, params)
+            margins["delta'"] = min(margins["delta'"], delta_prime - lp[mu_prime])
+        checked += 1
+    print("smallest margins over the LP optimum:", margins)
+    assert min(margins.values()) >= -1e-9, margins

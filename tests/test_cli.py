@@ -271,6 +271,29 @@ def test_bound_refuses_rates_above_their_yield_ceiling(tmp_path, capsys, source,
     assert (code, err) == (0, "")
 
 
+def test_known_defect_sc_upper_exceeds_1_at_the_yield_ceiling(capsys):
+    """Pins a known defect of both asymptotic bounds (ROADMAP "Cap sc at 1").
+
+    These are the rates of all-ones yields, each at its yield ceiling, so the
+    run is not refused.  sc is a mean multi-photon yield, so it is at most 1,
+    but no bound uses that: the hwang and asymptotic sc_upper come out at
+    5.018 and 1.188, with clamped false.  Taking min(sc, 1) would give
+    delta <= c / S_mu = 0.049, against the asymptotic 0.058; the change that
+    does so turns this pin into a check that every sc_upper is at most 1.
+    """
+    code, out, err = run(
+        capsys, "bound", "--mu", "0.1", "--mu-prime", "0.5",
+        "--rates", "0,0.09516258196404048,0.3934693402873666", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    sc_upper = {row[0]: row[rows[0].index("sc_upper")] for row in rows[1:]}
+    assert sc_upper == {
+        "hwang_crude": "5.0182289582600301",
+        "wang_asymptotic": "1.1880547953421359",
+    }
+
+
 def test_config_rejects_rates_and_scenario(tmp_path, capsys):
     cfg = tmp_path / "both.ini"
     cfg.write_text(
@@ -822,6 +845,8 @@ def test_launch_loads_configparser_and_json_only_where_read(tmp_path):
     # takes the median import time of every module it names, numpy included,
     # and fails for one not loaded.  Taking numpy off is ROADMAP item 3, which
     # waits for the benchmark to report an unloaded module as absent (item 2).
+    # numpy.random, which costs about 10-16 ms to import, loads with the
+    # first sample that simulate draws, and no other command loads it.
     config = tmp_path / "f.ini"
     config.write_text("[params]\nmu = 0.3\nmu_prime = 0.45\n[rates]\n"
                       "s0 = 1e-6\ns_mu = 3e-5\ns_mu_prime = 4.5e-5\n")
@@ -830,8 +855,11 @@ def test_launch_loads_configparser_and_json_only_where_read(tmp_path):
         ["bound", "--rates", "1e-6,3e-5,4.5e-5", "--mu", "0.3", "--mu-prime", "0.45",
          "--format", "table"],
         ["bound", "--config", str(config)],
+        ["feasibility"],
+        ["simulate", "--mu", "0.3", "--mu-prime", "0.45", "--eta", "1e-3", "--n", "1e8",
+         "--seed", "3"],
     ]
-    watched = ("configparser", "json", "numpy")
+    watched = ("configparser", "json", "numpy", "numpy.random")
     script = (
         "import contextlib, io, runpy, sys\n"
         "seen = []\n"
@@ -857,6 +885,8 @@ def test_launch_loads_configparser_and_json_only_where_read(tmp_path):
         [0, ["numpy"]],
         [0, ["numpy"]],
         [0, ["configparser", "numpy"]],
+        [5, ["configparser", "numpy"]],
+        [0, ["configparser", "numpy", "numpy.random"]],
     ]
 
 
